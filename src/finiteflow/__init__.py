@@ -11,8 +11,7 @@ from .config import ConfigError, ExperimentConfig, load_config, preset_names
 from .flows import FlowSpec, flow_eval, flow_speed
 from .integrators import (DiscretizerConfig, NumericalFailure, StepperState,
                           StopCriteria, Trajectory, init_state,
-                          integrate_reference, run, step_adam, step_euler,
-                          step_gd, step_nagd, step_nesterov_like, step_rk)
+                          integrate_reference, run)
 from .objectives import (BatchContext, Objective, OptimumInfo,
                          finite_difference_check, make_mlp, make_pth_power,
                          make_quadratic, make_rosenbrock)
@@ -30,6 +29,5 @@ __all__ = [
     "flow_speed", "init_state", "integrate_reference", "k_star",
     "load_config", "make_mlp", "make_pth_power", "make_quadratic",
     "make_rosenbrock", "preset_names", "run", "run_experiment",
-    "settling_time_bound", "step_adam", "step_euler", "step_gd", "step_nagd",
-    "step_nesterov_like", "step_rk", "verify_envelope", "weak_bound",
+    "settling_time_bound", "verify_envelope", "weak_bound",
 ]

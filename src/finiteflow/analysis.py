@@ -168,14 +168,12 @@ def energy_settling_bound(E0: float, c: float, alpha: float) -> float:
     return E0 ** (1.0 - alpha) / (c * (1.0 - alpha))
 
 
-def energy_decay_envelope(params: DominanceParams, c: float, E0: float, t,
-                          literal_exponent: bool = False):
+def energy_decay_envelope(params: DominanceParams, c: float, E0: float, t):
     """Envelope on the energy f(x(t)) - f_star along the flow.
 
     Integrating the decay inequality gives
     max(0, E0^(1-alpha) - c_eff*(1-alpha)*t) ** (1/(1-alpha)) with
-    c_eff = c * C^(1/theta_prime). ``literal_exponent`` switches the
-    outer exponent to (1-alpha), an alternative closed form kept for comparison.
+    c_eff = c * C^(1/theta_prime).
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
@@ -183,8 +181,7 @@ def energy_decay_envelope(params: DominanceParams, c: float, E0: float, t,
     one_minus = 1.0 - params.alpha
     c_eff = c * params.C ** (1.0 / params.theta_prime)
     base = np.maximum(0.0, E0 ** one_minus - c_eff * one_minus * t_arr)
-    exponent = one_minus if literal_exponent else 1.0 / one_minus
-    out = base ** exponent
+    out = base ** (1.0 / one_minus)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -201,8 +198,7 @@ def k_star(params: DominanceParams, c: float, eta: float, f_gap0: float) -> floa
 
 
 def weak_bound(params: DominanceParams, c: float, eta: float, f_gap0: float,
-               L_f: float, eps: float, k,
-               literal_exponent: bool = False):
+               L_f: float, eps: float, k):
     """Envelope on the discrete f-gap: L_f*eps plus the continuous decay
     envelope evaluated at elapsed time eta*k, clamped to L_f*eps beyond the
     arrival step count."""
@@ -212,8 +208,7 @@ def weak_bound(params: DominanceParams, c: float, eta: float, f_gap0: float,
     one_minus = 1.0 - params.alpha
     c_tilde = c * params.C ** (1.0 / params.theta_prime)
     base = np.maximum(0.0, f_gap0 ** one_minus - c_tilde * one_minus * eta * k_arr)
-    exponent = one_minus if literal_exponent else 1.0 / one_minus
-    out = L_f * eps + base ** exponent
+    out = L_f * eps + base ** (1.0 / one_minus)
     return float(out) if np.isscalar(k) or k_arr.ndim == 0 else out
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,8 +19,6 @@ from .objectives import BatchContext, Objective
 
 CSV_HEADER = "k,t,f,f_gap,grad_norm2,grad_norm1,wall_s"
 ITERS_SENTINEL = -1
-
-WORKERS_ENV = "FINITEFLOW_WORKERS"
 
 
 def _fmt(v: float) -> str:
@@ -100,23 +96,15 @@ def _cell_paths(out_dir: Path, optimizer: str, seed: int) -> Path:
     return out_dir / f"{optimizer}__seed{seed}.csv"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunSummary:
     """Execute every (optimizer, seed) cell of the config and write artifacts.
 
     Per cell: one trajectory CSV. Per experiment: a summary CSV with per-cell
     rows plus median/min/max rows per optimizer, and one mean-over-seeds loss
-    curve CSV per optimizer. A failed cell is recorded in the summary and
-    leaves its (possibly partial) trajectory file in place; the sweep
-    continues. Initial points and mini-batch schedules depend only on
-    (base_seed, seed index), so re-runs are reproducible.
+    curve CSV per optimizer. A cell that fails numerically is recorded in
+    the summary with its partial trajectory and the sweep continues; any
+    other exception propagates. Initial points and mini-batch schedules
+    depend only on (base_seed, seed index), so re-runs are reproducible.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,7 +118,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     cells_plan = [(opt, cfg.init.base_seed + i)
                   for opt in cfg.optimizers for i in range(cfg.init.n_seeds)]
 
-    def execute(plan: tuple[NamedOptimizer, int]) -> tuple[CellResult, Trajectory | None]:
+    def execute(plan: tuple[NamedOptimizer, int]) -> tuple[CellResult, Trajectory]:
         opt, seed = plan
         x0 = cfg.init.draw(obj.dimension, seed)
         batch = None
@@ -139,36 +127,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                                  dataset_size=obj.aux.get("dataset_size",
                                                           cfg.batch.size))
         path = _cell_paths(out, opt.name, seed)
-        try:
-            traj = run(opt.config, obj, x0, cfg.stop, batch=batch)
-        except Exception:
-            emit_csv(Trajectory(k=np.zeros(0, dtype=int), t=np.zeros(0),
-                                x=np.zeros((0, obj.dimension)), f=np.zeros(0),
-                                grad_norm2=np.zeros(0), grad_norm1=np.zeros(0),
-                                wall_s=np.zeros(0),
-                                terminal_reason="numerical_failure"),
-                     path, f_star)
-            return CellResult(opt.name, seed, math.nan, math.nan, math.inf,
-                              math.nan, "numerical_failure", path), None
+        traj = run(opt.config, obj, x0, cfg.stop, batch=batch)
         emit_csv(traj, path, f_star)
-        final_f = float(traj.f[-1])
+        # a run whose objective fails at x0 records nothing
+        final_f = float(traj.f[-1]) if len(traj) else math.nan
         return CellResult(
             optimizer=opt.name,
             seed=seed,
             final_f=final_f,
             final_f_gap=final_f - f_star if f_star is not None else math.nan,
             iters_to_tol=_iters_to_tolerance(traj, f_star, cfg.stop.f_tol),
-            wall_s=float(traj.wall_s[-1]),
+            wall_s=float(traj.wall_s[-1]) if len(traj) else math.nan,
             terminal_reason=traj.terminal_reason,
             csv_path=path,
         ), traj
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, cells_plan))
-    else:
-        outcomes = [execute(plan) for plan in cells_plan]
+    outcomes = [execute(plan) for plan in cells_plan]
 
     cells = [c for c, _ in outcomes]
     summary = RunSummary(cells=cells, out_dir=out)
@@ -205,7 +179,7 @@ def _write_mean_curves(cfg: ExperimentConfig, outcomes, f_star, out: Path) -> No
     # value so converged runs keep contributing to the average
     by_opt: dict[str, list[Trajectory]] = {}
     for cell, traj in outcomes:
-        if traj is not None:
+        if len(traj):
             by_opt.setdefault(cell.optimizer, []).append(traj)
     for name, trajs in by_opt.items():
         longest = max(len(t) for t in trajs)

@@ -27,6 +27,10 @@ _POW_LO = 1e-100
 _POW_HI = 1e100
 
 
+class NumericalFailure(ValueError):
+    """A step met a non-finite gradient or produced a non-finite iterate."""
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """Which flow to evaluate, with its exponent q, scale c, and cutoff."""
@@ -70,34 +74,40 @@ def _power(base: float, exponent: float) -> float:
     return math.exp(exponent * math.log(base))
 
 
-def _norm2(g: np.ndarray, spec: FlowSpec) -> float:
-    sq = float(g @ g)
+def norm2(v: np.ndarray) -> float:
+    """Euclidean norm; nan or inf when a component is."""
+    # ndarray.dot is bit-identical to ``v @ v`` and cheaper per call
+    sq = float(v.dot(v))
     if math.isfinite(sq):
         return math.sqrt(sq)
-    if np.all(np.isfinite(g)):
+    a = np.abs(v)
+    if np.all(np.isfinite(a)):
         # components finite but the squared sum overflowed; rescale
-        peak = float(np.max(np.abs(g)))
-        scaled = g / peak
-        return peak * math.sqrt(float(scaled @ scaled))
-    raise ValueError(f"non-finite gradient passed to {spec.kind} flow: {g!r}")
+        peak = float(a.max())
+        scaled = v / peak
+        return peak * math.sqrt(float(scaled.dot(scaled)))
+    return math.nan if np.isnan(a).any() else math.inf
 
 
 def flow_eval(spec: FlowSpec, grad: np.ndarray) -> np.ndarray:
     """Velocity of the configured flow at a point with gradient ``grad``."""
     g = grad if isinstance(grad, np.ndarray) and grad.dtype == np.float64 \
         else np.asarray(grad, dtype=float)
-    norm2 = _norm2(g, spec)
-    if norm2 <= spec.grad_threshold:
+    n2 = norm2(g)
+    if not math.isfinite(n2):
+        raise NumericalFailure(f"non-finite gradient passed to {spec.kind} flow: {g!r}")
+    if n2 <= spec.grad_threshold:
         # stationary point: zero velocity is an admissible solution there
         return np.zeros_like(g)
     if spec.kind == "gf":
         return -g
+    # array-first products: same bits as scalar-first, less dispatch per call
     if spec.kind == "rgf":
-        base = g * _power(norm2, -spec._exponent)
-        return -spec.c * base
+        base = g * _power(n2, -spec._exponent)
+        return base * -spec.c
     norm1 = float(np.abs(g).sum())
-    base = _power(norm1, spec._exponent) * np.sign(g)
-    return -spec.c * base
+    base = np.sign(g) * _power(norm1, spec._exponent)
+    return base * -spec.c
 
 
 def flow_speed(spec: FlowSpec, grad: np.ndarray) -> float:

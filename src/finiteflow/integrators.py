@@ -1,41 +1,43 @@
-"""Discrete-time steppers, the run loop, and a fixed-step reference integrator."""
+"""Discrete-time steppers, the run loop, and a fixed-step reference integrator.
+
+Every scheme is one of three steps. The explicit tableau step covers forward
+Euler and ``gd`` (the one-stage tableau, ``gd`` on the plain gradient flow),
+the paper's multi-stage family ``rk``, and the classical RK4 of the reference
+integrator. The look-ahead step covers ``nesterov`` and ``nagd`` (the same
+step on the plain gradient flow). Adam is the third.
+"""
 
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .flows import FlowSpec, flow_eval
+from .flows import FlowSpec, NumericalFailure, flow_eval, norm2
 from .objectives import BatchContext, Objective
 
 SCHEMES = ("euler", "rk", "nesterov", "gd", "nagd", "adam")
 _FLOW_SCHEMES = ("euler", "rk", "nesterov")
+_LOOK_AHEAD_SCHEMES = ("nesterov", "nagd")
+
+# gd and nagd are euler and nesterov on this flow: a zero cutoff makes the
+# velocity -grad f everywhere
+_GRADIENT_FLOW = FlowSpec("gf", grad_threshold=0.0)
+
+# explicit tableaus (a, b): stage i sits at x + h * sum_j a[i][j] * v_j over
+# the earlier stages j, and the step is x + h * sum_i b[i] * v_i
+_EULER = (((),), (1.0,))
+_RK4 = (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+        (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))
 
 TERMINAL_GRAD_TOL = "grad_tol"
 TERMINAL_F_TOL = "f_tol"
 TERMINAL_MAX_ITERS = "max_iters"
 TERMINAL_WALL_LIMIT = "wall_limit"
 TERMINAL_NUMERICAL_FAILURE = "numerical_failure"
-
-
-class NumericalFailure(RuntimeError):
-    """A stepper produced a non-finite iterate."""
-
-
-def _fast_norm2(v: np.ndarray) -> float:
-    sq = float(v @ v)
-    if math.isfinite(sq):
-        return math.sqrt(sq)
-    a = np.abs(v)
-    if np.all(np.isfinite(a)):
-        peak = float(a.max())
-        scaled = v / peak
-        return peak * math.sqrt(float(scaled @ scaled))
-    return math.nan if np.isnan(a).any() else math.inf
 
 
 @dataclass(frozen=True)
@@ -130,51 +132,61 @@ def init_state(x0: np.ndarray) -> StepperState:
 
 
 def _ensure_finite(x: np.ndarray, scheme: str) -> None:
-    if not np.all(np.isfinite(x)):
+    # a finite squared norm proves every component finite
+    if not math.isfinite(float(x.dot(x))) and not np.all(np.isfinite(x)):
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
 
 
-def step_euler(cfg: DiscretizerConfig, obj: Objective, state: StepperState,
-               grad: np.ndarray | None = None) -> StepperState:
-    """x <- x + eta * F(x) for the configured flow.
+def _flow(cfg: DiscretizerConfig) -> FlowSpec:
+    return _GRADIENT_FLOW if cfg.flow is None else cfg.flow
+
+
+def _tableau(cfg: DiscretizerConfig) -> tuple:
+    # the paper's family: a[i][j] = betas[j] for every stage i > j, b = alphas
+    if cfg.scheme == "rk":
+        return tuple(cfg.betas[:i] for i in range(cfg.stages)), cfg.alphas
+    return _EULER
+
+
+def _combine(coefs: tuple[float, ...], vs: list[np.ndarray]) -> np.ndarray | None:
+    """sum_j coefs[j] * vs[j], added left to right; None when every coefficient
+    is zero. Skipping zero terms and unit factors leaves a sum of finite
+    velocities unchanged up to the sign of a zero."""
+    total = None
+    for coef, v in zip(coefs, vs):
+        if coef:
+            term = v if coef == 1.0 else v * coef
+            total = term if total is None else total + term
+    return total
+
+
+def _tableau_update(tableau: tuple, h: float, x: np.ndarray, v1: np.ndarray,
+                    velocity: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """One explicit tableau step from x, given the velocity v1 at x and the
+    velocity field for the later stages."""
+    a, b = tableau
+    vs = [v1]
+    for row in a[1:]:
+        offset = _combine(row, vs)
+        vs.append(velocity(x if offset is None else x + offset * h))
+    return x + _combine(b, vs) * h
+
+
+def step_tableau(cfg: DiscretizerConfig, obj: Objective, state: StepperState,
+                 grad: np.ndarray | None = None) -> StepperState:
+    """Explicit Runge-Kutta step of the configured flow (euler, rk, gd).
 
     ``grad``, when given, must be the gradient at the current iterate; it
     saves a re-evaluation when the caller already observed it.
     """
-    if grad is None:
-        grad = obj.gradient(state.x)
-    v = flow_eval(cfg.flow, grad)
-    x_next = state.x + cfg.eta * v
-    _ensure_finite(x_next, "euler")
-    return StepperState(x=x_next, y=state.y, m=state.m, v=state.v, k=state.k + 1)
+    flow = _flow(cfg)
 
+    def velocity(z: np.ndarray) -> np.ndarray:
+        return flow_eval(flow, obj.gradient(z))
 
-def step_rk(cfg: DiscretizerConfig, obj: Objective, state: StepperState,
-            grad: np.ndarray | None = None) -> StepperState:
-    """Explicit multi-stage step.
-
-    Stage 1 sits at the current iterate; stage i adds eta times the running
-    beta-weighted sum of earlier stage velocities. The update combines all
-    stage velocities with the alpha weights.
-    """
-    x = state.x
-    velocities: list[np.ndarray] = []
-    offset = np.zeros_like(x)
-    point = x
-    for i in range(cfg.stages):
-        if i > 0:
-            offset = offset + cfg.betas[i - 1] * velocities[i - 1]
-            point = x + cfg.eta * offset
-            stage_grad = obj.gradient(point)
-        else:
-            stage_grad = obj.gradient(point) if grad is None else grad
-        velocities.append(flow_eval(cfg.flow, stage_grad))
-        _ensure_finite(velocities[-1], "rk")
-    update = velocities[0] * cfg.alphas[0]
-    for alpha, vel in zip(cfg.alphas[1:], velocities[1:]):
-        update = update + alpha * vel
-    x_next = x + cfg.eta * update
-    _ensure_finite(x_next, "rk")
+    v1 = velocity(state.x) if grad is None else flow_eval(flow, grad)
+    x_next = _tableau_update(_tableau(cfg), cfg.eta, state.x, v1, velocity)
+    _ensure_finite(x_next, cfg.scheme)
     return StepperState(x=x_next, y=state.y, m=state.m, v=state.v, k=state.k + 1)
 
 
@@ -182,30 +194,12 @@ def step_nesterov_like(cfg: DiscretizerConfig, obj: Objective, state: StepperSta
     """Momentum step that evaluates the flow at the look-ahead point.
 
     x_{k+1} = x_k + beta*y_k + eta * F(x_k + beta*y_k), y_{k+1} = x_{k+1} - x_k.
-    With the plain gradient flow this reproduces Nesterov-accelerated descent.
+    On the plain gradient flow this is Nesterov-accelerated descent (nagd).
     """
     look_ahead = state.x + cfg.beta * state.y
-    v = flow_eval(cfg.flow, obj.gradient(look_ahead))
+    v = flow_eval(_flow(cfg), obj.gradient(look_ahead))
     x_next = look_ahead + cfg.eta * v
-    _ensure_finite(x_next, "nesterov")
-    return StepperState(x=x_next, y=x_next - state.x, m=state.m, v=state.v, k=state.k + 1)
-
-
-def step_gd(cfg: DiscretizerConfig, obj: Objective, state: StepperState,
-            grad: np.ndarray | None = None) -> StepperState:
-    """Plain gradient descent, x <- x - eta * grad f(x)."""
-    if grad is None:
-        grad = obj.gradient(state.x)
-    x_next = state.x - cfg.eta * grad
-    _ensure_finite(x_next, "gd")
-    return StepperState(x=x_next, y=state.y, m=state.m, v=state.v, k=state.k + 1)
-
-
-def step_nagd(cfg: DiscretizerConfig, obj: Objective, state: StepperState) -> StepperState:
-    """Nesterov-accelerated gradient descent with constant eta and beta."""
-    look_ahead = state.x + cfg.beta * state.y
-    x_next = look_ahead - cfg.eta * obj.gradient(look_ahead)
-    _ensure_finite(x_next, "nagd")
+    _ensure_finite(x_next, cfg.scheme)
     return StepperState(x=x_next, y=x_next - state.x, m=state.m, v=state.v, k=state.k + 1)
 
 
@@ -223,18 +217,13 @@ def step_adam(cfg: DiscretizerConfig, obj: Objective, state: StepperState,
     return StepperState(x=x_next, y=state.y, m=m, v=v, k=k_next)
 
 
-_STEPPERS = {
-    "euler": step_euler,
-    "rk": step_rk,
-    "nesterov": step_nesterov_like,
-    "gd": step_gd,
-    "nagd": step_nagd,
-    "adam": step_adam,
-}
-
-
 def make_step(cfg: DiscretizerConfig):
-    return _STEPPERS[cfg.scheme]
+    """The step function ``(cfg, obj, state) -> StepperState`` of the scheme."""
+    if cfg.scheme == "adam":
+        return step_adam
+    if cfg.scheme in _LOOK_AHEAD_SCHEMES:
+        return step_nesterov_like
+    return step_tableau
 
 
 @dataclass
@@ -259,11 +248,6 @@ class Trajectory:
             yield (int(self.k[i]), float(self.t[i]), self.x[i],
                    float(self.f[i]), float(self.grad_norm2[i]),
                    float(self.grad_norm1[i]), float(self.wall_s[i]))
-
-    def f_gap(self, f_star: float | None = None) -> np.ndarray:
-        if f_star is None:
-            f_star = math.nan
-        return self.f - f_star
 
 
 class _TrajectoryBuilder:
@@ -316,6 +300,40 @@ def _stop_reason(stop: StopCriteria, obj: Objective, k: int, f: float,
     return None
 
 
+def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCriteria,
+                       advance: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Trajectory:
+    """Record x, then step with ``advance(x, grad) -> next x`` until a stop
+    rule fires.
+
+    Iterate k is recorded at time k*dt with its cost, gradient norms and wall
+    seconds. The run ends as numerical_failure, keeping every iterate
+    recorded so far, when a recorded cost or gradient is not finite, when
+    the objective raises an ArithmeticError, or when a step raises
+    NumericalFailure.
+    """
+    builder = _TrajectoryBuilder(obj.dimension)
+    t_start = time.perf_counter()
+    k = 0
+    try:
+        while True:
+            g = np.asarray(obj.gradient(x), dtype=float)
+            f = float(obj.value(x))
+            gn2 = norm2(g)
+            wall = time.perf_counter() - t_start
+            builder.append(k, k * dt, x, f, gn2, float(np.abs(g).sum()), wall)
+            if not (math.isfinite(f) and math.isfinite(gn2)):
+                reason = TERMINAL_NUMERICAL_FAILURE
+                break
+            reason = _stop_reason(stop, obj, k, f, gn2, wall)
+            if reason is not None:
+                break
+            x = advance(x, g)
+            k += 1
+    except (NumericalFailure, ArithmeticError):
+        reason = TERMINAL_NUMERICAL_FAILURE
+    return builder.build(reason)
+
+
 def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriteria,
         batch: BatchContext | None = None) -> Trajectory:
     """Iterate the configured stepper from x0 until a stop criterion fires.
@@ -335,57 +353,37 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
         raise ValueError(f"objective {obj.name!r} does not support mini-batch gradients")
 
     step_fn = make_step(cfg)
-    # these schemes step from the gradient at the current iterate, which the
-    # record pass has already computed (full-batch runs only)
-    reuse_grad = batch is None and cfg.scheme in ("euler", "rk", "gd", "adam")
+    # all but the look-ahead schemes step from the gradient at the current
+    # iterate, which the record pass has already computed (full-batch only)
+    reuse_grad = batch is None and cfg.scheme not in _LOOK_AHEAD_SCHEMES
     state = init_state(x0)
-    builder = _TrajectoryBuilder(obj.dimension)
-    t_start = time.perf_counter()
 
-    def observe(x: np.ndarray, k: int) -> tuple[float, float, np.ndarray]:
-        g = np.asarray(obj.gradient(x), dtype=float)
-        f = float(obj.value(x))
-        gn2 = _fast_norm2(g)
-        builder.append(k, k * cfg.eta, x, f, gn2,
-                       float(np.abs(g).sum()), time.perf_counter() - t_start)
-        return f, gn2, g
-
-    f, gn2, g = observe(state.x, 0)
-    reason = None
-    while True:
-        if not (math.isfinite(f) and math.isfinite(gn2)):
-            reason = TERMINAL_NUMERICAL_FAILURE
-            break
-        reason = _stop_reason(stop, obj, state.k, f, gn2,
-                              time.perf_counter() - t_start)
-        if reason is not None:
-            break
+    def advance(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        nonlocal state
         step_obj = obj
         if batch is not None:
             idx = batch.indices(state.k)
             step_obj = replace(
                 obj, gradient=lambda z, _i=idx: obj.batch_gradient(z, _i))
-        try:
-            if reuse_grad:
-                state = step_fn(cfg, step_obj, state, grad=g)
-            else:
-                state = step_fn(cfg, step_obj, state)
-        except NumericalFailure:
-            reason = TERMINAL_NUMERICAL_FAILURE
-            break
-        f, gn2, g = observe(state.x, state.k)
-    return builder.build(reason)
+        if reuse_grad:
+            state = step_fn(cfg, step_obj, state, grad=g)
+        else:
+            state = step_fn(cfg, step_obj, state)
+        return state.x
+
+    return _record_until_stop(obj, state.x, cfg.eta, stop, advance)
 
 
 def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
                         h_ref: float, stop: StopCriteria) -> Trajectory:
-    """Classical 4-stage fixed-step integration of dx/dt = F(grad f(x)).
+    """Classical RK4 fixed-step integration of dx/dt = F(grad f(x)).
 
     Intended as the near-exact continuous trajectory against which discrete
     runs are compared, so ``h_ref`` should be much smaller than any discrete
-    step size under study. Dense output is recorded every step. Stops at the
-    first iterate with gradient norm below ``stop.grad_tol`` (finite-time
-    arrival) or after ``stop.max_iters`` steps.
+    step size under study. Dense output is recorded every step, and the
+    run stops by the same rules as ``run``: typically at the first iterate
+    with gradient norm below ``stop.grad_tol`` (finite-time arrival) or
+    after ``stop.max_iters`` steps.
 
     Near arrival the flows are not Lipschitz; any stage whose speed exceeds
     a thousand times the previous per-step displacement rate is clamped to
@@ -397,57 +395,27 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (obj.dimension,):
         raise ValueError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
-
-    builder = _TrajectoryBuilder(obj.dimension)
-    t_start = time.perf_counter()
-
-    def observe(xv: np.ndarray, k: int) -> tuple[float, float, np.ndarray]:
-        g = np.asarray(obj.gradient(xv), dtype=float)
-        f = float(obj.value(xv))
-        gn2 = _fast_norm2(g)
-        builder.append(k, k * h_ref, xv, f, gn2, float(np.abs(g).sum()),
-                       time.perf_counter() - t_start)
-        return f, gn2, g
-
-    f, gn2, g = observe(x, 0)
     prev_x: np.ndarray | None = None
-    k = 0
-    reason = None
-    while True:
-        if not (math.isfinite(f) and math.isfinite(gn2)):
-            reason = TERMINAL_NUMERICAL_FAILURE
-            break
-        if stop.grad_tol > 0 and gn2 <= stop.grad_tol:
-            reason = TERMINAL_GRAD_TOL
-            break
-        if k >= stop.max_iters:
-            reason = TERMINAL_MAX_ITERS
-            break
+    speed_cap: float | None = None
 
-        speed_cap = None
+    def clamped(g: np.ndarray) -> np.ndarray:
+        v = flow_eval(flow, g)
+        if speed_cap is not None:
+            speed = norm2(v)
+            if speed > speed_cap:
+                v = v * (speed_cap / speed) if speed_cap > 0 else np.zeros_like(v)
+        return v
+
+    def velocity(z: np.ndarray) -> np.ndarray:
+        return clamped(obj.gradient(z))
+
+    def advance(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        nonlocal prev_x, speed_cap
         if prev_x is not None:
-            speed_cap = _fast_norm2(x - prev_x) / h_ref * 1e3
-
-        def clamp(v: np.ndarray) -> np.ndarray:
-            if speed_cap is not None:
-                speed = _fast_norm2(v)
-                if speed > speed_cap:
-                    v = v * (speed_cap / speed) if speed_cap > 0 else np.zeros_like(v)
-            return v
-
-        def velocity(z: np.ndarray) -> np.ndarray:
-            return clamp(flow_eval(flow, obj.gradient(z)))
-
-        v1 = clamp(flow_eval(flow, g))
-        v2 = velocity(x + 0.5 * h_ref * v1)
-        v3 = velocity(x + 0.5 * h_ref * v2)
-        v4 = velocity(x + h_ref * v3)
-        x_next = x + (h_ref / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        if not math.isfinite(float(x_next @ x_next)) and not np.all(np.isfinite(x_next)):
-            reason = TERMINAL_NUMERICAL_FAILURE
-            break
+            speed_cap = norm2(x - prev_x) / h_ref * 1e3
+        x_next = _tableau_update(_RK4, h_ref, x, clamped(g), velocity)
+        _ensure_finite(x_next, "reference")
         prev_x = x
-        x = x_next
-        k += 1
-        f, gn2, g = observe(x, k)
-    return builder.build(reason)
+        return x_next
+
+    return _record_until_stop(obj, x, h_ref, stop, advance)

@@ -177,12 +177,6 @@ class TestEnergyDecayEnvelope:
         env = energy_decay_envelope(P23, 1.0, 0.5, traj.t)
         assert np.all(traj.f <= env + 1e-9)
 
-    def test_alternative_exponent_variant(self):
-        t = 1.0
-        base = 0.5 ** 0.25 - 2.0 ** 0.75 * 0.25 * t
-        literal = energy_decay_envelope(P23, 1.0, 0.5, t, literal_exponent=True)
-        assert literal == pytest.approx(base ** 0.25, rel=1e-13)
-
 
 class TestWeakBound:
     def test_anchors_at_initial_gap(self):

@@ -6,6 +6,7 @@ import yaml
 
 from finiteflow import (ConfigError, Trajectory, emit_csv, load_config,
                         preset_names, run_experiment)
+from finiteflow import bench
 from finiteflow.bench import read_csv
 from finiteflow.cli import cli_main
 
@@ -66,6 +67,19 @@ class TestLoadConfig:
         data = dict(MINIMAL)
         data["stop"] = {"max_iter": 10}
         with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(write_config(tmp_path, data))
+
+    @pytest.mark.parametrize("optimizer,message", [
+        ({"scheme": "runge_kutta", "alphas": [1.0]}, r"optimizers\[0\]\.scheme: unknown scheme"),
+        ({"scheme": "euler"}, r"optimizers\[0\]: scheme 'euler' requires a flow"),
+        ({"scheme": "gd", "flow": {"kind": "gf"}}, r"optimizers\[0\]: scheme 'gd' does not take"),
+        ({"scheme": "euler", "flow": {"kind": "xgf"}},
+         r"optimizers\[0\]\.flow: unknown flow kind 'xgf'"),
+    ])
+    def test_optimizer_errors_carry_location(self, tmp_path, optimizer, message):
+        data = dict(MINIMAL)
+        data["optimizers"] = [dict(optimizer, name="opt", eta=0.01)]
+        with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, data))
 
     def test_duplicate_optimizer_names_rejected(self, tmp_path):
@@ -233,20 +247,21 @@ class TestRunExperiment:
         assert (stats["min_final_f"] <= stats["median_final_f"]
                 <= stats["max_final_f"])
 
-    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
+    def test_cell_csv_does_not_depend_on_other_cells(self, tmp_path):
         data = dict(MINIMAL)
-        data["init"] = {"mode": "uniform_box", "box_lo": 0.0, "box_hi": 1.0,
-                        "n_seeds": 4, "base_seed": 1}
         data["stop"] = {"max_iters": 60, "grad_tol": 0.0, "f_tol": 0.0}
-        cfg = load_config(write_config(tmp_path, data))
-        run_experiment(cfg, out_dir=tmp_path / "w1")
-        monkeypatch.setenv("FINITEFLOW_WORKERS", "4")
-        run_experiment(cfg, out_dir=tmp_path / "w4")
-        for seed in (1, 2, 3, 4):
-            a = (tmp_path / "w1" / f"gd__seed{seed}.csv").read_text().splitlines()
-            b = (tmp_path / "w4" / f"gd__seed{seed}.csv").read_text().splitlines()
-            for la, lb in zip(a, b):
-                assert la.rsplit(",", 1)[0] == lb.rsplit(",", 1)[0]
+        data["init"] = {"mode": "uniform_box", "box_lo": 0.0, "box_hi": 1.0,
+                        "n_seeds": 1, "base_seed": 4}
+        run_experiment(load_config(write_config(tmp_path, data, "alone.yaml")),
+                       out_dir=tmp_path / "alone")
+        data["init"] = dict(data["init"], n_seeds=4, base_seed=1)
+        run_experiment(load_config(write_config(tmp_path, data, "sweep.yaml")),
+                       out_dir=tmp_path / "sweep")
+        a = (tmp_path / "alone" / "gd__seed4.csv").read_text().splitlines()
+        b = (tmp_path / "sweep" / "gd__seed4.csv").read_text().splitlines()
+        assert len(a) == len(b) == 62
+        for la, lb in zip(a, b):
+            assert la.rsplit(",", 1)[0] == lb.rsplit(",", 1)[0]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failed_cells_recorded_without_aborting(self, tmp_path):
@@ -264,6 +279,19 @@ class TestRunExperiment:
         assert reasons["explode"] == "numerical_failure"
         assert reasons["ok"] == "max_iters"
         assert len(list((tmp_path / "fail").glob("*__seed*.csv"))) == 2
+        # the objective overflows while observing iterate 4; iterates 0-3 stay
+        cols = read_csv(tmp_path / "fail" / "explode__seed0.csv")
+        assert cols["k"].tolist() == [0, 1, 2, 3]
+        assert np.all(np.isfinite(cols["f"]))
+
+    def test_errors_other_than_numerical_failure_propagate(self, tmp_path, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise RuntimeError("bug in a stepper")
+
+        monkeypatch.setattr(bench, "run", broken_run)
+        cfg = load_config(write_config(tmp_path, dict(MINIMAL)))
+        with pytest.raises(RuntimeError, match="bug in a stepper"):
+            run_experiment(cfg, out_dir=tmp_path / "bug")
 
 
 class TestCli:

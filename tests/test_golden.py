@@ -1,0 +1,138 @@
+"""Golden outputs of the shipped schemes, the reference integrator and the
+analysis passes.
+
+A trajectory is pinned by its step count, its terminal reason and a SHA-256
+digest of the float64 bytes of its x, f, grad_norm2 and grad_norm1 columns,
+so any change to the arithmetic of a stepper or of the run loop shows here.
+The dense reference integrator is pinned by step count and reason only:
+after arrival it chatters at |x| of about 1e-9, where rounding-level changes
+to its stage arithmetic move x without changing any reported quantity.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from finiteflow import (BatchContext, DiscretizerConfig, FlowSpec, StopCriteria,
+                        integrate_reference, load_config, make_quadratic, run)
+from finiteflow.bench import analysis_reports
+
+ROSENBROCK_STEPS = 1000
+MLP_STEPS = 200
+PAST_ARRIVAL_STEPS = 4000
+
+
+def digest(traj) -> str:
+    h = hashlib.sha256()
+    for col in (traj.x, traj.f, traj.grad_norm2, traj.grad_norm1):
+        h.update(np.ascontiguousarray(col, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def rosenbrock_names() -> list[str]:
+    return [o.name for o in load_config("rosenbrock_fig1").optimizers]
+
+
+def rosenbrock_cell(name: str) -> tuple:
+    cfg = load_config("rosenbrock_fig1")
+    opt = next(o.config for o in cfg.optimizers if o.name == name)
+    obj = cfg.build_objective()
+    x0 = cfg.init.draw(obj.dimension, cfg.init.base_seed)
+    traj = run(opt, obj, x0, replace(cfg.stop, max_iters=ROSENBROCK_STEPS))
+    return int(traj.k[-1]), traj.terminal_reason, digest(traj)
+
+
+def mlp_cell(scheme: str) -> tuple:
+    cfg = load_config("mlp_desk")
+    obj = cfg.build_objective()
+    opt = (DiscretizerConfig(scheme="nagd", eta=0.04, beta=0.9) if scheme == "nagd"
+           else DiscretizerConfig(scheme="adam", eta=0.01))
+    seed = cfg.init.base_seed
+    batch = BatchContext(rng_seed=seed, batch_size=cfg.batch.size,
+                         dataset_size=obj.aux["dataset_size"])
+    traj = run(opt, obj, cfg.init.draw(obj.dimension, seed),
+               StopCriteria(max_iters=MLP_STEPS, grad_tol=0.0), batch=batch)
+    return int(traj.k[-1]), traj.terminal_reason, digest(traj)
+
+
+def reference_counts() -> tuple:
+    flow, obj, x0 = FlowSpec("rgf", q=3.0), make_quadratic(1.0, 1), np.array([1.0])
+    arrive = integrate_reference(flow, obj, x0, 1e-4,
+                                 StopCriteria(max_iters=40_000, grad_tol=1e-6))
+    n_arrive = int(arrive.k[-1])
+    past = integrate_reference(
+        flow, obj, x0, 1e-4,
+        StopCriteria(max_iters=n_arrive + PAST_ARRIVAL_STEPS, grad_tol=0.0))
+    return n_arrive, arrive.terminal_reason, int(past.k[-1]), past.terminal_reason
+
+
+def analysis_outputs(preset: str) -> dict:
+    reports = analysis_reports(load_config(preset))
+    return {"bounds": reports["bounds"], "closeness": reports["closeness"]}
+
+
+GOLDEN_ROSENBROCK = {
+    "gd": (1000, "max_iters", "fba9c08d308bc4368cc9448c9c4c456e154af44d8a2413f1f4f94982d2f33c23"),
+    "rgf_euler_q2.2": (1000, "max_iters", "b52d4b178a74a75a8105152db975ca560b37896e81d2b79ff2160eaf3ac1e937"),
+    "rgf_euler_q3": (249, "f_tol", "1cb86c2d8c789f948a7ef5115db45754c700310d5f8377f12e1f253617838330"),
+    "rgf_euler_q6": (107, "f_tol", "36335d27cd9aa6a5772ec8554149257584ec21a24eb0d5d7e3995a9a47df1461"),
+    "rgf_euler_q10": (90, "f_tol", "b65e6b37b8a09e1ee5802a56d2ac21625b90f66d714f10e9bae74b8add829d23"),
+    "sgf_nesterov_q2.2": (1000, "max_iters", "0420f6b759eb169a60de49b98dcdeeb2b7a7e1ff85b7c047ab3b0d1ad296024f"),
+    "sgf_nesterov_q3": (318, "f_tol", "c3c5206268487ed4e25c3715813b5d8b2becde04291498096c28de34044eb76e"),
+    "sgf_nesterov_q6": (151, "f_tol", "afc2143a85d96b09ece4b35c2f2e189529cbf98b4f6226758b8204d9670a5077"),
+    "sgf_nesterov_q10": (1000, "max_iters", "18fd8e1c1f3165d986ad0bec6e819a342bf64fd06c186fd5a2db0aa396e5da01"),
+    "rgf_rk_q2.2": (972, "f_tol", "466ea801d6e265c4f2d5fae0375a39ec9715f8a274c3fba98d7c0f7ca38078bc"),
+    "rgf_rk_q3": (249, "f_tol", "a46776a8d0cd6103865b6a43becd617d9200ac46e8ce0f2039eb78d9b5100d7d"),
+    "rgf_rk_q6": (107, "f_tol", "55a5458dc2c66e6f06ef2b55304dcf263c448a9aa3b6ea3ce5b25d5aa4d1c579"),
+    "rgf_rk_q10": (90, "f_tol", "3076b688d5562021ff02ae358f751d391aa77db5672a646d830f310216fc54fe"),
+}
+
+GOLDEN_MLP = {
+    "nagd": (200, "max_iters", "bb6be6a9895861986a591ab11a590447b0f1571ff2c3d2a87f532a8d8d0d36f5"),
+    "adam": (200, "max_iters", "a377d3ad3c691ca0489e22a1fdbd76e57ffee10ea4a10d7d6fa86c3ccc4a2659"),
+}
+
+GOLDEN_REFERENCE = (19981, "grad_tol", 23981, "max_iters")
+
+GOLDEN_ANALYSIS = {
+    "quadratic_bounds": {
+        "bounds": {"rgf_euler_q3": {
+            "t_star_bound": 1.9999999999999996, "arrival_time": 1.9981,
+            "arrival_grad_tol": 1e-06, "envelope_pass": True,
+            "envelope_violations": 0, "k_star": 1999.9999999999998,
+            "eps_measured": 0.0010000000000000009, "lipschitz_estimate": 1.0,
+            "weak_bound_pass": True, "weak_bound_violations": 0}},
+        "closeness": {},
+    },
+    "closeness_sweep": {
+        "bounds": {},
+        "closeness": {"rgf_euler_q3": [(0.01, 0.011892071150027165),
+                                       (0.005, 0.0059460355750135824),
+                                       (0.0025, 0.0029730177875067912)]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROSENBROCK))
+def test_rosenbrock_fig1_trajectories(name):
+    assert rosenbrock_cell(name) == GOLDEN_ROSENBROCK[name]
+
+
+def test_golden_covers_every_rosenbrock_optimizer():
+    assert sorted(rosenbrock_names()) == sorted(GOLDEN_ROSENBROCK)
+
+
+@pytest.mark.parametrize("scheme", sorted(GOLDEN_MLP))
+def test_mlp_minibatch_trajectories(scheme):
+    assert mlp_cell(scheme) == GOLDEN_MLP[scheme]
+
+
+def test_reference_step_counts_to_and_past_arrival():
+    assert reference_counts() == GOLDEN_REFERENCE
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_ANALYSIS))
+def test_bound_and_closeness_outputs(preset):
+    assert analysis_outputs(preset) == GOLDEN_ANALYSIS[preset]

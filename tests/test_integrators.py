@@ -6,9 +6,7 @@ import pytest
 from finiteflow import (BatchContext, DiscretizerConfig, FlowSpec,
                         NumericalFailure, Objective, StopCriteria, flow_eval,
                         init_state, integrate_reference, make_mlp,
-                        make_quadratic, make_rosenbrock, run, step_adam,
-                        step_euler, step_gd, step_nagd, step_nesterov_like,
-                        step_rk)
+                        make_quadratic, make_rosenbrock, run)
 from finiteflow.integrators import make_step
 
 QUAD2 = make_quadratic(1.0, 2)
@@ -25,6 +23,10 @@ def iterate(cfg, obj, x0, n):
     return np.array(xs)
 
 
+def one_step(cfg, obj, state):
+    return make_step(cfg)(cfg, obj, state)
+
+
 def linear_objective(slope=1.0):
     return Objective(dimension=1,
                      value=lambda x: slope * float(x[0]),
@@ -35,7 +37,7 @@ class TestEuler:
     def test_zero_step_size_leaves_iterate(self):
         cfg = DiscretizerConfig(scheme="euler", eta=0.0, flow=FlowSpec("rgf", q=3.0))
         state = init_state(np.array([1.0, 2.0]))
-        assert np.array_equal(step_euler(cfg, QUAD2, state).x, [1.0, 2.0])
+        assert np.array_equal(one_step(cfg, QUAD2, state).x, [1.0, 2.0])
 
     def test_gradient_flow_matches_gd_bitwise(self):
         a = iterate(DiscretizerConfig(scheme="euler", eta=0.1, flow=FlowSpec("gf")),
@@ -46,7 +48,7 @@ class TestEuler:
     def test_rescaled_step_hand_evaluated(self):
         cfg = DiscretizerConfig(scheme="euler", eta=0.1, flow=FlowSpec("rgf", q=3.0))
         state = init_state(np.array([1.0, 0.0]))
-        assert np.allclose(step_euler(cfg, QUAD2, state).x, [0.9, 0.0],
+        assert np.allclose(one_step(cfg, QUAD2, state).x, [0.9, 0.0],
                            rtol=0, atol=1e-15)
 
 
@@ -72,7 +74,7 @@ class TestRungeKutta:
         expected = x + eta * (0.5 * v1 + 0.5 * v2)
 
         state = init_state(x)
-        assert np.allclose(step_rk(cfg, QUAD2, state).x, expected, rtol=0, atol=1e-16)
+        assert np.allclose(one_step(cfg, QUAD2, state).x, expected, rtol=0, atol=1e-16)
 
     def test_zero_offsets_collapse_to_euler(self):
         rk = DiscretizerConfig(scheme="rk", eta=0.01, flow=FlowSpec("sgf", q=4.0),
@@ -98,8 +100,8 @@ class TestNesterovLike:
         flow = FlowSpec("rgf", q=3.0)
         nes = DiscretizerConfig(scheme="nesterov", eta=0.05, beta=0.9, flow=flow)
         eu = DiscretizerConfig(scheme="euler", eta=0.05, flow=flow)
-        s_n = step_nesterov_like(nes, QUAD2, init_state(np.array([1.0, 0.5])))
-        s_e = step_euler(eu, QUAD2, init_state(np.array([1.0, 0.5])))
+        s_n = one_step(nes, QUAD2, init_state(np.array([1.0, 0.5])))
+        s_e = one_step(eu, QUAD2, init_state(np.array([1.0, 0.5])))
         assert np.array_equal(s_n.x, s_e.x)
 
     def test_zero_momentum_always_equals_euler(self):
@@ -125,7 +127,7 @@ class TestNesterovLike:
         state = init_state(np.array([1.0, -0.5]))
         for _ in range(20):
             prev_x = state.x.copy()
-            state = step_nesterov_like(cfg, QUAD2, state)
+            state = one_step(cfg, QUAD2, state)
             assert np.array_equal(state.y, state.x - prev_x)
 
 
@@ -139,33 +141,33 @@ class TestNagd:
 
     def test_first_step_with_zero_memory_is_gd_step(self):
         cfg = DiscretizerConfig(scheme="nagd", eta=0.1, beta=0.9)
-        got = step_nagd(cfg, QUAD2, init_state(np.array([1.0, 0.0])))
-        want = step_gd(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2,
+        got = one_step(cfg, QUAD2, init_state(np.array([1.0, 0.0])))
+        want = one_step(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2,
                        init_state(np.array([1.0, 0.0])))
         assert np.array_equal(got.x, want.x)
 
     def test_two_steps_hand_traced(self):
         cfg = DiscretizerConfig(scheme="nagd", eta=0.1, beta=0.9)
         state = init_state(np.array([1.0, 0.0]))
-        state = step_nagd(cfg, QUAD2, state)
+        state = one_step(cfg, QUAD2, state)
         assert np.allclose(state.x, [0.9, 0.0], rtol=0, atol=1e-16)
-        state = step_nagd(cfg, QUAD2, state)
+        state = one_step(cfg, QUAD2, state)
         assert np.allclose(state.x, [0.729, 0.0], rtol=0, atol=1e-15)
 
 
 class TestGd:
     def test_step_hand_evaluated(self):
-        got = step_gd(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2,
+        got = one_step(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2,
                       init_state(np.array([1.0, 0.0])))
         assert np.allclose(got.x, [0.9, 0.0], rtol=0, atol=1e-16)
 
     def test_zero_step_size(self):
-        got = step_gd(DiscretizerConfig(scheme="gd", eta=0.0), QUAD2,
+        got = one_step(DiscretizerConfig(scheme="gd", eta=0.0), QUAD2,
                       init_state(np.array([1.0, 2.0])))
         assert np.array_equal(got.x, [1.0, 2.0])
 
     def test_stationary_point_is_fixed(self):
-        got = step_gd(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2,
+        got = one_step(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2,
                       init_state(np.zeros(2)))
         assert np.array_equal(got.x, np.zeros(2))
 
@@ -176,14 +178,14 @@ class TestAdam:
         cfg = DiscretizerConfig(scheme="adam", eta=0.1)
         state = init_state(np.zeros(2))
         for _ in range(5):
-            state = step_adam(cfg, obj, state)
+            state = one_step(cfg, obj, state)
         assert np.array_equal(state.x, np.zeros(2))
 
     def test_memoryless_degenerate_case(self):
         cfg = DiscretizerConfig(scheme="adam", eta=0.1, beta1=0.0, beta2=0.0,
                                 epsilon=1e-8)
         state = init_state(np.array([2.0, -3.0]))
-        got = step_adam(cfg, QUAD2, state)
+        got = one_step(cfg, QUAD2, state)
         g = QUAD2.gradient(np.array([2.0, -3.0]))
         want = np.array([2.0, -3.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(got.x, want, rtol=1e-15)
@@ -192,7 +194,7 @@ class TestAdam:
         cfg = DiscretizerConfig(scheme="adam", eta=0.1, beta1=0.9, beta2=0.999,
                                 epsilon=1e-8)
         state = init_state(np.array([5.0]))
-        got = step_adam(cfg, linear_objective(1.0), state)
+        got = one_step(cfg, linear_objective(1.0), state)
         # bias-corrected moments both equal the raw gradient on step one
         assert got.x[0] == pytest.approx(5.0 - 0.1 / (1.0 + 1e-8), abs=1e-12)
 
@@ -248,7 +250,7 @@ class TestMonotoneDescent:
             g = obj.gradient(state.x)
             level = np.abs(g).sum() if kind == "sgf" else np.linalg.norm(g)
             f_before = obj.value(state.x)
-            state = step_euler(cfg, obj, state)
+            state = one_step(cfg, obj, state)
             if level > floor * (1.0 + 1e-9) and level > spec.grad_threshold:
                 assert obj.value(state.x) < f_before
                 checked += 1
@@ -324,6 +326,20 @@ class TestRun:
         assert traj.terminal_reason == "numerical_failure"
         assert 1 <= len(traj) < 200
 
+    @pytest.mark.parametrize("cfg,records", [
+        (DiscretizerConfig(scheme="rk", eta=0.3, flow=FlowSpec("gf"), stages=2,
+                           alphas=(0.5, 0.5), betas=(2.0,)), 1),
+        (DiscretizerConfig(scheme="nagd", eta=0.3, beta=0.9), 2),
+    ])
+    def test_nonfinite_stage_or_look_ahead_gradient_ends_run(self, cfg, records):
+        # the gradient is finite below x = 1.5 only; the second stage point
+        # and the second look-ahead point cross that line before any iterate
+        cliff = Objective(dimension=1, value=lambda x: -float(x[0]),
+                          gradient=lambda x: np.array([-1.0 if x[0] < 1.5 else math.nan]))
+        traj = run(cfg, cliff, np.array([1.0]), StopCriteria(max_iters=100))
+        assert traj.terminal_reason == "numerical_failure"
+        assert len(traj) == records
+
 
 class TestIntegrateReference:
     def test_arrival_time_matches_closed_form_crossing(self):
@@ -386,5 +402,5 @@ class TestConfigValidation:
         bad = Objective(dimension=1, value=lambda x: float(x[0]),
                         gradient=lambda x: np.array([math.nan]))
         with pytest.raises(NumericalFailure):
-            step_gd(DiscretizerConfig(scheme="gd", eta=0.1), bad,
+            one_step(DiscretizerConfig(scheme="gd", eta=0.1), bad,
                     init_state(np.array([1.0])))
