@@ -75,10 +75,6 @@ class BoundReport:
 
     violations: list[tuple[int, float, float]]
     verdict: bool
-    tolerance: float
-    t_star_bound: float | None = None
-    k_star: float | None = None
-    envelope: Callable | None = None
 
 
 def check_gradient_dominance(obj: Objective, p: float, mu: float,
@@ -313,5 +309,4 @@ def verify_envelope(traj: Trajectory, envelope: Callable, f_star: float,
     bad = gaps > bounds + slack
     violations = [(int(traj.k[i]), float(gaps[i]), float(bounds[i]))
                   for i in np.nonzero(bad)[0]]
-    return BoundReport(violations=violations, verdict=not violations,
-                       tolerance=slack, envelope=envelope)
+    return BoundReport(violations=violations, verdict=not violations)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +109,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     out = Path(out_dir) if out_dir is not None else Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     obj = cfg.build_objective()
-    if cfg.batch is not None and not obj.batch_support:
+    if cfg.batch is not None and obj.batch_gradient is None:
         raise ValueError(
             f"config {cfg.name!r} requests mini-batches but objective "
             f"{cfg.objective_name!r} has no batch gradient")
@@ -279,11 +279,9 @@ def closeness_table(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
         StopCriteria(max_iters=int(math.ceil(horizon / h)) + 1, grad_tol=0.0))
     rows = []
     for eta in etas:
-        cfg = DiscretizerConfig(scheme=opt.scheme, eta=eta, beta=opt.beta,
-                                flow=opt.flow, stages=opt.stages,
-                                alphas=opt.alphas, betas=opt.betas)
         k_max = int(math.floor(horizon / eta + 1e-9))
-        disc = run(cfg, obj, x0, StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
+        disc = run(replace(opt, eta=eta), obj, x0,
+                   StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
         rows.append((eta, closeness_epsilon(ref, disc, T=horizon, eta=eta)))
     return rows
 

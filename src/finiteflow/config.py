@@ -1,16 +1,22 @@
-"""Experiment configuration: schema, validation, and shipped presets."""
+"""Experiment configuration: schema, validation, and shipped presets.
+
+The config dataclasses are the schema: ``_section`` reads each YAML section
+into its dataclass, which validates itself. ``parse_config`` adds only the
+rules in which a config file differs from the API.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .flows import FlowSpec
 from .integrators import SCHEMES, DiscretizerConfig, StopCriteria
 from .objectives import (Objective, make_mlp, make_pth_power, make_quadratic,
                          make_rosenbrock)
@@ -24,6 +30,7 @@ _OBJECTIVES = {
     "pth_power": make_pth_power,
     "mlp": make_mlp,
 }
+
 
 class ConfigError(ValueError):
     """A config file failed to parse or validate."""
@@ -41,27 +48,79 @@ def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
 
 
-def _number(node: dict, key: str, where: str, default=None, allow_inf: bool = False):
-    if key not in node:
-        if default is None:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    val = node[key]
-    if isinstance(val, str) and allow_inf and val.lower() in ("inf", "infinity"):
+def _section(cls, node, where: str, **defaults):
+    """Read a mapping (None reads as empty) into the dataclass ``cls``, with
+    ``defaults`` for missing keys ahead of the class's own defaults."""
+    node = _require_mapping({} if node is None else node, where)
+    init_fields = [f for f in fields(cls) if f.init]
+    _reject_unknown(node, {f.name for f in init_fields}, where)
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(defaults)
+    kwargs.update((key, _value(hints[key], val, f"{where}.{key}")) for key, val in node.items())
+    for f in init_fields:
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing required key {f.name!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _value(tp, val, where: str):
+    """Read one value as its field's type ``tp``: an int takes only integral
+    numbers, a bool only booleans, a float any number or the string inf."""
+    if typing.get_origin(tp) is types.UnionType:  # X | None
+        if val is None:
+            return None
+        tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
+    if is_dataclass(tp):
+        return _section(tp, val, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(val, list):
+            raise ConfigError(f"{where}: expected a list, got {val!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(val))
+    if tp is float and isinstance(val, str) and val.lower() in ("inf", "infinity"):
         return math.inf
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {val!r}")
-    return float(val)
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    ok = {bool: isinstance(val, bool), float: number,
+          int: number and (isinstance(val, int) or val.is_integer())}.get(tp, isinstance(val, tp))
+    if not ok:
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {val!r}")
+    return tp(val)
 
 
 @dataclass(frozen=True)
 class InitConfig:
-    mode: str
-    x0: tuple[float, ...] | None
-    box_lo: float
-    box_hi: float
-    n_seeds: int
-    base_seed: int
+    """Initial points: ``x0`` for every seed (mode fixed), or one uniform
+    draw from [box_lo, box_hi]^d per seed (mode uniform_box). The fields a
+    mode does not use are cleared: x0 to None, the box to [0, 0]."""
+
+    mode: str = "fixed"
+    x0: tuple[float, ...] | None = None
+    box_lo: float | None = None
+    box_hi: float | None = None
+    n_seeds: int = 1
+    base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.mode == "fixed":
+            if not self.x0:
+                raise ValueError("fixed init requires a coordinate list x0")
+            object.__setattr__(self, "box_lo", 0.0)
+            object.__setattr__(self, "box_hi", 0.0)
+        elif self.mode == "uniform_box":
+            if self.box_lo is None or self.box_hi is None:
+                raise ValueError("uniform_box init requires box_lo and box_hi")
+            if not self.box_hi > self.box_lo:
+                raise ValueError("box_hi must exceed box_lo")
+            object.__setattr__(self, "x0", None)
+        else:
+            raise ValueError(f"mode must be fixed or uniform_box, got {self.mode!r}")
+        if self.n_seeds < 1:
+            raise ValueError("n_seeds must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
 
     def draw(self, dimension: int, seed: int) -> np.ndarray:
         if self.mode == "fixed":
@@ -78,8 +137,14 @@ class InitConfig:
 class DominanceCheckConfig:
     p: float
     mu: float
-    radius: float
-    n_samples: int
+    radius: float = 1.0
+    n_samples: int = 200
+
+    def __post_init__(self) -> None:
+        if not self.radius > 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -89,11 +154,20 @@ class AnalysisConfig:
     h_ref: float | None = None
     dominance: DominanceCheckConfig | None = None
 
+    def __post_init__(self) -> None:
+        if self.h_ref is not None and not self.h_ref > 0:
+            raise ValueError(f"h_ref must be positive, got {self.h_ref}")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str
     formats: tuple[str, ...] = ("csv",)
+
+    def __post_init__(self) -> None:
+        if not self.formats or not set(self.formats) <= {"csv", "json"}:
+            raise ValueError(f"formats must be a non-empty list of csv and json, "
+                             f"got {list(self.formats)}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +179,10 @@ class NamedOptimizer:
 @dataclass(frozen=True)
 class BatchConfig:
     size: int
+
+    def __post_init__(self) -> None:
+        if self.size < 1:
+            raise ValueError(f"size must be a positive integer, got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -123,148 +201,24 @@ class ExperimentConfig:
         return _OBJECTIVES[self.objective_name](**self.objective_params)
 
 
-def _parse_flow(node, where: str) -> FlowSpec:
-    node = _require_mapping(node, where)
-    _reject_unknown(node, {"kind", "q", "c", "grad_threshold"}, where)
-    try:
-        return FlowSpec(
-            kind=node.get("kind"),
-            q=_number(node, "q", where, default=math.inf, allow_inf=True),
-            c=_number(node, "c", where, default=1.0),
-            grad_threshold=_number(node, "grad_threshold", where, default=1e-12),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_optimizer(node, index: int) -> NamedOptimizer:
-    where = f"optimizers[{index}]"
-    node = _require_mapping(node, where)
-    _reject_unknown(node, {"name", "scheme", "eta", "beta", "flow", "stages",
-                           "alphas", "betas", "beta1", "beta2", "epsilon"}, where)
-    name = node.get("name")
+def _parse_optimizer(node, where: str) -> NamedOptimizer:
+    node = dict(_require_mapping(node, where))
+    name = node.pop("name", None)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{where}.name: expected a non-empty string")
     scheme = str(node.get("scheme", "")).lower()
     if scheme not in SCHEMES:
         raise ConfigError(f"{where}.scheme: unknown scheme {node.get('scheme')!r}")
-
-    eta = _number(node, "eta", where)
-    if not eta > 0:
-        raise ConfigError(f"{where}.eta: must be positive, got {eta}")
-
-    kwargs: dict = {"scheme": scheme, "eta": eta,
-                    "beta": _number(node, "beta", where, default=0.0)}
-    if "flow" in node:
-        kwargs["flow"] = _parse_flow(node["flow"], f"{where}.flow")
-    if scheme == "rk":
-        alphas = node.get("alphas")
-        if not isinstance(alphas, list) or not alphas:
-            raise ConfigError(f"{where}.alphas: expected a non-empty list")
-        betas = node.get("betas", [])
-        if not isinstance(betas, list):
-            raise ConfigError(f"{where}.betas: expected a list")
-        kwargs["stages"] = int(node.get("stages", len(alphas)))
-        kwargs["alphas"] = tuple(float(a) for a in alphas)
-        kwargs["betas"] = tuple(float(b) for b in betas)
-    if scheme == "adam":
-        kwargs["beta1"] = _number(node, "beta1", where, default=0.9)
-        kwargs["beta2"] = _number(node, "beta2", where, default=0.999)
-        kwargs["epsilon"] = _number(node, "epsilon", where, default=1e-8)
-
-    try:
-        return NamedOptimizer(name=name, config=DiscretizerConfig(**kwargs))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_init(node) -> InitConfig:
-    where = "init"
-    if node is None:
-        return InitConfig(mode="uniform_box", x0=None, box_lo=-1.0, box_hi=1.0,
-                          n_seeds=1, base_seed=0)
-    node = _require_mapping(node, where)
-    _reject_unknown(node, {"mode", "x0", "box_lo", "box_hi", "n_seeds", "base_seed"}, where)
-    mode = node.get("mode", "fixed")
-    if mode not in ("fixed", "uniform_box"):
-        raise ConfigError(f"{where}.mode: expected fixed or uniform_box, got {mode!r}")
-    n_seeds = int(node.get("n_seeds", 1))
-    if n_seeds < 1:
-        raise ConfigError(f"{where}.n_seeds: must be at least 1")
-    base_seed = int(node.get("base_seed", 0))
-    if base_seed < 0:
-        raise ConfigError(f"{where}.base_seed: must be non-negative")
-    x0 = None
-    box_lo = box_hi = 0.0
-    if mode == "fixed":
-        raw = node.get("x0")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{where}.x0: fixed init requires a coordinate list")
-        x0 = tuple(float(v) for v in raw)
-    else:
-        box_lo = _number(node, "box_lo", where)
-        box_hi = _number(node, "box_hi", where)
-        if not box_hi > box_lo:
-            raise ConfigError(f"{where}: box_hi must exceed box_lo")
-    return InitConfig(mode=mode, x0=x0, box_lo=box_lo, box_hi=box_hi,
-                      n_seeds=n_seeds, base_seed=base_seed)
-
-
-def _parse_stop(node) -> StopCriteria:
-    where = "stop"
-    node = _require_mapping(node, where) if node is not None else {}
-    _reject_unknown(node, {"max_iters", "grad_tol", "f_tol", "wall_limit"}, where)
-    wall = node.get("wall_limit")
-    try:
-        return StopCriteria(
-            max_iters=int(node.get("max_iters", DEFAULT_MAX_ITERS)),
-            grad_tol=_number(node, "grad_tol", where, default=DEFAULT_GRAD_TOL),
-            f_tol=_number(node, "f_tol", where, default=0.0),
-            wall_limit=float(wall) if wall is not None else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_analysis(node) -> AnalysisConfig:
-    where = "analysis"
-    if node is None:
-        return AnalysisConfig()
-    node = _require_mapping(node, where)
-    _reject_unknown(node, {"run_bounds", "run_closeness", "h_ref", "dominance"}, where)
-    dominance = None
-    if node.get("dominance") is not None:
-        dom = _require_mapping(node["dominance"], f"{where}.dominance")
-        _reject_unknown(dom, {"p", "mu", "radius", "n_samples"}, f"{where}.dominance")
-        dominance = DominanceCheckConfig(
-            p=_number(dom, "p", f"{where}.dominance"),
-            mu=_number(dom, "mu", f"{where}.dominance"),
-            radius=_number(dom, "radius", f"{where}.dominance", default=1.0),
-            n_samples=int(dom.get("n_samples", 200)),
-        )
-    h_ref = node.get("h_ref")
-    return AnalysisConfig(
-        run_bounds=bool(node.get("run_bounds", False)),
-        run_closeness=bool(node.get("run_closeness", False)),
-        h_ref=float(h_ref) if h_ref is not None else None,
-        dominance=dominance,
-    )
-
-
-def _parse_output(node, name: str) -> OutputConfig:
-    where = "output"
-    if node is None:
-        return OutputConfig(dir=f"out/{name}")
-    node = _require_mapping(node, where)
-    _reject_unknown(node, {"dir", "formats"}, where)
-    formats = node.get("formats", ["csv"])
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError(f"{where}.formats: expected a non-empty list")
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"{where}.formats: unknown format {fmt!r}")
-    return OutputConfig(dir=str(node.get("dir", f"out/{name}")),
-                        formats=tuple(formats))
+    node["scheme"] = scheme
+    alphas = node.get("alphas")
+    if scheme == "rk" and not (isinstance(alphas, list) and alphas):
+        raise ConfigError(f"{where}.alphas: expected a non-empty list")
+    # an rk scheme has one stage per weight unless stages says otherwise
+    stages = {"stages": len(alphas)} if scheme == "rk" else {}
+    config = _section(DiscretizerConfig, node, where, **stages)
+    if not config.eta > 0:
+        raise ConfigError(f"{where}.eta: must be positive, got {config.eta}")
+    return NamedOptimizer(name=name, config=config)
 
 
 def parse_config(data: dict, fallback_name: str = "experiment") -> ExperimentConfig:
@@ -290,30 +244,24 @@ def parse_config(data: dict, fallback_name: str = "experiment") -> ExperimentCon
     raw_opts = data.get("optimizers")
     if not isinstance(raw_opts, list) or not raw_opts:
         raise ConfigError("optimizers: expected a non-empty list")
-    optimizers = tuple(_parse_optimizer(node, i) for i, node in enumerate(raw_opts))
+    optimizers = tuple(_parse_optimizer(node, f"optimizers[{i}]")
+                       for i, node in enumerate(raw_opts))
     names = [o.name for o in optimizers]
     if len(set(names)) != len(names):
         raise ConfigError(f"optimizers: names must be unique, got {names}")
 
-    batch = None
-    if data.get("batch") is not None:
-        bnode = _require_mapping(data["batch"], "batch")
-        _reject_unknown(bnode, {"size"}, "batch")
-        size = int(bnode.get("size", 0))
-        if size < 1:
-            raise ConfigError("batch.size: must be a positive integer")
-        batch = BatchConfig(size=size)
-
+    init, batch = data.get("init"), data.get("batch")
     return ExperimentConfig(
-        name=name,
-        objective_name=obj_name,
-        objective_params=dict(obj_params),
+        name=name, objective_name=obj_name, objective_params=dict(obj_params),
         optimizers=optimizers,
-        init=_parse_init(data.get("init")),
-        stop=_parse_stop(data.get("stop")),
-        analysis=_parse_analysis(data.get("analysis")),
-        output=_parse_output(data.get("output"), name),
-        batch=batch,
+        # without an init section every seed draws from [-1, 1]^d
+        init=(InitConfig(mode="uniform_box", box_lo=-1.0, box_hi=1.0) if init is None
+              else _section(InitConfig, init, "init")),
+        stop=_section(StopCriteria, data.get("stop"), "stop",
+                      max_iters=DEFAULT_MAX_ITERS, grad_tol=DEFAULT_GRAD_TOL),
+        analysis=_section(AnalysisConfig, data.get("analysis"), "analysis"),
+        output=_section(OutputConfig, data.get("output"), "output", dir=f"out/{name}"),
+        batch=None if batch is None else _section(BatchConfig, batch, "batch"),
     )
 
 
@@ -323,26 +271,18 @@ def preset_names() -> list[str]:
                   if p.name.endswith(".yaml"))
 
 
-def _preset_text(name: str) -> str | None:
-    candidate = resources.files("finiteflow") / "configs" / f"{name}.yaml"
-    if candidate.is_file():
-        return candidate.read_text()
-    return None
-
-
 def load_config(path_or_preset: str | Path) -> ExperimentConfig:
     """Load and fully validate a config from a YAML file or a preset name."""
     path = Path(path_or_preset)
     if path.is_file():
-        text = path.read_text()
-        fallback = path.stem
+        text, fallback = path.read_text(), path.stem
     else:
-        text = _preset_text(str(path_or_preset))
-        fallback = str(path_or_preset)
-        if text is None:
+        preset = resources.files("finiteflow") / "configs" / f"{path_or_preset}.yaml"
+        if not preset.is_file():
             raise ConfigError(
                 f"config {path_or_preset!r} is neither a file nor a preset; "
                 f"presets: {preset_names()}")
+        text, fallback = preset.read_text(), str(path_or_preset)
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -349,7 +349,7 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
         raise ValueError(f"x0 must have shape ({obj.dimension},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    if batch is not None and not obj.batch_support:
+    if batch is not None and obj.batch_gradient is None:
         raise ValueError(f"objective {obj.name!r} does not support mini-batch gradients")
 
     step_fn = make_step(cfg)

@@ -76,15 +76,14 @@ class Objective:
     """Differentiable cost with optional known-optimum metadata.
 
     Immutable after construction; ``value`` and ``gradient`` are pure and may
-    be called concurrently. ``batch_gradient(x, indices)`` is only present
-    when ``batch_support`` is true.
+    be called concurrently. ``batch_gradient(x, indices)`` is present only
+    for objectives with mini-batch support.
     """
 
     dimension: int
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
     metadata: OptimumInfo | None = None
-    batch_support: bool = False
     batch_gradient: Callable[[Vector, np.ndarray], Vector] | None = None
     name: str = ""
     aux: dict = field(default_factory=dict, repr=False)
@@ -92,8 +91,6 @@ class Objective:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if self.batch_support and self.batch_gradient is None:
-            raise ValueError("batch_support requires a batch_gradient callable")
 
 
 def make_quadratic(mu: float, dimension: int) -> Objective:
@@ -279,7 +276,6 @@ def make_mlp(layer_widths: list[int], dataset_size: int, noise_std: float = 0.0,
         value=value,
         gradient=gradient,
         metadata=None,
-        batch_support=True,
         batch_gradient=batch_gradient,
         name="mlp",
         aux={

@@ -59,16 +59,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="consistency"):
             load_config(write_config(tmp_path, data))
 
-    def test_unknown_keys_rejected(self, tmp_path):
-        data = dict(MINIMAL)
-        data["surprise"] = 1
-        with pytest.raises(ConfigError, match="unknown keys"):
-            load_config(write_config(tmp_path, data))
-        data = dict(MINIMAL)
-        data["stop"] = {"max_iter": 10}
-        with pytest.raises(ConfigError, match="unknown keys"):
-            load_config(write_config(tmp_path, data))
-
     @pytest.mark.parametrize("optimizer,message", [
         ({"scheme": "runge_kutta", "alphas": [1.0]}, r"optimizers\[0\]\.scheme: unknown scheme"),
         ({"scheme": "euler"}, r"optimizers\[0\]: scheme 'euler' requires a flow"),
@@ -94,6 +84,62 @@ class TestLoadConfig:
                                "flow": {"kind": "rgf", "q": "inf"}}]
         cfg = load_config(write_config(tmp_path, data))
         assert math.isinf(cfg.optimizers[0].config.flow.q)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"surprise": 1}, r"^config: unknown keys"),
+        ({"objective": {"name": "quadratic", "params": {"mu": 1.0, "dimension": 2},
+                        "extra": 1}}, r"^objective: unknown keys"),
+        ({"optimizers": [{"name": "gd", "scheme": "gd", "eta": 0.1, "momentum": 0.9}]},
+         r"^optimizers\[0\]: unknown keys"),
+        ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "rgf", "p": 3.0}}]},
+         r"^optimizers\[0\]\.flow: unknown keys"),
+        ({"init": {"mode": "fixed", "x0": [1.0, 0.0], "seed": 1}}, r"^init: unknown keys"),
+        ({"stop": {"max_iter": 10}}, r"^stop: unknown keys"),
+        ({"analysis": {"bounds": True}}, r"^analysis: unknown keys"),
+        ({"analysis": {"dominance": {"p": 2.0, "mu": 1.0, "samples": 10}}},
+         r"^analysis\.dominance: unknown keys"),
+        ({"output": {"directory": "out"}}, r"^output: unknown keys"),
+        ({"batch": {"size": 1, "shuffle": True}}, r"^batch: unknown keys"),
+        ({"init": {"mode": "gaussian"}}, r"^init\b.*mode.*'gaussian'"),
+        ({"init": {"mode": "fixed", "x0": [1.0, 0.0], "n_seeds": 0}}, r"^init\b.*n_seeds"),
+        ({"init": {"mode": "uniform_box", "box_hi": 1.0}}, r"^init\b.*box_lo"),
+        ({"init": {"mode": "uniform_box", "box_lo": 1.0, "box_hi": 1.0}},
+         r"^init\b.*box_hi must exceed box_lo"),
+        ({"init": {"mode": "fixed"}}, r"^init\b.*x0"),
+        ({"batch": {"size": 0}}, r"^batch\b.*size"),
+        ({"output": {"formats": ["xml"]}}, r"^output\b.*'xml'"),
+        ({"optimizers": [{"name": "gd", "scheme": "gd", "eta": 0}]},
+         r"^optimizers\[0\]\.eta: must be positive"),
+        ({"optimizers": [{"name": "rk", "scheme": "rk", "eta": 0.1,
+                          "flow": {"kind": "rgf", "q": 3.0}}]},
+         r"^optimizers\[0\]\.alphas"),
+    ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
+            "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
+            "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
+            "batch-size-0", "format-xml", "eta-0", "rk-no-alphas"])
+    def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"stop": {"max_iters": 10.7}}, r"^stop\.max_iters: "),
+        ({"stop": {"max_iters": "50"}}, r"^stop\.max_iters: "),
+        ({"init": {"mode": "fixed", "x0": [1.0, 0.0], "n_seeds": 2.9}}, r"^init\.n_seeds: "),
+        ({"analysis": {"run_bounds": "false"}}, r"^analysis\.run_bounds: "),
+        ({"analysis": {"h_ref": -1}}, r"^analysis\b.*h_ref"),
+        ({"analysis": {"dominance": {"p": 2.0, "mu": 1.0, "n_samples": 0}}},
+         r"^analysis\.dominance\b.*n_samples"),
+    ], ids=["max_iters-fraction", "max_iters-string", "n_seeds-fraction",
+            "run_bounds-string", "h_ref-negative", "n_samples-0"])
+    def test_values_of_the_wrong_type_or_range_are_not_coerced(self, tmp_path, overrides,
+                                                               message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
+
+    def test_whole_number_float_reads_as_integer(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {**MINIMAL, "stop": {"max_iters": 1.0e3}}))
+        assert cfg.stop.max_iters == 1000 and isinstance(cfg.stop.max_iters, int)
 
     def test_missing_file_and_unknown_preset(self):
         with pytest.raises(ConfigError):

@@ -115,6 +115,21 @@ GOLDEN_ANALYSIS = {
 }
 
 
+# SHA-256 of repr(load_config(preset)): any change to how a preset parses
+GOLDEN_PRESET_CONFIGS = {
+    "closeness_sweep": "eb444a89980766656ba4b499bcc2b0c3a7b785dfeca2770488873f055f6169af",
+    "mlp_desk": "1a1469b1549c280f27ac6908ca0919e0e7cae761235d214f9e603d0d4f231c82",
+    "quadratic_bounds": "87e559bd928402c896cc4e7dcbfc746c6422c8cf340dc9909d9936c2bd0a9391",
+    "rosenbrock_fig1": "a4790503674f1fad6f141383e49c87d7982f18c40830686a3fc5a1743cb5f377",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_PRESET_CONFIGS))
+def test_preset_configs_parse_unchanged(preset):
+    text = repr(load_config(preset))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PRESET_CONFIGS[preset]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_ROSENBROCK))
 def test_rosenbrock_fig1_trajectories(name):
     assert rosenbrock_cell(name) == GOLDEN_ROSENBROCK[name]
