@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .integrators import Trajectory
 from .objectives import Objective
@@ -82,8 +81,9 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
                              seed: int) -> DominanceReport:
     """Empirically test the dominance inequality on a ball around the optimum.
 
-    Samples uniform points in the ball plus a low-discrepancy batch for
-    better worst-case coverage, evaluates the margin
+    Draws ``n_samples`` points uniformly in the ball of radius
+    ``region_radius`` (the whole sample, so ``n_evaluated == n_samples``),
+    evaluates the margin
 
         ((p-1)/p) * ||g||^(p/(p-1)) - mu^(1/(p-1)) * (f - f_star)
 
@@ -106,12 +106,6 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
     directions /= np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-300)
     radii = region_radius * rng.random(n_samples) ** (1.0 / dim)
     points = x_star + directions * radii[:, None]
-
-    sobol = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    n_pow2 = 1 << max(0, (n_samples - 1).bit_length())
-    cube = region_radius * (2.0 * sobol.random(n_pow2)[:n_samples] - 1.0)
-    inside = np.linalg.norm(cube, axis=1) <= region_radius
-    points = np.vstack([points, x_star + cube[inside]])
 
     lhs_exp = p / (p - 1.0)
     rhs_coeff = mu ** (1.0 / (p - 1.0))

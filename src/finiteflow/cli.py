@@ -99,13 +99,10 @@ def _cmd_check_gradients(args) -> int:
 
 def _cmd_closeness(args) -> int:
     cfg = load_config(args.config)
-    obj = cfg.build_objective()
-    reports = bench.analysis_reports(cfg, obj)
-    tables = reports["closeness"]
-    if not tables:
+    if not (cfg.analysis.run_closeness and bench.flow_optimizers(cfg)):
         print("config has no closeness analysis enabled", file=sys.stderr)
         return 1
-    for name, rows in tables.items():
+    for name, rows in bench.analysis_reports(cfg)["closeness"].items():
         print(f"{name}:")
         print("eta,eps")
         for eta, eps in rows:
@@ -115,17 +112,16 @@ def _cmd_closeness(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    obj = cfg.build_objective()
-    reports = bench.analysis_reports(cfg, obj)
+    if not (cfg.analysis.run_bounds and bench.flow_optimizers(cfg)):
+        print("config has no bounds analysis enabled", file=sys.stderr)
+        return 1
+    reports = bench.analysis_reports(cfg)
     if reports["dominance"] is not None:
         dom = reports["dominance"]
         print(f"gradient dominance: holds={dom['holds']} "
               f"worst_margin={dom['worst_margin']:.3e} "
               f"mu_max~{dom['mu_max_estimate']:.6g}")
     all_pass = True
-    if not reports["bounds"]:
-        print("config has no bounds analysis enabled", file=sys.stderr)
-        return 1
     for name, rep in reports["bounds"].items():
         ok = rep["envelope_pass"] and rep["weak_bound_pass"]
         all_pass = all_pass and ok

@@ -157,6 +157,9 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if self.h_ref is not None and not self.h_ref > 0:
             raise ValueError(f"h_ref must be positive, got {self.h_ref}")
+        if (self.run_bounds or self.run_closeness) and self.dominance is None:
+            raise ValueError("bounds/closeness analysis requires a dominance section "
+                             "providing p and mu")
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ def parse_config(data: dict, fallback_name: str = "experiment") -> ExperimentCon
     obj_params = obj_node.get("params", {})
     obj_params = _require_mapping(obj_params, "objective.params") if obj_params else {}
     try:
-        _OBJECTIVES[obj_name](**obj_params)
+        obj = _OBJECTIVES[obj_name](**obj_params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"objective.params: {exc}") from exc
 
@@ -251,12 +254,15 @@ def parse_config(data: dict, fallback_name: str = "experiment") -> ExperimentCon
         raise ConfigError(f"optimizers: names must be unique, got {names}")
 
     init, batch = data.get("init"), data.get("batch")
+    # without an init section every seed draws from [-1, 1]^d
+    init = (InitConfig(mode="uniform_box", box_lo=-1.0, box_hi=1.0) if init is None
+            else _section(InitConfig, init, "init"))
+    if init.x0 is not None and len(init.x0) != obj.dimension:
+        raise ConfigError(f"init.x0: has length {len(init.x0)}, "
+                          f"objective needs {obj.dimension}")
     return ExperimentConfig(
         name=name, objective_name=obj_name, objective_params=dict(obj_params),
-        optimizers=optimizers,
-        # without an init section every seed draws from [-1, 1]^d
-        init=(InitConfig(mode="uniform_box", box_lo=-1.0, box_hi=1.0) if init is None
-              else _section(InitConfig, init, "init")),
+        optimizers=optimizers, init=init,
         stop=_section(StopCriteria, data.get("stop"), "stop",
                       max_iters=DEFAULT_MAX_ITERS, grad_tol=DEFAULT_GRAD_TOL),
         analysis=_section(AnalysisConfig, data.get("analysis"), "analysis"),

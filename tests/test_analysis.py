@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +101,27 @@ class TestGradientDominance:
         obj = make_mlp([2, 3, 1], 8, seed=0)
         with pytest.raises(ValueError):
             check_gradient_dominance(obj, 2.0, 1.0, 1.0, 10, 0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1.3, 1.5, 1.8, 2.0, 3.0, 4.0])
+    def test_closed_form_constant_of_pth_power(self, p, dim):
+        # a minimum over samples cannot fall below the true constant
+        obj = make_pth_power(p, dim)
+        mu = obj.metadata.mu
+        rep = check_gradient_dominance(obj, p=p, mu=mu, region_radius=1.0,
+                                       n_samples=200, seed=0)
+        assert rep.holds
+        assert rep.mu_max_estimate >= mu * (1 - 1e-12)
+        assert rep.n_evaluated == 200
+
+    def test_runs_without_scipy(self):
+        code = ("import sys, finiteflow\n"
+                "finiteflow.check_gradient_dominance(finiteflow.make_quadratic(1.0, 2),"
+                " 2.0, 1.0, 1.0, 10, 0)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestSettlingTimeBound:

@@ -114,10 +114,14 @@ class TestLoadConfig:
         ({"optimizers": [{"name": "rk", "scheme": "rk", "eta": 0.1,
                           "flow": {"kind": "rgf", "q": 3.0}}]},
          r"^optimizers\[0\]\.alphas"),
+        ({"analysis": {"run_bounds": True}}, r"^analysis: .*requires a dominance section"),
+        ({"init": {"mode": "fixed", "x0": [1.0, 2.0, 3.0]}},
+         r"^init\.x0: has length 3, objective needs 2"),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
-            "batch-size-0", "format-xml", "eta-0", "rk-no-alphas"])
+            "batch-size-0", "format-xml", "eta-0", "rk-no-alphas",
+            "bounds-no-dominance", "x0-length"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
@@ -390,3 +394,19 @@ class TestCli:
     def test_closeness_without_analysis_section_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL))
         assert cli_main(["closeness", str(path)]) == 1
+
+    @pytest.mark.parametrize("command,preset,other_pass", [
+        ("closeness", "quadratic_bounds", "bound_report"),
+        ("bounds", "closeness_sweep", "closeness_table"),
+    ])
+    def test_flag_is_checked_before_any_analysis(self, monkeypatch, capsys,
+                                                 command, preset, other_pass):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("analysis ran before the flag was checked")
+
+        monkeypatch.setattr(bench, other_pass, unexpected)
+        monkeypatch.setattr(bench, "check_gradient_dominance", unexpected)
+        assert cli_main([command, preset]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no {command} analysis enabled" in captured.err
