@@ -207,9 +207,10 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
                  horizon_factor: float = 1.3) -> dict:
     """Evaluate the theoretical bounds for one flow-driven optimizer.
 
-    Computes the settling-time bound at x0, integrates the reference flow to
-    measure arrival, checks the energy envelope along it, and checks the
-    discrete weak bound using the measured trajectory closeness.
+    Computes the settling-time bound at x0, measures arrival and checks the
+    energy envelope along the reference flow, and checks the discrete weak
+    bound using the measured trajectory closeness. One reference trajectory
+    at step min(h_ref, eta/10) serves all three; h_ref defaults to eta/100.
     """
     if opt.flow is None:
         raise ValueError("bound report needs a flow-driven optimizer")
@@ -223,27 +224,29 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     grad0 = float(np.linalg.norm(obj.gradient(x0)))
     f_gap0 = float(obj.value(x0)) - f_star
     t_bound = settling_time_bound(params, flow.c, grad0)
-    h = h_ref if h_ref is not None else opt.eta / 100.0
-
-    ref = integrate_reference(
-        flow, obj, x0, h,
-        StopCriteria(max_iters=int(math.ceil(horizon_factor * t_bound / h)),
-                     grad_tol=arrival_grad_tol))
-    arrival = float(ref.t[-1]) if ref.terminal_reason == "grad_tol" else math.nan
-
-    env_report = verify_envelope(
-        ref, lambda t: energy_decay_envelope(params, flow.c, f_gap0, t),
-        f_star, slack=envelope_slack, key="t")
-
     ks = k_star(params, flow.c, opt.eta, f_gap0)
     k_max = int(math.ceil(1.1 * ks))
-    disc = run(opt, obj, x0, StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
     horizon = k_max * opt.eta
-    dense = integrate_reference(
-        flow, obj, x0, opt.eta / 10.0,
-        StopCriteria(max_iters=int(math.ceil(horizon / (opt.eta / 10.0))),
-                     grad_tol=0.0))
-    eps = closeness_epsilon(dense, disc, T=horizon, eta=opt.eta)
+
+    # closeness needs samples at most eta/10 apart
+    h = min(h_ref if h_ref is not None else opt.eta / 100.0, opt.eta / 10.0)
+    n_arrival = int(math.ceil(horizon_factor * t_bound / h))
+    n_horizon = int(math.ceil(horizon / h))
+    ref = integrate_reference(flow, obj, x0, h,
+                              StopCriteria(max_iters=max(n_arrival, n_horizon),
+                                           grad_tol=0.0))
+    # arrival is the first record within n_arrival steps below the gradient
+    # tolerance; a run stopped there records exactly the rows up to it
+    hits = np.nonzero(ref.grad_norm2[:n_arrival + 1] <= arrival_grad_tol)[0]
+    arrived = ref.head(hits[0] + 1 if len(hits) else n_arrival + 1)
+    arrival = float(ref.t[hits[0]]) if len(hits) else math.nan
+
+    env_report = verify_envelope(
+        arrived, lambda t: energy_decay_envelope(params, flow.c, f_gap0, t),
+        f_star, slack=envelope_slack, key="t")
+
+    disc = run(opt, obj, x0, StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
+    eps = closeness_epsilon(ref.head(n_horizon + 1), disc, T=horizon, eta=opt.eta)
     lipschitz = float(np.max(disc.grad_norm2))
     weak_report = verify_envelope(
         disc,
@@ -287,40 +290,58 @@ def closeness_table(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     return rows
 
 
+def dominance_summary(cfg: ExperimentConfig, obj: Objective) -> dict | None:
+    """The gradient dominance check of the config's dominance section, or
+    None when there is no section or no known optimum."""
+    dom = cfg.analysis.dominance
+    if dom is None or obj.metadata is None:
+        return None
+    rep = check_gradient_dominance(obj, dom.p, dom.mu, dom.radius,
+                                   dom.n_samples, seed=cfg.init.base_seed)
+    return {
+        "holds": rep.holds,
+        "worst_margin": rep.worst_margin,
+        "mu_max_estimate": rep.mu_max_estimate,
+        "n_evaluated": rep.n_evaluated,
+    }
+
+
+def bound_reports(cfg: ExperimentConfig, obj: Objective) -> dict[str, dict]:
+    """``bound_report`` from the base seed's x0 for each flow-driven optimizer."""
+    dom = cfg.analysis.dominance
+    x0 = cfg.init.draw(obj.dimension, cfg.init.base_seed)
+    return {opt.name: bound_report(obj, opt.config, x0, dom.p, dom.mu,
+                                   h_ref=cfg.analysis.h_ref)
+            for opt in flow_optimizers(cfg)}
+
+
+def closeness_reports(cfg: ExperimentConfig,
+                      obj: Objective) -> dict[str, list[tuple[float, float]]]:
+    """``closeness_table`` from the base seed's x0 for each flow-driven
+    optimizer, over 1.2 times its settling-time bound."""
+    dom = cfg.analysis.dominance
+    x0 = cfg.init.draw(obj.dimension, cfg.init.base_seed)
+    grad0 = float(np.linalg.norm(obj.gradient(x0)))
+    tables = {}
+    for opt in flow_optimizers(cfg):
+        flow = opt.config.flow
+        params = dominance_params(dom.p, dom.mu, flow.q, flow.c)
+        horizon = 1.2 * settling_time_bound(params, flow.c, grad0)
+        tables[opt.name] = closeness_table(obj, opt.config, x0, horizon)
+    return tables
+
+
 def analysis_reports(cfg: ExperimentConfig, obj: Objective | None = None) -> dict:
     """Run the analysis passes requested by the config (bounds, closeness,
     gradient dominance) and return one report per flow-driven optimizer."""
     if obj is None:
         obj = cfg.build_objective()
-    reports: dict = {"dominance": None, "bounds": {}, "closeness": {}}
-
-    dom = cfg.analysis.dominance
-    if dom is not None and obj.metadata is not None:
-        rep = check_gradient_dominance(obj, dom.p, dom.mu, dom.radius,
-                                       dom.n_samples, seed=cfg.init.base_seed)
-        reports["dominance"] = {
-            "holds": rep.holds,
-            "worst_margin": rep.worst_margin,
-            "mu_max_estimate": rep.mu_max_estimate,
-            "n_evaluated": rep.n_evaluated,
-        }
-
-    if not (cfg.analysis.run_bounds or cfg.analysis.run_closeness):
-        return reports
-
-    x0 = cfg.init.draw(obj.dimension, cfg.init.base_seed)
-    for opt in flow_optimizers(cfg):
-        if cfg.analysis.run_bounds:
-            reports["bounds"][opt.name] = bound_report(
-                obj, opt.config, x0, dom.p, dom.mu, h_ref=cfg.analysis.h_ref)
-        if cfg.analysis.run_closeness:
-            params = dominance_params(dom.p, dom.mu, opt.config.flow.q,
-                                      opt.config.flow.c)
-            grad0 = float(np.linalg.norm(obj.gradient(x0)))
-            horizon = 1.2 * settling_time_bound(params, opt.config.flow.c, grad0)
-            reports["closeness"][opt.name] = closeness_table(
-                obj, opt.config, x0, horizon)
-    return reports
+    return {
+        "dominance": dominance_summary(cfg, obj),
+        "bounds": bound_reports(cfg, obj) if cfg.analysis.run_bounds else {},
+        "closeness": (closeness_reports(cfg, obj) if cfg.analysis.run_closeness
+                      else {}),
+    }
 
 
 def _write_reports(reports: dict, cfg: ExperimentConfig, out: Path) -> None:

@@ -102,7 +102,7 @@ def _cmd_closeness(args) -> int:
     if not (cfg.analysis.run_closeness and bench.flow_optimizers(cfg)):
         print("config has no closeness analysis enabled", file=sys.stderr)
         return 1
-    for name, rows in bench.analysis_reports(cfg)["closeness"].items():
+    for name, rows in bench.closeness_reports(cfg, cfg.build_objective()).items():
         print(f"{name}:")
         print("eta,eps")
         for eta, eps in rows:
@@ -115,14 +115,14 @@ def _cmd_bounds(args) -> int:
     if not (cfg.analysis.run_bounds and bench.flow_optimizers(cfg)):
         print("config has no bounds analysis enabled", file=sys.stderr)
         return 1
-    reports = bench.analysis_reports(cfg)
-    if reports["dominance"] is not None:
-        dom = reports["dominance"]
+    obj = cfg.build_objective()
+    dom = bench.dominance_summary(cfg, obj)
+    if dom is not None:
         print(f"gradient dominance: holds={dom['holds']} "
               f"worst_margin={dom['worst_margin']:.3e} "
               f"mu_max~{dom['mu_max_estimate']:.6g}")
     all_pass = True
-    for name, rep in reports["bounds"].items():
+    for name, rep in bench.bound_reports(cfg, obj).items():
         ok = rep["envelope_pass"] and rep["weak_bound_pass"]
         all_pass = all_pass and ok
         print(f"{name}: settling bound {rep['t_star_bound']:.4f}, "

@@ -93,7 +93,12 @@ def flow_eval(spec: FlowSpec, grad: np.ndarray) -> np.ndarray:
     """Velocity of the configured flow at a point with gradient ``grad``."""
     g = grad if isinstance(grad, np.ndarray) and grad.dtype == np.float64 \
         else np.asarray(grad, dtype=float)
-    n2 = norm2(g)
+    return _velocity(spec, g, norm2(g))
+
+
+def _velocity(spec: FlowSpec, g: np.ndarray, n2: float) -> np.ndarray:
+    """``flow_eval`` for a float64 gradient ``g`` whose Euclidean norm ``n2``
+    the caller has already computed."""
     if not math.isfinite(n2):
         raise NumericalFailure(f"non-finite gradient passed to {spec.kind} flow: {g!r}")
     if n2 <= spec.grad_threshold:
@@ -116,4 +121,4 @@ def flow_speed(spec: FlowSpec, grad: np.ndarray) -> float:
     For the rescaled flow this equals c * ||g||_2^(1/(q-1)), which is why
     trajectories reach the minimizer in finite time when q is large enough.
     """
-    return float(np.linalg.norm(flow_eval(spec, grad)))
+    return norm2(flow_eval(spec, grad))

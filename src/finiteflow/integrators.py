@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .flows import FlowSpec, NumericalFailure, flow_eval, norm2
+from .flows import FlowSpec, NumericalFailure, _velocity, flow_eval, norm2
 from .objectives import BatchContext, Objective
 
 SCHEMES = ("euler", "rk", "nesterov", "gd", "nagd", "adam")
@@ -243,6 +243,16 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.k)
 
+    def head(self, n: int) -> Trajectory:
+        """The first ``n`` records: what the same run records when it is
+        stopped after ``n - 1`` steps."""
+        if n >= len(self.k):
+            return self
+        return Trajectory(k=self.k[:n], t=self.t[:n], x=self.x[:n], f=self.f[:n],
+                          grad_norm2=self.grad_norm2[:n],
+                          grad_norm1=self.grad_norm1[:n], wall_s=self.wall_s[:n],
+                          terminal_reason=TERMINAL_MAX_ITERS)
+
     def records(self) -> Iterator[tuple]:
         for i in range(len(self.k)):
             yield (int(self.k[i]), float(self.t[i]), self.x[i],
@@ -301,9 +311,10 @@ def _stop_reason(stop: StopCriteria, obj: Objective, k: int, f: float,
 
 
 def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCriteria,
-                       advance: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Trajectory:
-    """Record x, then step with ``advance(x, grad) -> next x`` until a stop
-    rule fires.
+                       advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+                       ) -> Trajectory:
+    """Record x, then step with ``advance(x, grad, ||grad||) -> next x`` until
+    a stop rule fires.
 
     Iterate k is recorded at time k*dt with its cost, gradient norms and wall
     seconds. The run ends as numerical_failure, keeping every iterate
@@ -327,7 +338,7 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             reason = _stop_reason(stop, obj, k, f, gn2, wall)
             if reason is not None:
                 break
-            x = advance(x, g)
+            x = advance(x, g, gn2)
             k += 1
     except (NumericalFailure, ArithmeticError):
         reason = TERMINAL_NUMERICAL_FAILURE
@@ -358,7 +369,7 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
     reuse_grad = batch is None and cfg.scheme not in _LOOK_AHEAD_SCHEMES
     state = init_state(x0)
 
-    def advance(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def advance(x: np.ndarray, g: np.ndarray, _gn2: float) -> np.ndarray:
         nonlocal state
         step_obj = obj
         if batch is not None:
@@ -398,8 +409,7 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
     prev_x: np.ndarray | None = None
     speed_cap: float | None = None
 
-    def clamped(g: np.ndarray) -> np.ndarray:
-        v = flow_eval(flow, g)
+    def clamped(v: np.ndarray) -> np.ndarray:
         if speed_cap is not None:
             speed = norm2(v)
             if speed > speed_cap:
@@ -407,13 +417,15 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         return v
 
     def velocity(z: np.ndarray) -> np.ndarray:
-        return clamped(obj.gradient(z))
+        return clamped(flow_eval(flow, obj.gradient(z)))
 
-    def advance(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
         nonlocal prev_x, speed_cap
         if prev_x is not None:
             speed_cap = norm2(x - prev_x) / h_ref * 1e3
-        x_next = _tableau_update(_RK4, h_ref, x, clamped(g), velocity)
+        # the first stage reuses the gradient norm the record pass computed
+        x_next = _tableau_update(_RK4, h_ref, x, clamped(_velocity(flow, g, gn2)),
+                                 velocity)
         _ensure_finite(x_next, "reference")
         prev_x = x
         return x_next

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import yaml
 
-from finiteflow import (ConfigError, Trajectory, emit_csv, load_config,
-                        preset_names, run_experiment)
+from finiteflow import (ConfigError, DiscretizerConfig, FlowSpec, StopCriteria,
+                        Trajectory, closeness_epsilon, dominance_params,
+                        emit_csv, energy_decay_envelope, integrate_reference,
+                        k_star, load_config, make_quadratic, preset_names, run,
+                        run_experiment, settling_time_bound, verify_envelope,
+                        weak_bound)
 from finiteflow import bench
 from finiteflow.bench import read_csv
 from finiteflow.cli import cli_main
@@ -344,6 +348,100 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=tmp_path / "bug")
 
 
+def two_integration_report(obj, opt, x0, p, mu, h_ref, arrival_grad_tol=1e-6,
+                           envelope_slack=1e-6, horizon_factor=1.3):
+    """bound_report as two reference integrations: one at h_ref stopped at
+    arrival for the envelope, one at eta/10 over the horizon for closeness."""
+    flow, f_star = opt.flow, obj.metadata.f_star
+    params = dominance_params(p, mu, flow.q, flow.c)
+    grad0 = float(np.linalg.norm(obj.gradient(x0)))
+    f_gap0 = float(obj.value(x0)) - f_star
+    t_bound = settling_time_bound(params, flow.c, grad0)
+    ref = integrate_reference(
+        flow, obj, x0, h_ref,
+        StopCriteria(max_iters=int(math.ceil(horizon_factor * t_bound / h_ref)),
+                     grad_tol=arrival_grad_tol))
+    arrival = float(ref.t[-1]) if ref.terminal_reason == "grad_tol" else math.nan
+    env = verify_envelope(
+        ref, lambda t: energy_decay_envelope(params, flow.c, f_gap0, t),
+        f_star, slack=envelope_slack, key="t")
+    ks = k_star(params, flow.c, opt.eta, f_gap0)
+    k_max = int(math.ceil(1.1 * ks))
+    disc = run(opt, obj, x0, StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
+    horizon = k_max * opt.eta
+    dense = integrate_reference(
+        flow, obj, x0, opt.eta / 10.0,
+        StopCriteria(max_iters=int(math.ceil(horizon / (opt.eta / 10.0))),
+                     grad_tol=0.0))
+    eps = closeness_epsilon(dense, disc, T=horizon, eta=opt.eta)
+    lipschitz = float(np.max(disc.grad_norm2))
+    weak = verify_envelope(
+        disc,
+        lambda k: weak_bound(params, flow.c, opt.eta, f_gap0, lipschitz, eps, k),
+        f_star, slack=envelope_slack, key="k")
+    return {
+        "t_star_bound": t_bound, "arrival_time": arrival,
+        "arrival_grad_tol": arrival_grad_tol, "envelope_pass": env.verdict,
+        "envelope_violations": len(env.violations), "k_star": ks,
+        "eps_measured": eps, "lipschitz_estimate": lipschitz,
+        "weak_bound_pass": weak.verdict,
+        "weak_bound_violations": len(weak.violations),
+    }
+
+
+def quadratic_bounds_case(h_ref):
+    cfg = load_config("quadratic_bounds")
+    obj = cfg.build_objective()
+    dom = cfg.analysis.dominance
+    return (obj, cfg.optimizers[0].config, cfg.init.draw(obj.dimension, 0),
+            dom.p, dom.mu, h_ref)
+
+
+def rgf_2d_case(q):
+    opt = DiscretizerConfig(scheme="euler", eta=1e-2,
+                            flow=FlowSpec("rgf", q=q, c=1.5))
+    return make_quadratic(1.0, 2), opt, np.array([0.6, -0.8]), 2.0, 1.0, 1e-3
+
+
+# (objective, optimizer, x0, p, mu, h_ref) with h_ref == eta/10; at q = 4
+# the fixed-step reference chatters above the arrival tolerance, so that
+# report has no arrival time
+SHARED_GRID_CASES = {
+    "quadratic_bounds": quadratic_bounds_case(1e-4),
+    "rgf_q3_2d": rgf_2d_case(3.0),
+    "rgf_q4_2d_no_arrival": rgf_2d_case(4.0),
+}
+
+
+class TestBoundReport:
+    def test_integrates_the_reference_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return integrate_reference(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "integrate_reference", counted)
+        bench.bound_report(*SHARED_GRID_CASES["rgf_q3_2d"])
+        assert calls == [1e-3]
+
+    @pytest.mark.parametrize("case", sorted(SHARED_GRID_CASES))
+    def test_shared_trajectory_matches_two_integrations_exactly(self, case):
+        obj, opt, x0, p, mu, h_ref = SHARED_GRID_CASES[case]
+        assert h_ref == opt.eta / 10.0
+        expected = two_integration_report(obj, opt, x0, p, mu, h_ref)
+        # exact comparison in which a missing arrival (nan) equals itself
+        np.testing.assert_equal(bench.bound_report(obj, opt, x0, p, mu, h_ref=h_ref),
+                                expected)
+
+    @pytest.mark.parametrize("h_ref", [None, 1e-3], ids=["eta/100", "eta"])
+    def test_other_reference_steps_complete_on_quadratic_bounds(self, h_ref):
+        rep = bench.bound_report(*quadratic_bounds_case(h_ref))
+        assert math.isfinite(rep["eps_measured"])
+        assert math.isfinite(rep["arrival_time"])
+        assert rep["envelope_pass"]
+
+
 class TestCli:
     def test_presets_lists_shipped_inventory(self, capsys):
         assert cli_main(["presets"]) == 0
@@ -410,3 +508,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"no {command} analysis enabled" in captured.err
+
+    @pytest.mark.parametrize("command,other_pass", [
+        ("closeness", "bound_report"),
+        ("bounds", "closeness_table"),
+    ])
+    def test_command_runs_only_its_own_pass(self, monkeypatch, tmp_path, capsys,
+                                            command, other_pass):
+        def unexpected(*args, **kwargs):
+            raise AssertionError(f"{command} ran {other_pass}")
+
+        data = dict(MINIMAL)
+        data["optimizers"] = [{"name": "rgf", "scheme": "euler", "eta": 0.05,
+                               "flow": {"kind": "rgf", "q": 3.0}}]
+        data["analysis"] = {"run_bounds": True, "run_closeness": True,
+                            "dominance": {"p": 2.0, "mu": 1.0, "radius": 1.0,
+                                          "n_samples": 20}}
+        monkeypatch.setattr(bench, other_pass, unexpected)
+        assert cli_main([command, str(write_config(tmp_path, data))]) == 0
+        assert "rgf" in capsys.readouterr().out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finiteflow import (BatchContext, DiscretizerConfig, FlowSpec,
                         NumericalFailure, Objective, StopCriteria, flow_eval,
@@ -371,6 +372,66 @@ class TestIntegrateReference:
         with pytest.raises(ValueError):
             integrate_reference(FlowSpec("gf"), QUAD2, np.zeros(2), 0.0,
                                 StopCriteria(max_iters=10))
+
+
+def plain_rk4(flow, obj, x0, h, n):
+    """n classical RK4 steps without the speed clamp, with the reference
+    integrator's order of operations."""
+    def velocity(z):
+        return flow_eval(flow, obj.gradient(z))
+
+    xs = [x0]
+    for _ in range(n):
+        x = xs[-1]
+        v1 = velocity(x)
+        v2 = velocity(x + v1 * 0.5 * h)
+        v3 = velocity(x + v2 * 0.5 * h)
+        v4 = velocity(x + v3 * h)
+        xs.append(x + (v1 * (1 / 6) + v2 * (1 / 3) + v3 * (1 / 3) + v4 * (1 / 6)) * h)
+    return np.array(xs)
+
+
+class TestRadialRescaledFlowClosedForm:
+    """On f = mu/2 ||x||^2 the rgf flow moves x radially with
+    d/dt r^e = -e c mu^(1-e), e = (q-2)/(q-1), so r^e falls linearly and
+    the flow arrives at T = r0^e / (e c mu^(1-e)) for q > 2."""
+
+    STEPS = 200  # reference steps per settling time T
+    TOLERANCE_STEPS = 4  # the tolerance is the gradient norm reached at T - 4 T/STEPS
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(q=st.floats(min_value=2.2, max_value=12.0, exclude_min=True),
+           c=st.floats(min_value=0.5, max_value=2.0),
+           mu=st.floats(min_value=0.5, max_value=2.0),
+           d=st.integers(min_value=1, max_value=4),
+           r0=st.floats(min_value=0.25, max_value=2.0),
+           direction_seed=st.integers(min_value=0, max_value=2**16))
+    def test_arrival_time_and_clamp(self, q, c, mu, d, r0, direction_seed):
+        e = (q - 2.0) / (q - 1.0)
+        rate = e * c * mu ** (1.0 - e)
+        T = (q - 1.0) * r0 ** e / (c * (q - 2.0) * mu ** (1.0 / (q - 1.0)))
+        assert T == pytest.approx(r0 ** e / rate, rel=1e-12)
+        direction = np.random.default_rng(direction_seed).standard_normal(d)
+        x0 = r0 * direction / np.linalg.norm(direction)
+        flow, obj = FlowSpec("rgf", q=q, c=c), make_quadratic(mu, d)
+        # a fixed-step reference cannot resolve the last step before T, where
+        # the speed is not Lipschitz, so arrival is taken a few steps earlier
+        t_left = self.TOLERANCE_STEPS * T / self.STEPS
+        t_tol = T - t_left
+        grad_tol = mu * (rate * t_left) ** (1.0 / e)
+
+        errors = []
+        for h in (T / self.STEPS, T / (2 * self.STEPS)):
+            traj = integrate_reference(
+                flow, obj, x0, h,
+                StopCriteria(max_iters=int(1.5 * T / h), grad_tol=grad_tol))
+            assert traj.terminal_reason == "grad_tol"
+            errors.append(abs(traj.t[-1] - t_tol))
+            assert errors[-1] <= 2 * h
+            if len(errors) == 1:
+                # bit-identical to RK4 without the clamp up to arrival
+                assert np.array_equal(traj.x, plain_rk4(flow, obj, x0, h, len(traj) - 1))
+        assert errors[1] <= errors[0]
 
 
 class TestConfigValidation:
