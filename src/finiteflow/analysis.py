@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .flows import norm2
 from .integrators import Trajectory
 from .objectives import Objective
 
@@ -113,7 +114,7 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
     mu_points = []
     rhs_scale = 0.0
     for x in points:
-        g_norm = float(np.linalg.norm(obj.gradient(x)))
+        g_norm = norm2(obj.gradient(x))
         gap = float(obj.value(x)) - f_star
         lhs = (p - 1.0) / p * g_norm ** lhs_exp
         rhs = rhs_coeff * gap

@@ -13,6 +13,7 @@ from .analysis import (check_gradient_dominance, closeness_epsilon,
                        dominance_params, energy_decay_envelope, k_star,
                        settling_time_bound, verify_envelope, weak_bound)
 from .config import ExperimentConfig, NamedOptimizer
+from .flows import norm2
 from .integrators import (DiscretizerConfig, StopCriteria, Trajectory,
                           integrate_reference, run)
 from .objectives import BatchContext, Objective
@@ -21,21 +22,28 @@ CSV_HEADER = "k,t,f,f_gap,grad_norm2,grad_norm1,wall_s"
 ITERS_SENTINEL = -1
 
 
+# one formatting call per row over the columns' tolist() values; %.17g
+# writes the same digits as f"{v:.17g}"
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__
+_MEAN_CURVE_ROW = "%d,%.17g,%.17g\n".__mod__
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _gap(f: np.ndarray, f_star: float | None) -> np.ndarray:
+    return f - f_star if f_star is not None else np.full(len(f), math.nan)
 
 
 def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None) -> Path:
     """Write one trajectory as CSV with 17-significant-digit floats, LF newlines."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [CSV_HEADER]
-    for k, t, _x, f, gn2, gn1, wall in traj.records():
-        gap = f - f_star if f_star is not None else math.nan
-        lines.append(",".join([str(k), _fmt(t), _fmt(f), _fmt(gap),
-                               _fmt(gn2), _fmt(gn1), _fmt(wall)]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = (traj.k, traj.t, traj.f, _gap(traj.f, f_star), traj.grad_norm2,
+               traj.grad_norm1, traj.wall_s)
+    rows = map(_CSV_ROW, zip(*(c.tolist() for c in columns)))
+    path.write_text(CSV_HEADER + "\n" + "".join(rows), newline="\n")
     return path
 
 
@@ -189,11 +197,9 @@ def _write_mean_curves(cfg: ExperimentConfig, outcomes, f_star, out: Path) -> No
             stacked[i, :len(t)] = t.f
             stacked[i, len(t):] = t.f[-1]
         mean_f = stacked.mean(axis=0)
-        lines = ["k,mean_f,mean_f_gap"]
-        for k in range(longest):
-            gap = mean_f[k] - f_star if f_star is not None else math.nan
-            lines.append(f"{k},{_fmt(mean_f[k])},{_fmt(gap)}")
-        (out / f"{name}__mean_curve.csv").write_text("\n".join(lines) + "\n")
+        rows = map(_MEAN_CURVE_ROW, zip(range(longest), mean_f.tolist(),
+                                        _gap(mean_f, f_star).tolist()))
+        (out / f"{name}__mean_curve.csv").write_text("k,mean_f,mean_f_gap\n" + "".join(rows))
 
 
 def flow_optimizers(cfg: ExperimentConfig) -> list[NamedOptimizer]:
@@ -221,7 +227,7 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     f_star = obj.metadata.f_star
     params = dominance_params(p, mu, flow.q, flow.c)
 
-    grad0 = float(np.linalg.norm(obj.gradient(x0)))
+    grad0 = norm2(obj.gradient(x0))
     f_gap0 = float(obj.value(x0)) - f_star
     t_bound = settling_time_bound(params, flow.c, grad0)
     ks = k_star(params, flow.c, opt.eta, f_gap0)
@@ -321,7 +327,7 @@ def closeness_reports(cfg: ExperimentConfig,
     optimizer, over 1.2 times its settling-time bound."""
     dom = cfg.analysis.dominance
     x0 = cfg.init.draw(obj.dimension, cfg.init.base_seed)
-    grad0 = float(np.linalg.norm(obj.gradient(x0)))
+    grad0 = norm2(obj.gradient(x0))
     tables = {}
     for opt in flow_optimizers(cfg):
         flow = opt.config.flow

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +32,11 @@ _GRADIENT_FLOW = FlowSpec("gf", grad_threshold=0.0)
 _EULER = (((),), (1.0,))
 _RK4 = (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
         (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))
+
+# rows of the record columns before their first doubling, and gradient
+# rows held before their l1 norms are taken
+_RECORD_BLOCK = 1024
+_GRADIENT_CHUNK = 64
 
 TERMINAL_GRAD_TOL = "grad_tol"
 TERMINAL_F_TOL = "f_tol"
@@ -125,6 +130,9 @@ class StepperState:
     k: int = 0
 
 
+Step = Callable[..., StepperState]  # see make_step
+
+
 def init_state(x0: np.ndarray) -> StepperState:
     x0 = np.asarray(x0, dtype=float).copy()
     zeros = np.zeros_like(x0)
@@ -135,17 +143,6 @@ def _ensure_finite(x: np.ndarray, scheme: str) -> None:
     # a finite squared norm proves every component finite
     if not math.isfinite(float(x.dot(x))) and not np.all(np.isfinite(x)):
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
-
-
-def _flow(cfg: DiscretizerConfig) -> FlowSpec:
-    return _GRADIENT_FLOW if cfg.flow is None else cfg.flow
-
-
-def _tableau(cfg: DiscretizerConfig) -> tuple:
-    # the paper's family: a[i][j] = betas[j] for every stage i > j, b = alphas
-    if cfg.scheme == "rk":
-        return tuple(cfg.betas[:i] for i in range(cfg.stages)), cfg.alphas
-    return _EULER
 
 
 def _combine(coefs: tuple[float, ...], vs: list[np.ndarray]) -> np.ndarray | None:
@@ -172,58 +169,81 @@ def _tableau_update(tableau: tuple, h: float, x: np.ndarray, v1: np.ndarray,
     return x + _combine(b, vs) * h
 
 
-def step_tableau(cfg: DiscretizerConfig, obj: Objective, state: StepperState,
-                 grad: np.ndarray | None = None) -> StepperState:
-    """Explicit Runge-Kutta step of the configured flow (euler, rk, gd).
+def _tableau_step(cfg: DiscretizerConfig) -> Step:
+    """Explicit Runge-Kutta step of the configured flow (euler, rk, gd)."""
+    flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
+    h, scheme = cfg.eta, cfg.scheme
+    # the paper's family: a[i][j] = betas[j] for every stage i > j, b = alphas
+    tableau = ((tuple(cfg.betas[:i] for i in range(cfg.stages)), cfg.alphas)
+               if scheme == "rk" else _EULER)
+    # x + 1.0 * v1 * h is what the one-stage tableau update computes
+    one_stage = tableau[1] == (1.0,)
 
-    ``grad``, when given, must be the gradient at the current iterate; it
-    saves a re-evaluation when the caller already observed it.
-    """
-    flow = _flow(cfg)
+    def step(_cfg, obj, state, grad=None, grad_norm=None):
+        x = state.x
+        v1 = (flow_eval(flow, obj.gradient(x)) if grad is None
+              else _velocity(flow, grad, grad_norm))
+        x_next = (x + v1 * h if one_stage else _tableau_update(
+            tableau, h, x, v1, lambda z: flow_eval(flow, obj.gradient(z))))
+        _ensure_finite(x_next, scheme)
+        return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
 
-    def velocity(z: np.ndarray) -> np.ndarray:
-        return flow_eval(flow, obj.gradient(z))
-
-    v1 = velocity(state.x) if grad is None else flow_eval(flow, grad)
-    x_next = _tableau_update(_tableau(cfg), cfg.eta, state.x, v1, velocity)
-    _ensure_finite(x_next, cfg.scheme)
-    return StepperState(x=x_next, y=state.y, m=state.m, v=state.v, k=state.k + 1)
+    return step
 
 
-def step_nesterov_like(cfg: DiscretizerConfig, obj: Objective, state: StepperState) -> StepperState:
+def _look_ahead_step(cfg: DiscretizerConfig) -> Step:
     """Momentum step that evaluates the flow at the look-ahead point.
 
     x_{k+1} = x_k + beta*y_k + eta * F(x_k + beta*y_k), y_{k+1} = x_{k+1} - x_k.
     On the plain gradient flow this is Nesterov-accelerated descent (nagd).
+    The gradient at x_k, when given, goes unused.
     """
-    look_ahead = state.x + cfg.beta * state.y
-    v = flow_eval(_flow(cfg), obj.gradient(look_ahead))
-    x_next = look_ahead + cfg.eta * v
-    _ensure_finite(x_next, cfg.scheme)
-    return StepperState(x=x_next, y=x_next - state.x, m=state.m, v=state.v, k=state.k + 1)
+    flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
+    eta, beta, scheme = cfg.eta, cfg.beta, cfg.scheme
+
+    def step(_cfg, obj, state, grad=None, grad_norm=None):
+        look_ahead = state.x + beta * state.y
+        v = flow_eval(flow, obj.gradient(look_ahead))
+        x_next = look_ahead + eta * v
+        _ensure_finite(x_next, scheme)
+        return StepperState(x_next, x_next - state.x, state.m, state.v, state.k + 1)
+
+    return step
 
 
-def step_adam(cfg: DiscretizerConfig, obj: Objective, state: StepperState,
-              grad: np.ndarray | None = None) -> StepperState:
+def _adam_step(cfg: DiscretizerConfig) -> Step:
     """Adam with bias-corrected first and second moment estimates."""
-    g = obj.gradient(state.x) if grad is None else grad
-    k_next = state.k + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1 ** k_next)
-    v_hat = v / (1.0 - cfg.beta2 ** k_next)
-    x_next = state.x - cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    _ensure_finite(x_next, "adam")
-    return StepperState(x=x_next, y=state.y, m=m, v=v, k=k_next)
+    eta, beta1, beta2, epsilon = cfg.eta, cfg.beta1, cfg.beta2, cfg.epsilon
+
+    def step(_cfg, obj, state, grad=None, grad_norm=None):
+        g = obj.gradient(state.x) if grad is None else grad
+        k_next = state.k + 1
+        m = beta1 * state.m + (1.0 - beta1) * g
+        v = beta2 * state.v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** k_next)
+        v_hat = v / (1.0 - beta2 ** k_next)
+        x_next = state.x - eta * m_hat / (np.sqrt(v_hat) + epsilon)
+        _ensure_finite(x_next, "adam")
+        return StepperState(x_next, state.y, m, v, k_next)
+
+    return step
 
 
-def make_step(cfg: DiscretizerConfig):
-    """The step function ``(cfg, obj, state) -> StepperState`` of the scheme."""
+def make_step(cfg: DiscretizerConfig) -> Step:
+    """The step ``(cfg, obj, state, grad=None, grad_norm=None) -> StepperState``
+    of the scheme, with the scheme's constants resolved here once.
+
+    The step reads its constants from the ``cfg`` given to ``make_step``; its
+    own ``cfg`` argument only keeps the signature of a plain step function.
+    ``grad`` and ``grad_norm``, when given, must be the float64 gradient at
+    ``state.x`` and its Euclidean norm; they save re-evaluating what the
+    caller has already observed.
+    """
     if cfg.scheme == "adam":
-        return step_adam
+        return _adam_step(cfg)
     if cfg.scheme in _LOOK_AHEAD_SCHEMES:
-        return step_nesterov_like
-    return step_tableau
+        return _look_ahead_step(cfg)
+    return _tableau_step(cfg)
 
 
 @dataclass
@@ -253,61 +273,11 @@ class Trajectory:
                           grad_norm1=self.grad_norm1[:n], wall_s=self.wall_s[:n],
                           terminal_reason=TERMINAL_MAX_ITERS)
 
-    def records(self) -> Iterator[tuple]:
-        for i in range(len(self.k)):
-            yield (int(self.k[i]), float(self.t[i]), self.x[i],
-                   float(self.f[i]), float(self.grad_norm2[i]),
-                   float(self.grad_norm1[i]), float(self.wall_s[i]))
 
-
-class _TrajectoryBuilder:
-    def __init__(self, dimension: int):
-        self.k: list[int] = []
-        self.t: list[float] = []
-        self.x: list[np.ndarray] = []
-        self.f: list[float] = []
-        self.gn2: list[float] = []
-        self.gn1: list[float] = []
-        self.wall: list[float] = []
-        self._dim = dimension
-
-    def append(self, k: int, t: float, x: np.ndarray, f: float,
-               gn2: float, gn1: float, wall: float) -> None:
-        self.k.append(k)
-        self.t.append(t)
-        self.x.append(np.asarray(x, dtype=float).copy())
-        self.f.append(f)
-        self.gn2.append(gn2)
-        self.gn1.append(gn1)
-        self.wall.append(wall)
-
-    def build(self, reason: str) -> Trajectory:
-        n = len(self.k)
-        x = np.asarray(self.x) if n else np.zeros((0, self._dim))
-        return Trajectory(
-            k=np.asarray(self.k, dtype=int),
-            t=np.asarray(self.t, dtype=float),
-            x=x,
-            f=np.asarray(self.f, dtype=float),
-            grad_norm2=np.asarray(self.gn2, dtype=float),
-            grad_norm1=np.asarray(self.gn1, dtype=float),
-            wall_s=np.asarray(self.wall, dtype=float),
-            terminal_reason=reason,
-        )
-
-
-def _stop_reason(stop: StopCriteria, obj: Objective, k: int, f: float,
-                 gn2: float, elapsed: float) -> str | None:
-    if stop.grad_tol > 0 and gn2 <= stop.grad_tol:
-        return TERMINAL_GRAD_TOL
-    if (stop.f_tol > 0 and obj.metadata is not None
-            and f - obj.metadata.f_star <= stop.f_tol):
-        return TERMINAL_F_TOL
-    if k >= stop.max_iters:
-        return TERMINAL_MAX_ITERS
-    if stop.wall_limit is not None and elapsed >= stop.wall_limit:
-        return TERMINAL_WALL_LIMIT
-    return None
+def _doubled(a: np.ndarray) -> np.ndarray:
+    out = np.empty((2 * len(a),) + a.shape[1:])
+    out[:len(a)] = a
+    return out
 
 
 def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCriteria,
@@ -321,28 +291,56 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     recorded so far, when a recorded cost or gradient is not finite, when
     the objective raises an ArithmeticError, or when a step raises
     NumericalFailure.
+
+    The record columns start at ``_RECORD_BLOCK`` rows and double when full,
+    since a run under a wall limit may have a huge ``max_iters``; gradient
+    rows are reduced to their l1 norms ``_GRADIENT_CHUNK`` rows at a time.
     """
-    builder = _TrajectoryBuilder(obj.dimension)
+    rows = min(stop.max_iters + 1, _RECORD_BLOCK)
+    xs = np.empty((rows, obj.dimension))
+    fs, gn2s, gn1s, walls = (np.empty(rows) for _ in range(4))
+    grads = np.empty((min(rows, _GRADIENT_CHUNK), obj.dimension))
+    chunk = len(grads)
+    grad_tol, max_iters, wall_limit = stop.grad_tol, stop.max_iters, stop.wall_limit
+    f_tol = stop.f_tol if obj.metadata is not None else 0.0
+    f_star = obj.metadata.f_star if f_tol > 0 else 0.0
+    n = 0  # rows recorded; the next row is iterate k = n
     t_start = time.perf_counter()
-    k = 0
     try:
         while True:
             g = np.asarray(obj.gradient(x), dtype=float)
             f = float(obj.value(x))
             gn2 = norm2(g)
             wall = time.perf_counter() - t_start
-            builder.append(k, k * dt, x, f, gn2, float(np.abs(g).sum()), wall)
-            if not (math.isfinite(f) and math.isfinite(gn2)):
-                reason = TERMINAL_NUMERICAL_FAILURE
-                break
-            reason = _stop_reason(stop, obj, k, f, gn2, wall)
+            if n == len(xs):
+                xs, fs, gn2s, gn1s, walls = map(_doubled, (xs, fs, gn2s, gn1s, walls))
+            xs[n] = x
+            fs[n] = f
+            gn2s[n] = gn2
+            walls[n] = wall
+            grads[n % chunk] = g
+            n += 1
+            if n % chunk == 0:
+                gn1s[n - chunk:n] = np.abs(grads).sum(axis=1)
+            # the stop rules, in the order StopCriteria documents
+            reason = (TERMINAL_NUMERICAL_FAILURE if not (math.isfinite(f) and math.isfinite(gn2))
+                      else TERMINAL_GRAD_TOL if grad_tol > 0 and gn2 <= grad_tol
+                      else TERMINAL_F_TOL if f_tol > 0 and f - f_star <= f_tol
+                      else TERMINAL_MAX_ITERS if n > max_iters
+                      else TERMINAL_WALL_LIMIT if wall_limit is not None and wall >= wall_limit
+                      else None)
             if reason is not None:
                 break
             x = advance(x, g, gn2)
-            k += 1
     except (NumericalFailure, ArithmeticError):
         reason = TERMINAL_NUMERICAL_FAILURE
-    return builder.build(reason)
+    # row by row this is np.abs(g).sum() of each gradient, to the bit
+    gn1s[n - n % chunk:n] = np.abs(grads[:n % chunk]).sum(axis=1)
+    if n < len(xs):
+        xs, fs, gn2s, gn1s, walls = (a[:n].copy() for a in (xs, fs, gn2s, gn1s, walls))
+    k = np.arange(n)
+    return Trajectory(k=k, t=k * dt, x=xs, f=fs, grad_norm2=gn2s, grad_norm1=gn1s,
+                      wall_s=walls, terminal_reason=reason)
 
 
 def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriteria,
@@ -363,23 +361,18 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
     if batch is not None and obj.batch_gradient is None:
         raise ValueError(f"objective {obj.name!r} does not support mini-batch gradients")
 
-    step_fn = make_step(cfg)
-    # all but the look-ahead schemes step from the gradient at the current
-    # iterate, which the record pass has already computed (full-batch only)
-    reuse_grad = batch is None and cfg.scheme not in _LOOK_AHEAD_SCHEMES
+    step = make_step(cfg)
     state = init_state(x0)
 
-    def advance(x: np.ndarray, g: np.ndarray, _gn2: float) -> np.ndarray:
+    def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
         nonlocal state
-        step_obj = obj
-        if batch is not None:
-            idx = batch.indices(state.k)
-            step_obj = replace(
-                obj, gradient=lambda z, _i=idx: obj.batch_gradient(z, _i))
-        if reuse_grad:
-            state = step_fn(cfg, step_obj, state, grad=g)
+        if batch is None:
+            # the step reuses the gradient the record pass computed at x
+            state = step(cfg, obj, state, g, gn2)
         else:
-            state = step_fn(cfg, step_obj, state)
+            idx = batch.indices(state.k)
+            state = step(cfg, replace(obj, gradient=lambda z: obj.batch_gradient(z, idx)),
+                         state)
         return state.x
 
     return _record_until_stop(obj, state.x, cfg.eta, stop, advance)

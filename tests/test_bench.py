@@ -235,6 +235,23 @@ class TestEmitCsv:
         path = emit_csv(empty_trajectory(), tmp_path / "lf.csv")
         assert b"\r" not in path.read_bytes()
 
+    @pytest.mark.parametrize("f_star", [None, 0.0])
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_bytes_match_row_by_row_rendering(self, tmp_path, f_star, n):
+        special = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 0.1])
+        f, t, gn2, gn1, wall = (np.roll(special, shift)[:n] for shift in range(5))
+        traj = Trajectory(k=np.arange(n), t=t, x=np.zeros((n, 2)), f=f, grad_norm2=gn2,
+                          grad_norm1=gn1, wall_s=wall, terminal_reason="numerical_failure")
+        lines = ["k,t,f,f_gap,grad_norm2,grad_norm1,wall_s"]
+        for i in range(n):
+            f = float(traj.f[i])
+            gap = f - f_star if f_star is not None else math.nan
+            values = (float(traj.t[i]), f, gap, float(traj.grad_norm2[i]),
+                      float(traj.grad_norm1[i]), float(traj.wall_s[i]))
+            lines.append(",".join([str(int(traj.k[i]))] + [f"{v:.17g}" for v in values]))
+        path = emit_csv(traj, tmp_path / "rows.csv", f_star)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestRunExperiment:
     def test_single_cell_matches_geometric_decay(self, tmp_path):
@@ -279,6 +296,27 @@ class TestRunExperiment:
         cell_files = sorted(p.name for p in out.glob("*__seed*.csv"))
         assert len(cell_files) == 8
         assert (out / "summary.csv").exists()
+
+    def test_mean_curve_bytes_match_row_by_row_rendering(self, tmp_path):
+        data = dict(MINIMAL)
+        data["optimizers"] = [{"name": "euler", "scheme": "euler", "eta": 0.3,
+                               "flow": {"kind": "rgf", "q": 3.0}}]
+        data["init"] = {"mode": "uniform_box", "box_lo": 0.5, "box_hi": 1.5,
+                        "n_seeds": 3, "base_seed": 3}
+        data["stop"] = {"max_iters": 60, "grad_tol": 0.0, "f_tol": 1e-3}
+        out = tmp_path / "mean"
+        summary = run_experiment(load_config(write_config(tmp_path, data)), out_dir=out)
+        curves = [read_csv(c.csv_path)["f"] for c in summary.cells]
+        longest = max(len(f) for f in curves)
+        assert min(len(f) for f in curves) < longest  # padding is exercised
+        stacked = np.array([np.concatenate([f, np.full(longest - len(f), f[-1])])
+                            for f in curves])
+        mean_f = stacked.mean(axis=0)
+        lines = ["k,mean_f,mean_f_gap"] + [
+            f"{k},{float(mean_f[k]):.17g},{float(mean_f[k]) - 0.0:.17g}"
+            for k in range(longest)]
+        assert (out / "euler__mean_curve.csv").read_bytes() == (
+            "\n".join(lines) + "\n").encode()
 
     def test_summary_medians_match_recomputation_from_csvs(self, tmp_path):
         data = dict(MINIMAL)

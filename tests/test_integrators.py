@@ -8,7 +8,8 @@ from finiteflow import (BatchContext, DiscretizerConfig, FlowSpec,
                         NumericalFailure, Objective, StopCriteria, flow_eval,
                         init_state, integrate_reference, make_mlp,
                         make_quadratic, make_rosenbrock, run)
-from finiteflow.integrators import make_step
+from finiteflow import integrators
+from finiteflow.integrators import _RECORD_BLOCK, make_step
 
 QUAD2 = make_quadratic(1.0, 2)
 ROSEN = make_rosenbrock(1.0, 100.0)
@@ -310,6 +311,37 @@ class TestRun:
                    np.array([1.0, 0.0]), StopCriteria(max_iters=50))
         assert np.all(np.diff(traj.t) > 0)
 
+    def test_huge_iteration_budget_under_wall_limit_keeps_its_rows(self):
+        # the record columns grow with the run instead of being sized by
+        # max_iters up front
+        traj = run(DiscretizerConfig(scheme="gd", eta=0.05), QUAD2,
+                   np.array([1.0, 0.0]),
+                   StopCriteria(max_iters=10 ** 12, wall_limit=0.05))
+        assert traj.terminal_reason == "wall_limit"
+        assert len(traj) >= 1
+        assert np.array_equal(traj.k, np.arange(len(traj)))
+        assert traj.x.shape == (len(traj), 2)
+        for col in (traj.t, traj.f, traj.grad_norm2, traj.grad_norm1, traj.wall_s):
+            assert col.shape == (len(traj),)
+
+    def test_run_builds_its_step_once_and_calls_it_once_per_step(self, monkeypatch):
+        # the seam a tracer patches: integrators.make_step, looked up per run
+        built, calls = [], []
+
+        def counting_make_step(cfg):
+            built.append(cfg)
+            step = make_step(cfg)
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return step(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(integrators, "make_step", counting_make_step)
+        traj = run(DiscretizerConfig(scheme="gd", eta=0.05), QUAD2,
+                   np.array([1.0, 0.0]), StopCriteria(max_iters=30))
+        assert len(built) == 1 and len(calls) == len(traj) - 1 == 30
+
     def test_wall_limit_stops_the_run(self):
         traj = run(DiscretizerConfig(scheme="gd", eta=0.05), QUAD2,
                    np.array([1.0, 0.0]),
@@ -340,6 +372,47 @@ class TestRun:
         traj = run(cfg, cliff, np.array([1.0]), StopCriteria(max_iters=100))
         assert traj.terminal_reason == "numerical_failure"
         assert len(traj) == records
+
+
+# the schemes as the per-layer benchmark times them, on its banana valley
+PROBE_SCHEMES = [
+    DiscretizerConfig(scheme="euler", eta=1e-3, flow=FlowSpec("rgf", q=3.0)),
+    DiscretizerConfig(scheme="rk", eta=1e-3, stages=2, alphas=(0.5, 0.5),
+                      betas=(0.09,), flow=FlowSpec("rgf", q=3.0)),
+    DiscretizerConfig(scheme="nesterov", eta=1e-3, beta=0.9, flow=FlowSpec("sgf", q=3.0)),
+    DiscretizerConfig(scheme="gd", eta=1e-3),
+    DiscretizerConfig(scheme="nagd", eta=1e-3, beta=0.9),
+    DiscretizerConfig(scheme="adam", eta=1e-3),
+]
+
+
+class TestStepIsTheRunStep:
+    """Stepping ``make_step(cfg)`` from ``init_state(x0)`` is what ``run``
+    does, to the bit, past the first growth of the record columns."""
+
+    @pytest.mark.parametrize("cfg", PROBE_SCHEMES, ids=lambda c: c.scheme)
+    def test_stepping_reproduces_run(self, cfg):
+        obj, x0, n = make_rosenbrock(1.0, 0.2), np.array([0.5, 1.5]), _RECORD_BLOCK + 100
+        traj = run(cfg, obj, x0, StopCriteria(max_iters=n))
+        assert traj.terminal_reason == "max_iters"
+        assert np.array_equal(traj.x, iterate(cfg, obj, x0, n))
+
+    def test_nonfinite_gradient_mid_run_keeps_partial_rows(self):
+        # the gradient turns NaN past x = 1.2, which gd with eta 1e-3 from 0
+        # reaches after more steps than the first block of rows
+        cliff = Objective(dimension=1, value=lambda x: -float(x[0]),
+                          gradient=lambda x: np.array([-1.0 if x[0] < 1.2 else math.nan]))
+        cfg = DiscretizerConfig(scheme="gd", eta=1e-3)
+        traj = run(cfg, cliff, np.array([0.0]), StopCriteria(max_iters=10 ** 6))
+        assert traj.terminal_reason == "numerical_failure"
+        assert len(traj) > _RECORD_BLOCK
+        step, state, xs = make_step(cfg), init_state(np.array([0.0])), [np.array([0.0])]
+        with pytest.raises(NumericalFailure):
+            while True:
+                state = step(cfg, cliff, state)
+                xs.append(state.x)
+        assert np.array_equal(traj.x, np.array(xs))
+        assert np.all(traj.grad_norm1[:-1] == 1.0) and math.isnan(traj.grad_norm1[-1])
 
 
 class TestIntegrateReference:
