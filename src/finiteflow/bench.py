@@ -76,11 +76,8 @@ class RunSummary:
     cells: list[CellResult]
     out_dir: Path
 
-    def for_optimizer(self, name: str) -> list[CellResult]:
-        return [c for c in self.cells if c.optimizer == name]
-
     def aggregate(self, name: str) -> dict[str, float]:
-        cells = self.for_optimizer(name)
+        cells = [c for c in self.cells if c.optimizer == name]
         if not cells:
             raise KeyError(f"no cells for optimizer {name!r}")
         stats = {}
@@ -100,66 +97,58 @@ def _iters_to_tolerance(traj: Trajectory, f_star: float | None, f_tol: float) ->
     return float(traj.k[hits[0]]) if len(hits) else math.inf
 
 
-def _cell_paths(out_dir: Path, optimizer: str, seed: int) -> Path:
-    return out_dir / f"{optimizer}__seed{seed}.csv"
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunSummary:
     """Execute every (optimizer, seed) cell of the config and write artifacts.
 
-    Per cell: one trajectory CSV. Per experiment: a summary CSV with per-cell
-    rows plus median/min/max rows per optimizer, and one mean-over-seeds loss
-    curve CSV per optimizer. A cell that fails numerically is recorded in
-    the summary with its partial trajectory and the sweep continues; any
-    other exception propagates. Initial points and mini-batch schedules
-    depend only on (base_seed, seed index), so re-runs are reproducible.
+    Per cell: one trajectory CSV, after which only the cell's cost column is
+    kept, so the sweep holds one trajectory at a time. After the last cell:
+    a summary CSV with per-cell rows plus median/min/max rows per optimizer,
+    and one mean-over-seeds loss curve CSV per optimizer. A cell that fails
+    numerically is recorded in the summary with its partial trajectory and
+    the sweep continues; any other exception propagates. Initial points and
+    mini-batch schedules depend only on (base_seed, seed index), so re-runs
+    are reproducible.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     obj = cfg.build_objective()
-    if cfg.batch is not None and obj.batch_gradient is None:
-        raise ValueError(
-            f"config {cfg.name!r} requests mini-batches but objective "
-            f"{cfg.objective_name!r} has no batch gradient")
     f_star = obj.metadata.f_star if obj.metadata is not None else None
 
-    cells_plan = [(opt, cfg.init.base_seed + i)
-                  for opt in cfg.optimizers for i in range(cfg.init.n_seeds)]
+    cells: list[CellResult] = []
+    # the cost columns of each optimizer's cells that recorded anything
+    costs: dict[str, list[np.ndarray]] = {}
+    for opt in cfg.optimizers:
+        for seed in range(cfg.init.base_seed, cfg.init.base_seed + cfg.init.n_seeds):
+            batch = None
+            if cfg.batch is not None:
+                batch = BatchContext(rng_seed=seed, batch_size=cfg.batch.size,
+                                     dataset_size=obj.aux["dataset_size"])
+            path = out / f"{opt.name}__seed{seed}.csv"
+            traj = run(opt.config, obj, cfg.init.draw(obj.dimension, seed), cfg.stop,
+                       batch=batch)
+            emit_csv(traj, path, f_star)
+            # a run whose objective fails at x0 records nothing
+            final_f = float(traj.f[-1]) if len(traj) else math.nan
+            cells.append(CellResult(
+                optimizer=opt.name,
+                seed=seed,
+                final_f=final_f,
+                final_f_gap=final_f - f_star if f_star is not None else math.nan,
+                iters_to_tol=_iters_to_tolerance(traj, f_star, cfg.stop.f_tol),
+                wall_s=float(traj.wall_s[-1]) if len(traj) else math.nan,
+                terminal_reason=traj.terminal_reason,
+                csv_path=path,
+            ))
+            if len(traj):
+                costs.setdefault(opt.name, []).append(traj.f)
+            del traj  # free before the next cell runs
 
-    def execute(plan: tuple[NamedOptimizer, int]) -> tuple[CellResult, Trajectory]:
-        opt, seed = plan
-        x0 = cfg.init.draw(obj.dimension, seed)
-        batch = None
-        if cfg.batch is not None:
-            batch = BatchContext(rng_seed=seed, batch_size=cfg.batch.size,
-                                 dataset_size=obj.aux.get("dataset_size",
-                                                          cfg.batch.size))
-        path = _cell_paths(out, opt.name, seed)
-        traj = run(opt.config, obj, x0, cfg.stop, batch=batch)
-        emit_csv(traj, path, f_star)
-        # a run whose objective fails at x0 records nothing
-        final_f = float(traj.f[-1]) if len(traj) else math.nan
-        return CellResult(
-            optimizer=opt.name,
-            seed=seed,
-            final_f=final_f,
-            final_f_gap=final_f - f_star if f_star is not None else math.nan,
-            iters_to_tol=_iters_to_tolerance(traj, f_star, cfg.stop.f_tol),
-            wall_s=float(traj.wall_s[-1]) if len(traj) else math.nan,
-            terminal_reason=traj.terminal_reason,
-            csv_path=path,
-        ), traj
-
-    outcomes = [execute(plan) for plan in cells_plan]
-
-    cells = [c for c, _ in outcomes]
     summary = RunSummary(cells=cells, out_dir=out)
     _write_summary(summary, cfg, out)
-    _write_mean_curves(cfg, outcomes, f_star, out)
+    _write_mean_curves(costs, f_star, out)
     # run_bounds and run_closeness are only valid with a dominance section
     if cfg.analysis.dominance is not None:
-        reports = analysis_reports(cfg, obj)
-        _write_reports(reports, cfg, out)
+        _write_reports(analysis_reports(cfg, obj), out)
     return summary
 
 
@@ -183,19 +172,16 @@ def _write_summary(summary: RunSummary, cfg: ExperimentConfig, out: Path) -> Non
         (out / "summary.json").write_text(json.dumps(payload, indent=2, default=str))
 
 
-def _write_mean_curves(cfg: ExperimentConfig, outcomes, f_star, out: Path) -> None:
+def _write_mean_curves(costs: dict[str, list[np.ndarray]], f_star: float | None,
+                       out: Path) -> None:
     # mean-over-seeds cost per step; shorter runs are padded with their final
     # value so converged runs keep contributing to the average
-    by_opt: dict[str, list[Trajectory]] = {}
-    for cell, traj in outcomes:
-        if len(traj):
-            by_opt.setdefault(cell.optimizer, []).append(traj)
-    for name, trajs in by_opt.items():
-        longest = max(len(t) for t in trajs)
-        stacked = np.full((len(trajs), longest), np.nan)
-        for i, t in enumerate(trajs):
-            stacked[i, :len(t)] = t.f
-            stacked[i, len(t):] = t.f[-1]
+    for name, fs in costs.items():
+        longest = max(len(f) for f in fs)
+        stacked = np.full((len(fs), longest), np.nan)
+        for i, f in enumerate(fs):
+            stacked[i, :len(f)] = f
+            stacked[i, len(f):] = f[-1]
         mean_f = stacked.mean(axis=0)
         rows = map(_MEAN_CURVE_ROW, zip(range(longest), mean_f.tolist(),
                                         _gap(mean_f, f_star).tolist()))
@@ -350,7 +336,7 @@ def analysis_reports(cfg: ExperimentConfig, obj: Objective | None = None) -> dic
     }
 
 
-def _write_reports(reports: dict, cfg: ExperimentConfig, out: Path) -> None:
+def _write_reports(reports: dict, out: Path) -> None:
     payload = {
         "dominance": reports["dominance"],
         "bounds": reports["bounds"],

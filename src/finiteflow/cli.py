@@ -138,6 +138,8 @@ def cli_main(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "check-gradients" and args.points < 1:
+            parser.error(f"argument --points: must be at least 1, got {args.points}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

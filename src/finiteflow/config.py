@@ -260,6 +260,13 @@ def parse_config(data: dict, fallback_name: str = "experiment") -> ExperimentCon
     if init.x0 is not None and len(init.x0) != obj.dimension:
         raise ConfigError(f"init.x0: has length {len(init.x0)}, "
                           f"objective needs {obj.dimension}")
+    if batch is not None:
+        batch = _section(BatchConfig, batch, "batch")
+        if obj.batch_gradient is None:
+            raise ConfigError(f"batch: objective {obj_name!r} has no mini-batch gradient")
+        if batch.size > obj.aux["dataset_size"]:
+            raise ConfigError(f"batch: size {batch.size} exceeds the objective's "
+                              f"dataset_size {obj.aux['dataset_size']}")
     return ExperimentConfig(
         name=name, objective_name=obj_name, objective_params=dict(obj_params),
         optimizers=optimizers, init=init,
@@ -267,7 +274,7 @@ def parse_config(data: dict, fallback_name: str = "experiment") -> ExperimentCon
                       max_iters=DEFAULT_MAX_ITERS, grad_tol=DEFAULT_GRAD_TOL),
         analysis=_section(AnalysisConfig, data.get("analysis"), "analysis"),
         output=_section(OutputConfig, data.get("output"), "output", dir=f"out/{name}"),
-        batch=None if batch is None else _section(BatchConfig, batch, "batch"),
+        batch=batch,
     )
 
 

@@ -363,16 +363,20 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
 
     step = make_step(cfg)
     state = init_state(x0)
+    # the stepper's view of the objective: its gradient is the mini-batch
+    # gradient over the current step's indices
+    idx = None
+    batch_obj = (None if batch is None
+                 else replace(obj, gradient=lambda z: obj.batch_gradient(z, idx)))
 
     def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
-        nonlocal state
+        nonlocal state, idx
         if batch is None:
             # the step reuses the gradient the record pass computed at x
             state = step(cfg, obj, state, g, gn2)
         else:
             idx = batch.indices(state.k)
-            state = step(cfg, replace(obj, gradient=lambda z: obj.batch_gradient(z, idx)),
-                         state)
+            state = step(cfg, batch_obj, state)
         return state.x
 
     return _record_until_stop(obj, state.x, cfg.eta, stop, advance)

@@ -194,23 +194,20 @@ def _mlp_unpack(theta: Vector, widths: list[int]) -> list[tuple[Vector, Vector]]
     return layers
 
 
-def _mlp_forward(layers: list[tuple[Vector, Vector]], inputs: Vector) -> Vector:
-    act = inputs
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        pre = act @ w.T + b
-        act = np.tanh(pre) if i < last else pre
-    return act
-
-
-def _mlp_value_grad(theta: Vector, widths: list[int], inputs: Vector,
-                    targets: Vector) -> tuple[float, Vector]:
-    layers = _mlp_unpack(theta, widths)
+def _mlp_activations(layers: list[tuple[Vector, Vector]], inputs: Vector) -> list[Vector]:
+    """The inputs, then each layer's output: tanh on hidden layers, linear last."""
     acts = [inputs]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         pre = acts[-1] @ w.T + b
         acts.append(np.tanh(pre) if i < last else pre)
+    return acts
+
+
+def _mlp_value_grad(theta: Vector, widths: list[int], inputs: Vector,
+                    targets: Vector) -> tuple[float, Vector]:
+    layers = _mlp_unpack(theta, widths)
+    acts = _mlp_activations(layers, inputs)
     resid = acts[-1] - targets
     value = float(np.mean(resid * resid))
 
@@ -252,14 +249,14 @@ def make_mlp(layer_widths: list[int], dataset_size: int, noise_std: float = 0.0,
         -1.0, 1.0, size=(dataset_size, widths[0]))
     teacher = np.random.default_rng(seed + 1).standard_normal(
         _mlp_param_count(widths))
-    targets = _mlp_forward(_mlp_unpack(teacher, widths), inputs)
+    targets = _mlp_activations(_mlp_unpack(teacher, widths), inputs)[-1]
     if noise_std > 0:
         targets = targets + noise_std * np.random.default_rng(
             seed + 2).standard_normal(targets.shape)
 
     def value(theta: Vector) -> float:
-        pred = _mlp_forward(_mlp_unpack(np.asarray(theta, dtype=float), widths),
-                            inputs)
+        pred = _mlp_activations(
+            _mlp_unpack(np.asarray(theta, dtype=float), widths), inputs)[-1]
         resid = pred - targets
         return float(np.mean(resid * resid))
 

@@ -1,4 +1,6 @@
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,11 +123,17 @@ class TestLoadConfig:
         ({"analysis": {"run_bounds": True}}, r"^analysis: .*requires a dominance section"),
         ({"init": {"mode": "fixed", "x0": [1.0, 2.0, 3.0]}},
          r"^init\.x0: has length 3, objective needs 2"),
+        ({"batch": {"size": 1}}, r"^batch: objective 'quadratic' has no mini-batch gradient"),
+        ({"objective": {"name": "mlp", "params": {"layer_widths": [1, 2, 1],
+                                                  "dataset_size": 8}},
+          "init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0},
+          "batch": {"size": 9}}, r"^batch: size 9 exceeds the objective's dataset_size 8"),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
             "batch-size-0", "format-xml", "eta-0", "rk-no-alphas",
-            "bounds-no-dominance", "x0-length"])
+            "bounds-no-dominance", "x0-length", "batch-no-support",
+            "batch-over-dataset"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
@@ -376,6 +384,57 @@ class TestRunExperiment:
         assert cols["k"].tolist() == [0, 1, 2, 3]
         assert np.all(np.isfinite(cols["f"]))
 
+    def test_sweep_holds_one_trajectory_at_a_time(self, tmp_path, monkeypatch):
+        data = dict(MINIMAL)
+        data["optimizers"] = [{"name": "gd", "scheme": "gd", "eta": 0.1},
+                              {"name": "nagd", "scheme": "nagd", "eta": 0.1, "beta": 0.5}]
+        data["init"] = {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0,
+                        "n_seeds": 3}
+        data["stop"] = {"max_iters": 40, "grad_tol": 0.0, "f_tol": 0.0}
+        refs, alive_at_return = [], []
+
+        def watched_run(*args, **kwargs):
+            traj = run(*args, **kwargs)
+            alive_at_return.append(sum(r() is not None for r in refs))
+            refs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(bench, "run", watched_run)
+        summary = run_experiment(load_config(write_config(tmp_path, data)),
+                                 out_dir=tmp_path / "out")
+        assert alive_at_return == [0] * 6
+        assert [(c.optimizer, c.seed) for c in summary.cells] == [
+            (name, seed) for name in ("gd", "nagd") for seed in range(3)]
+        for name in ("gd", "nagd"):
+            assert (tmp_path / "out" / f"{name}__mean_curve.csv").exists()
+
+    def test_optimizer_whose_cells_record_nothing_gets_no_mean_curve(self, tmp_path,
+                                                                     monkeypatch):
+        def raising_value(x):
+            raise ArithmeticError("no value here")
+
+        def rigged_run(cfg, obj, *args, **kwargs):
+            # the optimizer named "empty" (eta 0.2) sees an objective that
+            # fails at x0
+            if cfg.eta == 0.2:
+                obj = replace(obj, value=raising_value)
+            return run(cfg, obj, *args, **kwargs)
+
+        data = dict(MINIMAL)
+        data["optimizers"] = [{"name": "gd", "scheme": "gd", "eta": 0.1},
+                              {"name": "empty", "scheme": "gd", "eta": 0.2}]
+        data["init"] = {"mode": "fixed", "x0": [1.0, 0.0], "n_seeds": 2}
+        data["stop"] = {"max_iters": 10, "grad_tol": 0.0, "f_tol": 0.0}
+        monkeypatch.setattr(bench, "run", rigged_run)
+        out = tmp_path / "out"
+        summary = run_experiment(load_config(write_config(tmp_path, data)), out_dir=out)
+        empty = [c for c in summary.cells if c.optimizer == "empty"]
+        assert [c.terminal_reason for c in empty] == ["numerical_failure"] * 2
+        assert all(math.isnan(c.final_f) for c in empty)
+        assert read_csv(empty[0].csv_path)["k"].size == 0
+        assert sorted(p.name for p in out.glob("*__mean_curve.csv")) == [
+            "gd__mean_curve.csv"]
+
     def test_errors_other_than_numerical_failure_propagate(self, tmp_path, monkeypatch):
         def broken_run(*args, **kwargs):
             raise RuntimeError("bug in a stepper")
@@ -505,6 +564,12 @@ class TestCli:
     def test_check_gradients_passes(self, capsys):
         assert cli_main(["check-gradients", "quadratic", "--points", "20"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_check_gradients_needs_at_least_one_point(self, capsys, points):
+        assert cli_main(["check-gradients", "quadratic", "--points", points]) == 1
+        captured = capsys.readouterr()
+        assert "--points" in captured.err and "PASS" not in captured.out
 
     def test_run_minimal_config(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL))

@@ -306,6 +306,29 @@ class TestRun:
                 np.array([1.0, 0.0]), StopCriteria(max_iters=10),
                 batch=BatchContext(rng_seed=0, batch_size=1, dataset_size=2))
 
+    def test_batch_run_builds_one_objective_view(self, monkeypatch):
+        obj = make_mlp([2, 4, 1], 32, noise_std=0.1, seed=3)
+        ctx = BatchContext(rng_seed=17, batch_size=8, dataset_size=32)
+        seen = []
+
+        def recording_make_step(cfg):
+            step = make_step(cfg)
+
+            def recorded(cfg, view, *args):
+                seen.append(view)
+                return step(cfg, view, *args)
+            return recorded
+
+        monkeypatch.setattr(integrators, "make_step", recording_make_step)
+        traj = run(DiscretizerConfig(scheme="nagd", eta=0.05, beta=0.9), obj,
+                   np.zeros(obj.dimension), StopCriteria(max_iters=20), batch=ctx)
+        assert len(seen) == len(traj) - 1 == 20
+        assert len({id(view) for view in seen}) == 1 and seen[0] is not obj
+        # the one view still hands each step its own mini-batch gradient
+        x = np.linspace(-1.0, 1.0, obj.dimension)
+        assert np.array_equal(seen[0].gradient(x),
+                              obj.batch_gradient(x, ctx.indices(19)))
+
     def test_record_times_strictly_increase(self):
         traj = run(DiscretizerConfig(scheme="gd", eta=0.05), QUAD2,
                    np.array([1.0, 0.0]), StopCriteria(max_iters=50))
