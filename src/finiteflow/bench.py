@@ -20,6 +20,10 @@ from .objectives import BatchContext, Objective
 
 CSV_HEADER = "k,t,f,f_gap,grad_norm2,grad_norm1,wall_s"
 ITERS_SENTINEL = -1
+ARRIVAL_GRAD_TOL = 1e-6  # bound_report: arrival is the first record at or below it
+ENVELOPE_SLACK = 1e-6
+HORIZON_FACTOR = 1.3  # bound_report looks for arrival within this many settling bounds
+N_HALVINGS = 3  # closeness_table: step sizes eta, eta/2, ..., eta/2^(N_HALVINGS-1)
 
 
 # one formatting call per row over the columns' tolist() values; %.17g
@@ -168,8 +172,11 @@ def _write_summary(summary: RunSummary, cfg: ExperimentConfig, out: Path) -> Non
                          f"{_fmt(stats[f'{stat}_wall_s'])},aggregate")
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     if "json" in cfg.output.formats:
-        payload = {opt.name: summary.aggregate(opt.name) for opt in cfg.optimizers}
-        (out / "summary.json").write_text(json.dumps(payload, indent=2, default=str))
+        # JSON has no Infinity or NaN, so a non-finite aggregate is null
+        payload = {opt.name: {k: v if math.isfinite(v) else None
+                              for k, v in summary.aggregate(opt.name).items()}
+                   for opt in cfg.optimizers}
+        (out / "summary.json").write_text(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _write_mean_curves(costs: dict[str, list[np.ndarray]], f_star: float | None,
@@ -193,10 +200,7 @@ def flow_optimizers(cfg: ExperimentConfig) -> list[NamedOptimizer]:
 
 
 def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
-                 p: float, mu: float, h_ref: float | None = None,
-                 arrival_grad_tol: float = 1e-6,
-                 envelope_slack: float = 1e-6,
-                 horizon_factor: float = 1.3) -> dict:
+                 p: float, mu: float, h_ref: float | None = None) -> dict:
     """Evaluate the theoretical bounds for one flow-driven optimizer.
 
     Computes the settling-time bound at x0, measures arrival and checks the
@@ -222,20 +226,20 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
 
     # closeness needs samples at most eta/10 apart
     h = min(h_ref if h_ref is not None else opt.eta / 100.0, opt.eta / 10.0)
-    n_arrival = int(math.ceil(horizon_factor * t_bound / h))
+    n_arrival = int(math.ceil(HORIZON_FACTOR * t_bound / h))
     n_horizon = int(math.ceil(horizon / h))
     ref = integrate_reference(flow, obj, x0, h,
                               StopCriteria(max_iters=max(n_arrival, n_horizon),
                                            grad_tol=0.0))
     # arrival is the first record within n_arrival steps below the gradient
     # tolerance; a run stopped there records exactly the rows up to it
-    hits = np.nonzero(ref.grad_norm2[:n_arrival + 1] <= arrival_grad_tol)[0]
+    hits = np.nonzero(ref.grad_norm2[:n_arrival + 1] <= ARRIVAL_GRAD_TOL)[0]
     arrived = ref.head(hits[0] + 1 if len(hits) else n_arrival + 1)
     arrival = float(ref.t[hits[0]]) if len(hits) else math.nan
 
     env_report = verify_envelope(
         arrived, lambda t: energy_decay_envelope(params, flow.c, f_gap0, t),
-        f_star, slack=envelope_slack, key="t")
+        f_star, slack=ENVELOPE_SLACK, key="t")
 
     disc = run(opt, obj, x0, StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
     eps = closeness_epsilon(ref.head(n_horizon + 1), disc, T=horizon, eta=opt.eta)
@@ -243,12 +247,12 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     weak_report = verify_envelope(
         disc,
         lambda k: weak_bound(params, flow.c, opt.eta, f_gap0, lipschitz, eps, k),
-        f_star, slack=envelope_slack, key="k")
+        f_star, slack=ENVELOPE_SLACK, key="k")
 
     return {
         "t_star_bound": t_bound,
         "arrival_time": arrival,
-        "arrival_grad_tol": arrival_grad_tol,
+        "arrival_grad_tol": ARRIVAL_GRAD_TOL,
         "envelope_pass": env_report.verdict,
         "envelope_violations": len(env_report.violations),
         "k_star": ks,
@@ -260,7 +264,7 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
 
 
 def closeness_table(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
-                    horizon: float, n_halvings: int = 3) -> list[tuple[float, float]]:
+                    horizon: float) -> list[tuple[float, float]]:
     """Measured closeness eps for a halving sequence of step sizes.
 
     One dense reference (spacing fine enough for the smallest step size) is
@@ -268,7 +272,7 @@ def closeness_table(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     """
     if opt.flow is None:
         raise ValueError("closeness table needs a flow-driven optimizer")
-    etas = [opt.eta / 2 ** j for j in range(n_halvings)]
+    etas = [opt.eta / 2 ** j for j in range(N_HALVINGS)]
     h = etas[-1] / 10.0
     ref = integrate_reference(
         opt.flow, obj, x0, h,

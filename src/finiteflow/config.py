@@ -1,8 +1,9 @@
 """Experiment configuration: schema, validation, and shipped presets.
 
 The config dataclasses are the schema: ``_section`` reads each YAML section
-into its dataclass, which validates itself. ``parse_config`` adds only the
-rules in which a config file differs from the API.
+into its dataclass, which validates itself, and ``ExperimentConfig`` builds
+its objective once to check the sections against it. ``parse_config`` adds
+only the rules in which a config file differs from the API.
 """
 
 from __future__ import annotations
@@ -124,11 +125,7 @@ class InitConfig:
 
     def draw(self, dimension: int, seed: int) -> np.ndarray:
         if self.mode == "fixed":
-            x0 = np.asarray(self.x0, dtype=float)
-            if x0.shape != (dimension,):
-                raise ConfigError(
-                    f"init.x0 has length {len(x0)}, objective needs {dimension}")
-            return x0.copy()
+            return np.array(self.x0, dtype=float)
         rng = np.random.default_rng(seed)
         return rng.uniform(self.box_lo, self.box_hi, size=dimension)
 
@@ -141,6 +138,10 @@ class DominanceCheckConfig:
     n_samples: int = 200
 
     def __post_init__(self) -> None:
+        if not self.p > 1:
+            raise ValueError(f"p must exceed 1, got {self.p}")
+        if not self.mu > 0:
+            raise ValueError(f"mu must be positive, got {self.mu}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.n_samples < 1:
@@ -200,15 +201,54 @@ class ExperimentConfig:
     output: OutputConfig
     batch: BatchConfig | None = None
 
+    def __post_init__(self) -> None:
+        if self.objective_name not in _OBJECTIVES:
+            raise ValueError(f"objective.name: unknown objective {self.objective_name!r}; "
+                             f"available {sorted(_OBJECTIVES)}")
+        try:
+            obj = self.build_objective()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"objective.params: {exc}") from exc
+        names = [o.name for o in self.optimizers]
+        if not names or len(set(names)) != len(names):
+            raise ValueError(f"optimizers: expected a non-empty list of unique names, got {names}")
+        if self.init.x0 is not None and len(self.init.x0) != obj.dimension:
+            raise ValueError(f"init.x0: has length {len(self.init.x0)}, "
+                             f"objective needs {obj.dimension}")
+        if self.batch is not None and obj.batch_gradient is None:
+            raise ValueError(f"batch: objective {self.objective_name!r} has no mini-batch gradient")
+        if self.batch is not None and self.batch.size > obj.aux["dataset_size"]:
+            raise ValueError(f"batch: size {self.batch.size} exceeds the objective's "
+                             f"dataset_size {obj.aux['dataset_size']}")
+        analysis = self.analysis
+        if analysis.run_bounds or analysis.run_closeness:
+            # the finite-time bounds hold only for q > p on a cost with a known optimum
+            p = analysis.dominance.p
+            flows = {o.name: o.config.flow.q for o in self.optimizers if o.config.flow is not None}
+            if not flows:
+                raise ValueError("analysis: run_bounds and run_closeness need "
+                                 "a flow-driven optimizer")
+            for name, q in flows.items():
+                if not q > p:
+                    raise ValueError(f"analysis: optimizer {name!r} has q = {q:g}; "
+                                     f"the finite-time bounds need q > dominance.p = {p:g}")
+            if analysis.run_bounds and obj.metadata is None:
+                raise ValueError(f"analysis: run_bounds needs an objective with a known "
+                                 f"optimum; {self.objective_name!r} has none")
+
     def build_objective(self) -> Objective:
         return _OBJECTIVES[self.objective_name](**self.objective_params)
 
 
+def _nonempty_str(val, where: str) -> str:
+    if not isinstance(val, str) or not val:
+        raise ConfigError(f"{where}: expected a non-empty string, got {val!r}")
+    return val
+
+
 def _parse_optimizer(node, where: str) -> NamedOptimizer:
     node = dict(_require_mapping(node, where))
-    name = node.pop("name", None)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{where}.name: expected a non-empty string")
+    name = _nonempty_str(node.pop("name", None), f"{where}.name")
     scheme = str(node.get("scheme", "")).lower()
     if scheme not in SCHEMES:
         raise ConfigError(f"{where}.scheme: unknown scheme {node.get('scheme')!r}")
@@ -228,54 +268,32 @@ def parse_config(data: dict, fallback_name: str = "experiment") -> ExperimentCon
     data = _require_mapping(data, "config")
     _reject_unknown(data, {"name", "objective", "optimizers", "init", "stop",
                            "analysis", "output", "batch"}, "config")
-    name = str(data.get("name", fallback_name))
-
+    name = _nonempty_str(data.get("name", fallback_name), "name")
     obj_node = _require_mapping(data.get("objective"), "objective")
     _reject_unknown(obj_node, {"name", "params"}, "objective")
-    obj_name = obj_node.get("name")
-    if obj_name not in _OBJECTIVES:
-        raise ConfigError(
-            f"objective.name: unknown objective {obj_name!r}; "
-            f"available {sorted(_OBJECTIVES)}")
-    obj_params = obj_node.get("params", {})
-    obj_params = _require_mapping(obj_params, "objective.params") if obj_params else {}
-    try:
-        obj = _OBJECTIVES[obj_name](**obj_params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"objective.params: {exc}") from exc
-
+    obj_params = _require_mapping(obj_node.get("params") or {}, "objective.params")
     raw_opts = data.get("optimizers")
-    if not isinstance(raw_opts, list) or not raw_opts:
-        raise ConfigError("optimizers: expected a non-empty list")
-    optimizers = tuple(_parse_optimizer(node, f"optimizers[{i}]")
-                       for i, node in enumerate(raw_opts))
-    names = [o.name for o in optimizers]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"optimizers: names must be unique, got {names}")
-
+    if not isinstance(raw_opts, list):
+        raise ConfigError(f"optimizers: expected a list, got {raw_opts!r}")
     init, batch = data.get("init"), data.get("batch")
-    # without an init section every seed draws from [-1, 1]^d
-    init = (InitConfig(mode="uniform_box", box_lo=-1.0, box_hi=1.0) if init is None
-            else _section(InitConfig, init, "init"))
-    if init.x0 is not None and len(init.x0) != obj.dimension:
-        raise ConfigError(f"init.x0: has length {len(init.x0)}, "
-                          f"objective needs {obj.dimension}")
-    if batch is not None:
-        batch = _section(BatchConfig, batch, "batch")
-        if obj.batch_gradient is None:
-            raise ConfigError(f"batch: objective {obj_name!r} has no mini-batch gradient")
-        if batch.size > obj.aux["dataset_size"]:
-            raise ConfigError(f"batch: size {batch.size} exceeds the objective's "
-                              f"dataset_size {obj.aux['dataset_size']}")
-    return ExperimentConfig(
-        name=name, objective_name=obj_name, objective_params=dict(obj_params),
-        optimizers=optimizers, init=init,
+    sections = dict(
+        name=name, objective_name=_nonempty_str(obj_node.get("name"), "objective.name"),
+        objective_params=dict(obj_params),
+        optimizers=tuple(_parse_optimizer(node, f"optimizers[{i}]")
+                         for i, node in enumerate(raw_opts)),
+        # without an init section every seed draws from [-1, 1]^d
+        init=(InitConfig(mode="uniform_box", box_lo=-1.0, box_hi=1.0) if init is None
+              else _section(InitConfig, init, "init")),
         stop=_section(StopCriteria, data.get("stop"), "stop",
                       max_iters=DEFAULT_MAX_ITERS, grad_tol=DEFAULT_GRAD_TOL),
         analysis=_section(AnalysisConfig, data.get("analysis"), "analysis"),
         output=_section(OutputConfig, data.get("output"), "output", dir=f"out/{name}"),
-        batch=batch,
+        batch=None if batch is None else _section(BatchConfig, batch, "batch"),
     )
+    try:
+        return ExperimentConfig(**sections)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def preset_names() -> list[str]:

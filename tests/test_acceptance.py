@@ -74,7 +74,7 @@ def closeness_sweep_rows():
     x0 = np.array([1.0, 1.0])
     grad0 = float(np.linalg.norm(obj.gradient(x0)))
     horizon = 1.2 * settling_time_bound(PARAMS, 1.0, grad0)
-    rows = closeness_table(obj, opt, x0, horizon, n_halvings=3)
+    rows = closeness_table(obj, opt, x0, horizon)
     return rows, time.perf_counter() - t0
 
 

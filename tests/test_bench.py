@@ -1,3 +1,4 @@
+import json
 import math
 import weakref
 from dataclasses import replace
@@ -12,9 +13,11 @@ from finiteflow import (ConfigError, DiscretizerConfig, FlowSpec, StopCriteria,
                         k_star, load_config, make_quadratic, preset_names, run,
                         run_experiment, settling_time_bound, verify_envelope,
                         weak_bound)
-from finiteflow import bench
+from finiteflow import bench, config
 from finiteflow.bench import read_csv
 from finiteflow.cli import cli_main
+from finiteflow.config import (AnalysisConfig, BatchConfig, DominanceCheckConfig,
+                               NamedOptimizer)
 
 MINIMAL = {
     "name": "mini",
@@ -128,12 +131,34 @@ class TestLoadConfig:
                                                   "dataset_size": 8}},
           "init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0},
           "batch": {"size": 9}}, r"^batch: size 9 exceeds the objective's dataset_size 8"),
+        ({"analysis": {"run_bounds": True, "dominance": {"p": 2.0, "mu": 1.0}}},
+         r"^analysis: run_bounds and run_closeness need a flow-driven optimizer"),
+        ({"optimizers": [{"name": "rgf", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "rgf", "q": 1.5}}],
+          "analysis": {"run_closeness": True, "dominance": {"p": 2.0, "mu": 1.0}}},
+         r"^analysis: optimizer 'rgf' has q = 1\.5; .*need q > dominance\.p = 2"),
+        ({"objective": {"name": "mlp", "params": {"layer_widths": [1, 2, 1],
+                                                  "dataset_size": 8}},
+          "optimizers": [{"name": "rgf", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "rgf", "q": 3.0}}],
+          "init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0},
+          "analysis": {"run_bounds": True, "dominance": {"p": 2.0, "mu": 1.0}}},
+         r"^analysis: run_bounds needs an objective with a known optimum; 'mlp' has none"),
+        ({"analysis": {"dominance": {"p": 1.0, "mu": 1.0}}},
+         r"^analysis\.dominance: p must exceed 1"),
+        ({"analysis": {"dominance": {"p": 2.0, "mu": -1.0}}},
+         r"^analysis\.dominance: mu must be positive"),
+        ({"name": None}, r"^name: expected a non-empty string, got None"),
+        ({"objective": {"name": ["quadratic"], "params": {"mu": 1.0, "dimension": 2}}},
+         r"^objective\.name: expected a non-empty string, got \['quadratic'\]"),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
             "batch-size-0", "format-xml", "eta-0", "rk-no-alphas",
             "bounds-no-dominance", "x0-length", "batch-no-support",
-            "batch-over-dataset"])
+            "batch-over-dataset", "analysis-no-flow", "q-not-above-p",
+            "bounds-no-optimum", "dominance-p-1", "dominance-mu-negative",
+            "name-null", "objective-name-list"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
@@ -152,6 +177,58 @@ class TestLoadConfig:
                                                                message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
+
+    @pytest.mark.parametrize("preset,build,message", [
+        ("rosenbrock_fig1", lambda c: replace(c, optimizers=c.optimizers + c.optimizers[:1]),
+         r"^optimizers: expected a non-empty list of unique names, got \['gd'"),
+        ("rosenbrock_fig1", lambda c: replace(c, optimizers=()),
+         r"^optimizers: expected a non-empty list of unique names, got \[\]"),
+        ("quadratic_bounds", lambda c: replace(c, objective_name="cubic"),
+         r"^objective\.name: unknown objective 'cubic'"),
+        ("quadratic_bounds", lambda c: replace(c, objective_params={"sigma": 1.0}),
+         r"^objective\.params: "),
+        ("quadratic_bounds", lambda c: replace(c, init=replace(c.init, x0=(1.0, 2.0))),
+         r"^init\.x0: has length 2, objective needs 1"),
+        ("quadratic_bounds", lambda c: replace(c, batch=BatchConfig(1)),
+         r"^batch: objective 'quadratic' has no mini-batch gradient"),
+        ("mlp_desk", lambda c: replace(c, batch=BatchConfig(10**6)),
+         r"^batch: size 1000000 exceeds the objective's dataset_size"),
+        ("quadratic_bounds", lambda c: replace(c, optimizers=(
+            NamedOptimizer("gd", DiscretizerConfig(scheme="gd", eta=0.1)),)),
+         r"^analysis: run_bounds and run_closeness need a flow-driven optimizer"),
+        ("closeness_sweep", lambda c: replace(c, optimizers=tuple(
+            replace(o, config=replace(o.config, flow=replace(o.config.flow, q=1.5)))
+            for o in c.optimizers)),
+         r"^analysis: optimizer 'rgf_euler_q3' has q = 1\.5"),
+        ("mlp_desk", lambda c: replace(c, analysis=AnalysisConfig(
+            run_bounds=True, dominance=DominanceCheckConfig(p=2.0, mu=1.0))),
+         r"^analysis: run_bounds needs an objective with a known optimum"),
+        ("quadratic_bounds", lambda c: replace(c.analysis.dominance, p=1.0),
+         r"^p must exceed 1"),
+        ("quadratic_bounds", lambda c: replace(c.analysis.dominance, p=0.5),
+         r"^p must exceed 1"),
+        ("quadratic_bounds", lambda c: replace(c.analysis.dominance, mu=-1.0),
+         r"^mu must be positive"),
+    ], ids=["duplicate-names", "no-optimizers", "unknown-objective", "bad-params",
+            "x0-length", "batch-no-support", "batch-over-dataset", "analysis-no-flow",
+            "q-not-above-p", "bounds-no-optimum", "dominance-p-1", "dominance-p-half",
+            "dominance-mu-negative"])
+    def test_faulty_config_built_in_python_rejected(self, preset, build, message):
+        cfg = load_config(preset)
+        with pytest.raises(ValueError, match=message):
+            build(cfg)
+
+    def test_load_config_builds_the_objective_once(self, monkeypatch):
+        calls = []
+        factory = config._OBJECTIVES["quadratic"]
+
+        def counted(**params):
+            calls.append(params)
+            return factory(**params)
+
+        monkeypatch.setitem(config._OBJECTIVES, "quadratic", counted)
+        load_config("quadratic_bounds")
+        assert calls == [{"mu": 1.0, "dimension": 1}]
 
     def test_whole_number_float_reads_as_integer(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {**MINIMAL, "stop": {"max_iters": 1.0e3}}))
@@ -325,6 +402,26 @@ class TestRunExperiment:
             for k in range(longest)]
         assert (out / "euler__mean_curve.csv").read_bytes() == (
             "\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("objective", [
+        MINIMAL["objective"],
+        {"name": "mlp", "params": {"layer_widths": [1, 2, 1], "dataset_size": 8}},
+    ], ids=["never-reaches-f_tol", "no-f_star"])
+    def test_summary_json_is_valid_json(self, tmp_path, objective):
+        def reject(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        data = {**MINIMAL, "objective": objective,
+                "init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0,
+                         "n_seeds": 3},
+                "stop": {"max_iters": 5, "f_tol": 1e-12},
+                "output": {"dir": str(tmp_path / "out"), "formats": ["csv", "json"]}}
+        summary = run_experiment(load_config(write_config(tmp_path, data)))
+        payload = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert payload == {"gd": {k: v if math.isfinite(v) else None
+                                  for k, v in summary.aggregate("gd").items()}}
+        assert payload["gd"]["median_iters_to_tol"] is None
 
     def test_summary_medians_match_recomputation_from_csvs(self, tmp_path):
         data = dict(MINIMAL)
@@ -556,6 +653,12 @@ class TestCli:
                                "flow": {"kind": "rgf", "q": 3.0}}]
         path = write_config(tmp_path, data)
         assert cli_main(["run", str(path)]) == 1
+
+    def test_list_valued_objective_name_exits_1(self, tmp_path, capsys):
+        data = dict(MINIMAL, objective={"name": ["quadratic"],
+                                        "params": {"mu": 1.0, "dimension": 2}})
+        assert cli_main(["run", str(write_config(tmp_path, data))]) == 1
+        assert "config error: objective.name:" in capsys.readouterr().err
 
     def test_usage_error_prints_synopsis(self, capsys):
         assert cli_main(["frobnicate"]) == 1
