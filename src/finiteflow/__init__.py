@@ -2,13 +2,12 @@
 
 from .analysis import (BoundReport, DominanceParams, DominanceReport,
                        check_gradient_dominance, closeness_epsilon,
-                       dominance_params, energy_decay_envelope,
-                       energy_settling_bound, k_star, settling_time_bound,
-                       verify_envelope, weak_bound)
+                       dominance_params, energy_decay_envelope, k_star,
+                       settling_time_bound, verify_envelope, weak_bound)
 from .bench import (RunSummary, bound_report, closeness_table, emit_csv,
                     run_experiment)
 from .config import ConfigError, ExperimentConfig, load_config, preset_names
-from .flows import FlowSpec, flow_eval, flow_speed
+from .flows import FlowSpec, flow_eval
 from .integrators import (DiscretizerConfig, NumericalFailure, StepperState,
                           StopCriteria, Trajectory, init_state,
                           integrate_reference, run)
@@ -25,8 +24,8 @@ __all__ = [
     "StepperState", "StopCriteria", "Trajectory", "bound_report",
     "check_gradient_dominance", "closeness_epsilon", "closeness_table",
     "dominance_params", "emit_csv", "energy_decay_envelope",
-    "energy_settling_bound", "finite_difference_check", "flow_eval",
-    "flow_speed", "init_state", "integrate_reference", "k_star",
+    "finite_difference_check", "flow_eval", "init_state",
+    "integrate_reference", "k_star",
     "load_config", "make_mlp", "make_pth_power", "make_quadratic",
     "make_rosenbrock", "preset_names", "run", "run_experiment",
     "settling_time_bound", "verify_envelope", "weak_bound",

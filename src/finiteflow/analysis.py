@@ -24,8 +24,8 @@ class DominanceParams:
     """Derived constants shared by the bounds.
 
     theta = (p-1)/p, theta_prime = (q-1)/q, C = (p/(p-1))^theta * mu^(1/p),
-    alpha = theta/theta_prime, and c_tilde = c * C^(1/theta_prime). The
-    finite-time regime needs q > p, which makes alpha < 1.
+    alpha = theta/theta_prime, and c_tilde = c * C^(1/theta_prime). Only
+    the finite-time regime q > p is accepted, which makes alpha < 1.
     """
 
     p: float
@@ -43,8 +43,9 @@ class DominanceParams:
             raise ValueError(f"order p must exceed 1, got {self.p}")
         if not self.mu > 0:
             raise ValueError(f"constant mu must be positive, got {self.mu}")
-        if not self.q > 1:
-            raise ValueError(f"q must lie in (1, inf], got {self.q}")
+        if not self.q > self.p:
+            raise ValueError(
+                f"finite-time regime requires q in (p, inf]; got q={self.q} <= p={self.p}")
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
         theta = (self.p - 1.0) / self.p
@@ -130,33 +131,14 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
                            mu_max_estimate=mu_max, n_evaluated=len(points))
 
 
-def settling_time_bound(params: DominanceParams, c: float,
-                        grad_norm_at_x0: float) -> float:
+def settling_time_bound(params: DominanceParams, grad_norm_at_x0: float) -> float:
     """Upper bound on the arrival time of the flow started where the
-    gradient norm is ``grad_norm_at_x0``.
-
-    Only meaningful in the finite-time regime q > p; otherwise raises.
-    """
-    if not params.q > params.p:
-        raise ValueError(
-            f"finite-time regime requires q in (p, inf]; got q={params.q} <= p={params.p}")
+    gradient norm is ``grad_norm_at_x0``."""
     if grad_norm_at_x0 < 0:
         raise ValueError("gradient norm must be non-negative")
     exponent = 1.0 / params.theta - 1.0 / params.theta_prime
-    denom = c * params.C ** (1.0 / params.theta) * (1.0 - params.alpha)
+    denom = params.c * params.C ** (1.0 / params.theta) * (1.0 - params.alpha)
     return grad_norm_at_x0 ** exponent / denom
-
-
-def energy_settling_bound(E0: float, c: float, alpha: float) -> float:
-    """Zero-crossing bound E0^(1-alpha) / (c*(1-alpha)) for an energy obeying
-    dE/dt <= -c * E^alpha with alpha < 1; tight when equality holds."""
-    if not E0 > 0:
-        raise ValueError("initial energy must be positive")
-    if not c > 0:
-        raise ValueError("decay coefficient must be positive")
-    if alpha >= 1:
-        raise ValueError("alpha >= 1 decays only asymptotically, no finite settling time")
-    return E0 ** (1.0 - alpha) / (c * (1.0 - alpha))
 
 
 def energy_decay_envelope(params: DominanceParams, c: float, E0: float, t):
@@ -176,31 +158,27 @@ def energy_decay_envelope(params: DominanceParams, c: float, E0: float, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def k_star(params: DominanceParams, c: float, eta: float, f_gap0: float) -> float:
+def k_star(params: DominanceParams, eta: float, f_gap0: float) -> float:
     """Step-count bound f_gap0^(1-alpha) / (c_tilde*(1-alpha)*eta) after which
-    the discrete iterates stay in the terminal neighborhood."""
+    the discrete iterates stay in the terminal neighborhood; the zero
+    crossing of the decay envelope, in steps of eta."""
     if not eta > 0:
         raise ValueError("eta must be positive")
     if f_gap0 < 0:
         raise ValueError("initial gap must be non-negative")
     one_minus = 1.0 - params.alpha
-    c_tilde = c * params.C ** (1.0 / params.theta_prime)
-    return f_gap0 ** one_minus / (c_tilde * one_minus * eta)
+    return f_gap0 ** one_minus / (params.c_tilde * one_minus * eta)
 
 
-def weak_bound(params: DominanceParams, c: float, eta: float, f_gap0: float,
+def weak_bound(params: DominanceParams, eta: float, f_gap0: float,
                L_f: float, eps: float, k):
     """Envelope on the discrete f-gap: L_f*eps plus the continuous decay
-    envelope evaluated at elapsed time eta*k, clamped to L_f*eps beyond the
+    envelope evaluated at elapsed time eta*k, which is zero beyond the
     arrival step count."""
     k_arr = np.asarray(k, dtype=float)
     if np.any(k_arr < 0):
         raise ValueError("step index must be non-negative")
-    one_minus = 1.0 - params.alpha
-    c_tilde = c * params.C ** (1.0 / params.theta_prime)
-    base = np.maximum(0.0, f_gap0 ** one_minus - c_tilde * one_minus * eta * k_arr)
-    out = L_f * eps + base ** (1.0 / one_minus)
-    return float(out) if np.isscalar(k) or k_arr.ndim == 0 else out
+    return L_f * eps + energy_decay_envelope(params, params.c, f_gap0, eta * k_arr)
 
 
 def _one_sided_closeness(ta: np.ndarray, xa: np.ndarray,
@@ -285,20 +263,20 @@ def verify_envelope(traj: Trajectory, envelope: Callable, f_star: float,
     """Check f - f_star against an envelope over the trajectory.
 
     ``key`` selects whether the envelope is a function of time ("t") or of
-    the step index ("k"). Any record exceeding envelope + slack is listed as
-    a violation (index, observed gap, envelope value).
+    the step index ("k"); it is called once on the array of all records'
+    arguments and must return an array of the same shape. Any record
+    exceeding envelope + slack is listed as a violation (index, observed
+    gap, envelope value).
     """
     if slack < 0:
         raise ValueError("slack must be non-negative")
     if key not in ("t", "k"):
         raise ValueError("key must be 't' or 'k'")
-    args = traj.t if key == "t" else traj.k
-    try:
-        bounds = np.asarray(envelope(np.asarray(args, dtype=float)), dtype=float)
-        if bounds.shape != np.shape(args):
-            raise TypeError
-    except (TypeError, ValueError):
-        bounds = np.array([float(envelope(float(a))) for a in args])
+    args = np.asarray(traj.t if key == "t" else traj.k, dtype=float)
+    bounds = np.asarray(envelope(args), dtype=float)
+    if bounds.shape != args.shape:
+        raise ValueError(f"envelope returned shape {bounds.shape} for "
+                         f"arguments of shape {args.shape}")
 
     gaps = traj.f - f_star
     bad = gaps > bounds + slack

@@ -12,7 +12,7 @@ import numpy as np
 from .analysis import (check_gradient_dominance, closeness_epsilon,
                        dominance_params, energy_decay_envelope, k_star,
                        settling_time_bound, verify_envelope, weak_bound)
-from .config import ExperimentConfig, NamedOptimizer
+from .config import ExperimentConfig, NamedOptimizer, finite_time_flow
 from .flows import norm2
 from .integrators import (DiscretizerConfig, StopCriteria, Trajectory,
                           integrate_reference, run)
@@ -196,20 +196,20 @@ def _write_mean_curves(costs: dict[str, list[np.ndarray]], f_star: float | None,
 
 
 def flow_optimizers(cfg: ExperimentConfig) -> list[NamedOptimizer]:
-    return [o for o in cfg.optimizers if o.config.flow is not None]
+    return [o for o in cfg.optimizers if finite_time_flow(o.config)]
 
 
 def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
                  p: float, mu: float, h_ref: float | None = None) -> dict:
-    """Evaluate the theoretical bounds for one flow-driven optimizer.
+    """Evaluate the theoretical bounds for one finite-time (rgf or sgf) optimizer.
 
     Computes the settling-time bound at x0, measures arrival and checks the
     energy envelope along the reference flow, and checks the discrete weak
     bound using the measured trajectory closeness. One reference trajectory
     at step min(h_ref, eta/10) serves all three; h_ref defaults to eta/100.
     """
-    if opt.flow is None:
-        raise ValueError("bound report needs a flow-driven optimizer")
+    if not finite_time_flow(opt):
+        raise ValueError("bound report needs an optimizer on an rgf or sgf flow")
     if obj.metadata is None:
         raise ValueError("bound report needs optimum metadata")
     flow = opt.flow
@@ -219,8 +219,8 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
 
     grad0 = norm2(obj.gradient(x0))
     f_gap0 = float(obj.value(x0)) - f_star
-    t_bound = settling_time_bound(params, flow.c, grad0)
-    ks = k_star(params, flow.c, opt.eta, f_gap0)
+    t_bound = settling_time_bound(params, grad0)
+    ks = k_star(params, opt.eta, f_gap0)
     k_max = int(math.ceil(1.1 * ks))
     horizon = k_max * opt.eta
 
@@ -238,7 +238,7 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     arrival = float(ref.t[hits[0]]) if len(hits) else math.nan
 
     env_report = verify_envelope(
-        arrived, lambda t: energy_decay_envelope(params, flow.c, f_gap0, t),
+        arrived, lambda t: energy_decay_envelope(params, params.c, f_gap0, t),
         f_star, slack=ENVELOPE_SLACK, key="t")
 
     disc = run(opt, obj, x0, StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
@@ -246,7 +246,7 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     lipschitz = float(np.max(disc.grad_norm2))
     weak_report = verify_envelope(
         disc,
-        lambda k: weak_bound(params, flow.c, opt.eta, f_gap0, lipschitz, eps, k),
+        lambda k: weak_bound(params, opt.eta, f_gap0, lipschitz, eps, k),
         f_star, slack=ENVELOPE_SLACK, key="k")
 
     return {
@@ -270,8 +270,8 @@ def closeness_table(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     One dense reference (spacing fine enough for the smallest step size) is
     shared by all entries; each discrete run covers the same horizon.
     """
-    if opt.flow is None:
-        raise ValueError("closeness table needs a flow-driven optimizer")
+    if not finite_time_flow(opt):
+        raise ValueError("closeness table needs an optimizer on an rgf or sgf flow")
     etas = [opt.eta / 2 ** j for j in range(N_HALVINGS)]
     h = etas[-1] / 10.0
     ref = integrate_reference(
@@ -303,7 +303,7 @@ def dominance_summary(cfg: ExperimentConfig, obj: Objective) -> dict | None:
 
 
 def bound_reports(cfg: ExperimentConfig, obj: Objective) -> dict[str, dict]:
-    """``bound_report`` from the base seed's x0 for each flow-driven optimizer."""
+    """``bound_report`` from the base seed's x0 for each finite-time optimizer."""
     dom = cfg.analysis.dominance
     x0 = cfg.init.draw(obj.dimension, cfg.init.base_seed)
     return {opt.name: bound_report(obj, opt.config, x0, dom.p, dom.mu,
@@ -313,7 +313,7 @@ def bound_reports(cfg: ExperimentConfig, obj: Objective) -> dict[str, dict]:
 
 def closeness_reports(cfg: ExperimentConfig,
                       obj: Objective) -> dict[str, list[tuple[float, float]]]:
-    """``closeness_table`` from the base seed's x0 for each flow-driven
+    """``closeness_table`` from the base seed's x0 for each finite-time
     optimizer, over 1.2 times its settling-time bound."""
     dom = cfg.analysis.dominance
     x0 = cfg.init.draw(obj.dimension, cfg.init.base_seed)
@@ -322,14 +322,14 @@ def closeness_reports(cfg: ExperimentConfig,
     for opt in flow_optimizers(cfg):
         flow = opt.config.flow
         params = dominance_params(dom.p, dom.mu, flow.q, flow.c)
-        horizon = 1.2 * settling_time_bound(params, flow.c, grad0)
+        horizon = 1.2 * settling_time_bound(params, grad0)
         tables[opt.name] = closeness_table(obj, opt.config, x0, horizon)
     return tables
 
 
 def analysis_reports(cfg: ExperimentConfig, obj: Objective | None = None) -> dict:
     """Run the analysis passes requested by the config (bounds, closeness,
-    gradient dominance) and return one report per flow-driven optimizer."""
+    gradient dominance) and return one report per finite-time optimizer."""
     if obj is None:
         obj = cfg.build_objective()
     return {

@@ -180,6 +180,12 @@ class NamedOptimizer:
     config: DiscretizerConfig
 
 
+def finite_time_flow(opt: DiscretizerConfig) -> bool:
+    """Whether ``opt`` is a finite-time optimizer: one on a flow with a finite
+    settling time (rgf or sgf), the only flows the paper's bounds speak about."""
+    return opt.flow is not None and opt.flow.kind in ("rgf", "sgf")
+
+
 @dataclass(frozen=True)
 class BatchConfig:
     size: int
@@ -224,7 +230,8 @@ class ExperimentConfig:
         if analysis.run_bounds or analysis.run_closeness:
             # the finite-time bounds hold only for q > p on a cost with a known optimum
             p = analysis.dominance.p
-            flows = {o.name: o.config.flow.q for o in self.optimizers if o.config.flow is not None}
+            flows = {o.name: o.config.flow.q for o in self.optimizers
+                     if finite_time_flow(o.config)}
             if not flows:
                 raise ValueError("analysis: run_bounds and run_closeness need "
                                  "a flow-driven optimizer")

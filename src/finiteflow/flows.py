@@ -114,11 +114,3 @@ def _velocity(spec: FlowSpec, g: np.ndarray, n2: float) -> np.ndarray:
     base = np.sign(g) * _power(norm1, spec._exponent)
     return base * -spec.c
 
-
-def flow_speed(spec: FlowSpec, grad: np.ndarray) -> float:
-    """Euclidean norm of the flow velocity.
-
-    For the rescaled flow this equals c * ||g||_2^(1/(q-1)), which is why
-    trajectories reach the minimizer in finite time when q is large enough.
-    """
-    return norm2(flow_eval(spec, grad))

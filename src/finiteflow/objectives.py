@@ -13,33 +13,20 @@ Vector = np.ndarray
 
 @dataclass(frozen=True)
 class OptimumInfo:
-    """Known-minimizer metadata attached to an objective.
+    """Known minimizer ``x_star`` and minimum value ``f_star`` of an objective.
 
-    ``p`` and ``mu`` describe how strongly the gradient norm controls the
-    suboptimality gap near ``x_star``:
-
-        ((p-1)/p) * ||grad f(x)||^(p/(p-1)) >= mu^(1/(p-1)) * (f(x) - f_star)
-
-    inside the ball of radius ``neighborhood_radius`` around ``x_star``.
-    ``mu`` may be left unset when only the order is known.
+    The dominance order p and constant mu that the bounds need are not
+    stored here; they come from the config's ``analysis.dominance`` section
+    or are passed to the analysis functions directly.
     """
 
     x_star: Vector
     f_star: float
-    p: float
-    mu: float | None = None
-    neighborhood_radius: float = math.inf
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "x_star", np.atleast_1d(np.asarray(self.x_star, dtype=float))
         )
-        if not self.p > 1:
-            raise ValueError(f"dominance order p must exceed 1, got {self.p}")
-        if self.mu is not None and not self.mu > 0:
-            raise ValueError(f"dominance constant mu must be positive, got {self.mu}")
-        if not self.neighborhood_radius > 0:
-            raise ValueError("neighborhood_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,18 +95,17 @@ def make_quadratic(mu: float, dimension: int) -> Objective:
     def gradient(x: Vector) -> Vector:
         return mu * np.asarray(x, dtype=float)
 
-    meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0, p=2.0, mu=mu)
+    meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,
                      metadata=meta, name="quadratic")
 
 
-def make_rosenbrock(a: float = 1.0, b: float = 100.0,
-                    neighborhood_radius: float = 0.5) -> Objective:
+def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
     """Two-dimensional banana valley f(x1,x2) = (a-x1)^2 + b*(x2-x1^2)^2.
 
     The unique stationary point sits at (a, a^2) for b >= 0. The function is
     locally strongly convex there, so the dominance order is 2; the constant
-    is left unset and can be estimated with check_gradient_dominance.
+    can be estimated with check_gradient_dominance.
     """
     if b < 0:
         raise ValueError(f"b must be non-negative, got {b}")
@@ -136,20 +122,9 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0,
         g2 = 2.0 * b * (x2 - x1 ** 2)
         return np.array([g1, g2])
 
-    meta = OptimumInfo(x_star=np.array([a, a ** 2]), f_star=0.0, p=2.0, mu=None,
-                       neighborhood_radius=neighborhood_radius)
+    meta = OptimumInfo(x_star=np.array([a, a ** 2]), f_star=0.0)
     return Objective(dimension=2, value=value, gradient=gradient,
                      metadata=meta, name="rosenbrock")
-
-
-def _pth_power_mu(p: float, dimension: int) -> float:
-    # Largest constant for which the dominance inequality holds everywhere.
-    # The value/gradient ratio is scale invariant, so it suffices to compare
-    # the l_{2(p-1)} and l_p norms over directions; the worst direction is the
-    # uniform one for p >= 2 and a coordinate axis for p < 2.
-    if p >= 2:
-        return (p - 1) ** (p - 1) * dimension ** (p / 2 - (p - 1))
-    return (p - 1) ** (p - 1)
 
 
 def make_pth_power(p: float, dimension: int) -> Objective:
@@ -168,8 +143,7 @@ def make_pth_power(p: float, dimension: int) -> Objective:
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.abs(x) ** (p - 1.0)
 
-    meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0, p=p,
-                       mu=_pth_power_mu(p, dimension))
+    meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,
                      metadata=meta, name="pth_power")
 

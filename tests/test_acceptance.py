@@ -51,7 +51,7 @@ def weak_bound_artifacts():
     x0 = np.array([math.sqrt(2.0)])
     eta = 1e-3
     flow = FlowSpec("rgf", q=3.0, c=1.0)
-    ks = k_star(PARAMS, 1.0, eta, 1.0)
+    ks = k_star(PARAMS, eta, 1.0)
     k_max = int(math.ceil(1.1 * ks))
     disc = run(DiscretizerConfig(scheme="euler", eta=eta, flow=flow), QUAD1, x0,
                StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
@@ -73,7 +73,7 @@ def closeness_sweep_rows():
                             flow=FlowSpec("rgf", q=3.0, c=1.0))
     x0 = np.array([1.0, 1.0])
     grad0 = float(np.linalg.norm(obj.gradient(x0)))
-    horizon = 1.2 * settling_time_bound(PARAMS, 1.0, grad0)
+    horizon = 1.2 * settling_time_bound(PARAMS, grad0)
     rows = closeness_table(obj, opt, x0, horizon)
     return rows, time.perf_counter() - t0
 
@@ -96,7 +96,7 @@ def mlp_summary(tmp_path_factory):
 
 def test_criterion_1_settling_time_bound_is_tight(scalar_reference):
     traj, elapsed = scalar_reference
-    bound = settling_time_bound(PARAMS, 1.0, 1.0)
+    bound = settling_time_bound(PARAMS, 1.0)
     # under |x|' = -|x|^(1/2) the gradient first reaches tol at exactly
     # t* - 2*sqrt(tol), so tightness is checked at that oracle instant
     crossing = bound - 2.0 * math.sqrt(1e-6)
@@ -149,7 +149,7 @@ def test_criterion_3_discrete_weak_bound(weak_bound_artifacts):
     # the bound curve itself must dominate the run at every step
     rep = verify_envelope(
         art["disc"],
-        lambda k: weak_bound(PARAMS, 1.0, art["eta"], 1.0, art["lipschitz"],
+        lambda k: weak_bound(PARAMS, art["eta"], 1.0, art["lipschitz"],
                              art["eps"], k),
         f_star=0.0, slack=1e-9, key="k")
     assert rep.verdict

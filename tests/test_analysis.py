@@ -5,14 +5,27 @@ import sys
 import numpy as np
 import pytest
 
-from finiteflow import (FlowSpec, StopCriteria, Trajectory,
+from finiteflow import (DominanceParams, FlowSpec, StopCriteria, Trajectory,
                         check_gradient_dominance, closeness_epsilon,
                         dominance_params, energy_decay_envelope,
-                        energy_settling_bound, integrate_reference, k_star,
-                        make_mlp, make_pth_power, make_quadratic,
-                        settling_time_bound, verify_envelope, weak_bound)
+                        integrate_reference, k_star, make_mlp, make_pth_power,
+                        make_quadratic, settling_time_bound, verify_envelope,
+                        weak_bound)
 
 P23 = dominance_params(2.0, 1.0, 3.0, 1.0)
+
+
+def pth_power_mu(p, dimension):
+    """Largest constant for which the dominance inequality of
+    make_pth_power(p, dimension) holds everywhere.
+
+    The value/gradient ratio is scale invariant, so it suffices to compare
+    the l_{2(p-1)} and l_p norms over directions; the worst direction is the
+    uniform one for p >= 2 and a coordinate axis for p < 2.
+    """
+    if p >= 2:
+        return (p - 1) ** (p - 1) * dimension ** (p / 2 - (p - 1))
+    return (p - 1) ** (p - 1)
 
 
 def constant_trajectory(point, t_end, spacing, eta=None):
@@ -50,6 +63,25 @@ class TestDominanceParams:
             dominance_params(2.0, 0.0, 3.0)
         with pytest.raises(ValueError):
             dominance_params(2.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            dominance_params(2.0, 1.0, 3.0, 0.0)
+
+    def test_rejects_q_not_exceeding_p(self):
+        with pytest.raises(ValueError, match="finite-time"):
+            dominance_params(3.0, 1.0, 2.5, 1.0)
+        with pytest.raises(ValueError, match="finite-time"):
+            dominance_params(2.0, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("bound", [
+        lambda d: k_star(d, 0.01, 1.0),
+        lambda d: energy_decay_envelope(d, 1.0, 0.5, 1.0),
+        lambda d: weak_bound(d, 0.01, 1.0, 2.0, 0.0, 10),
+    ], ids=["k_star", "energy_decay_envelope", "weak_bound"])
+    def test_bounds_unreachable_outside_finite_time_regime(self, bound):
+        # the bounds take their constants only from DominanceParams, which
+        # refuses q <= p, so no bound returns a number outside the regime
+        with pytest.raises(ValueError, match="finite-time"):
+            bound(DominanceParams(p=3.0, mu=1.0, q=2.5, c=1.0))
 
 
 class TestGradientDominance:
@@ -88,11 +120,11 @@ class TestGradientDominance:
 
     def test_declared_mu_of_pth_power_holds_in_two_dims(self):
         obj = make_pth_power(4.0, 2)
-        rep = check_gradient_dominance(obj, p=4.0, mu=obj.metadata.mu,
+        mu = pth_power_mu(4.0, 2)
+        rep = check_gradient_dominance(obj, p=4.0, mu=mu,
                                        region_radius=1.0, n_samples=500, seed=3)
         assert rep.holds
-        rep_inflated = check_gradient_dominance(obj, p=4.0,
-                                                mu=obj.metadata.mu * 1.05,
+        rep_inflated = check_gradient_dominance(obj, p=4.0, mu=mu * 1.05,
                                                 region_radius=1.0,
                                                 n_samples=500, seed=3)
         assert not rep_inflated.holds
@@ -107,7 +139,7 @@ class TestGradientDominance:
     def test_closed_form_constant_of_pth_power(self, p, dim):
         # a minimum over samples cannot fall below the true constant
         obj = make_pth_power(p, dim)
-        mu = obj.metadata.mu
+        mu = pth_power_mu(p, dim)
         rep = check_gradient_dominance(obj, p=p, mu=mu, region_radius=1.0,
                                        n_samples=200, seed=0)
         assert rep.holds
@@ -126,7 +158,7 @@ class TestGradientDominance:
 
 class TestSettlingTimeBound:
     def test_hand_evaluated_scalar_case(self):
-        assert settling_time_bound(P23, 1.0, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert settling_time_bound(P23, 1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_reference_trajectory_confirms_tightness(self):
         obj = make_quadratic(1.0, 1)
@@ -137,25 +169,18 @@ class TestSettlingTimeBound:
         assert abs(traj.t[-1] - (2.0 - 2.0 * math.sqrt(1e-6))) <= 1e-3
 
     def test_doubling_c_halves_bound_exactly(self):
-        one = settling_time_bound(P23, 1.0, 0.37)
-        two = settling_time_bound(P23, 2.0, 0.37)
+        one = settling_time_bound(P23, 0.37)
+        two = settling_time_bound(dominance_params(2.0, 1.0, 3.0, 2.0), 0.37)
         assert two == one / 2.0
 
-    def test_rejects_q_not_exceeding_p(self):
-        bad = dominance_params(3.0, 1.0, 2.5, 1.0)
-        with pytest.raises(ValueError, match="finite-time"):
-            settling_time_bound(bad, 1.0, 1.0)
 
-
-class TestEnergySettlingBound:
-    def test_hand_evaluated(self):
-        assert energy_settling_bound(1.0, 1.0, 0.5) == 2.0
-
-    def test_linear_decay(self):
-        assert energy_settling_bound(1.0, 1.0, 0.0) == 1.0
-
-    def test_matches_scalar_ode_oracle(self):
-        # integrate E' = -sqrt(E) from E(0) = 1 and find the zero crossing
+class TestArrivalStepCount:
+    def test_zero_crossing_matches_scalar_ode_oracle(self):
+        # alpha = 1/2 and c_tilde = 1, so the energy obeys E' = -sqrt(E);
+        # integrate it from E(0) = 1 and find the zero crossing
+        params = dominance_params(2.0, 0.5, math.inf, 1.0)
+        assert params.alpha == 0.5
+        assert params.c_tilde == pytest.approx(1.0, rel=1e-15)
         e, t, h = 1.0, 0.0, 1e-5
         while e > 1e-12:
             def rate(v):
@@ -166,11 +191,9 @@ class TestEnergySettlingBound:
             k4 = rate(e + h * k3)
             e = e + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
-        assert abs(t - energy_settling_bound(1.0, 1.0, 0.5)) <= 1e-4
-
-    def test_rejects_asymptotic_regime(self):
-        with pytest.raises(ValueError):
-            energy_settling_bound(1.0, 1.0, 1.0)
+        # with eta = 1, k_star is the zero crossing in time
+        assert abs(t - k_star(params, 1.0, 1.0)) <= 1e-4
+        assert k_star(params, 1.0, 1.0) == pytest.approx(2.0, abs=1e-4)
 
 
 class TestEnergyDecayEnvelope:
@@ -203,28 +226,28 @@ class TestEnergyDecayEnvelope:
 
 class TestWeakBound:
     def test_anchors_at_initial_gap(self):
-        assert weak_bound(P23, 1.0, 0.01, 1.0, 2.0, 0.0, 0) == pytest.approx(1.0, rel=1e-14)
+        assert weak_bound(P23, 0.01, 1.0, 2.0, 0.0, 0) == pytest.approx(1.0, rel=1e-14)
 
     def test_clamps_beyond_arrival_steps(self):
-        ks = k_star(P23, 1.0, 0.01, 1.0)
-        assert weak_bound(P23, 1.0, 0.01, 1.0, 2.0, 0.0, math.ceil(ks) + 1) == 0.0
+        ks = k_star(P23, 0.01, 1.0)
+        assert weak_bound(P23, 0.01, 1.0, 2.0, 0.0, math.ceil(ks) + 1) == 0.0
 
     def test_hand_evaluated_k_star(self):
         # c_tilde = 2^(3/4), alpha = 3/4: k* = 1 / (2^(3/4) * 0.25 * 0.01)
-        ks = k_star(P23, 1.0, 0.01, 1.0)
+        ks = k_star(P23, 0.01, 1.0)
         assert ks == pytest.approx(1.0 / (2.0 ** 0.75 * 0.25 * 0.01), rel=1e-14)
         assert ks == pytest.approx(237.84, abs=0.01)
 
     def test_non_increasing_and_floored_at_lipschitz_term(self):
         ks = np.arange(0, 400)
-        vals = weak_bound(P23, 1.0, 0.01, 1.0, 2.0, 1e-3, ks)
+        vals = weak_bound(P23, 0.01, 1.0, 2.0, 1e-3, ks)
         assert np.all(np.diff(vals) <= 1e-15)
         assert np.all(vals >= 2.0 * 1e-3 - 1e-18)
         assert vals[-1] == pytest.approx(2e-3, rel=1e-12)
 
     def test_k_star_scalings(self):
-        assert k_star(P23, 1.0, 0.01, 0.0) == 0.0
-        assert k_star(P23, 1.0, 0.005, 1.0) == 2.0 * k_star(P23, 1.0, 0.01, 1.0)
+        assert k_star(P23, 0.01, 0.0) == 0.0
+        assert k_star(P23, 0.005, 1.0) == 2.0 * k_star(P23, 0.01, 1.0)
 
 
 class TestClosenessEpsilon:
@@ -300,13 +323,13 @@ class TestClosenessEpsilon:
 class TestVerifyEnvelope:
     def test_infinite_envelope_passes(self):
         traj = constant_trajectory([1.0], 1.0, 0.01)
-        rep = verify_envelope(traj, lambda t: math.inf, f_star=0.0)
+        rep = verify_envelope(traj, lambda t: np.full_like(t, math.inf), f_star=0.0)
         assert rep.verdict and not rep.violations
 
     def test_negative_envelope_fails_everywhere(self):
         traj = constant_trajectory([1.0], 1.0, 0.01)
         traj.f[:] = 1.0
-        rep = verify_envelope(traj, lambda t: -1.0, f_star=0.0)
+        rep = verify_envelope(traj, lambda t: np.full_like(t, -1.0), f_star=0.0)
         assert not rep.verdict
         assert len(rep.violations) == len(traj)
 
@@ -322,6 +345,27 @@ class TestVerifyEnvelope:
     def test_key_selects_step_index(self):
         traj = constant_trajectory([1.0], 1.0, 0.01, eta=0.1)
         traj.f[:] = 0.5
-        rep = verify_envelope(traj, lambda k: 1.0 if k < 5 else 0.0,
+        rep = verify_envelope(traj, lambda k: np.where(k < 5, 1.0, 0.0),
                               f_star=0.0, key="k")
         assert len(rep.violations) == len(traj) - 5
+
+    @pytest.mark.parametrize("envelope,shape", [
+        (lambda t: 1.0, r"\(\)"),
+        (lambda t: np.ones(3), r"\(3,\)"),
+    ], ids=["scalar", "short-array"])
+    def test_envelope_of_another_shape_is_rejected(self, envelope, shape):
+        traj = constant_trajectory([1.0], 1.0, 0.1)
+        with pytest.raises(ValueError, match=rf"shape {shape} for arguments of shape \(11,\)"):
+            verify_envelope(traj, envelope, f_star=0.0)
+
+    def test_failing_envelope_is_called_once(self):
+        calls = []
+
+        def envelope(t):
+            calls.append(t)
+            raise ValueError("time must be non-negative")
+
+        traj = constant_trajectory([1.0], 0.4, 0.1)
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_envelope(traj, envelope, f_star=0.0)
+        assert len(calls) == 1

@@ -133,6 +133,10 @@ class TestLoadConfig:
           "batch": {"size": 9}}, r"^batch: size 9 exceeds the objective's dataset_size 8"),
         ({"analysis": {"run_bounds": True, "dominance": {"p": 2.0, "mu": 1.0}}},
          r"^analysis: run_bounds and run_closeness need a flow-driven optimizer"),
+        ({"optimizers": [{"name": "gf", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "gf"}}],
+          "analysis": {"run_bounds": True, "dominance": {"p": 2.0, "mu": 1.0}}},
+         r"^analysis: run_bounds and run_closeness need a flow-driven optimizer"),
         ({"optimizers": [{"name": "rgf", "scheme": "euler", "eta": 0.1,
                           "flow": {"kind": "rgf", "q": 1.5}}],
           "analysis": {"run_closeness": True, "dominance": {"p": 2.0, "mu": 1.0}}},
@@ -156,9 +160,9 @@ class TestLoadConfig:
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
             "batch-size-0", "format-xml", "eta-0", "rk-no-alphas",
             "bounds-no-dominance", "x0-length", "batch-no-support",
-            "batch-over-dataset", "analysis-no-flow", "q-not-above-p",
-            "bounds-no-optimum", "dominance-p-1", "dominance-mu-negative",
-            "name-null", "objective-name-list"])
+            "batch-over-dataset", "analysis-no-flow", "analysis-gf-only",
+            "q-not-above-p", "bounds-no-optimum", "dominance-p-1",
+            "dominance-mu-negative", "name-null", "objective-name-list"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
@@ -196,6 +200,10 @@ class TestLoadConfig:
         ("quadratic_bounds", lambda c: replace(c, optimizers=(
             NamedOptimizer("gd", DiscretizerConfig(scheme="gd", eta=0.1)),)),
          r"^analysis: run_bounds and run_closeness need a flow-driven optimizer"),
+        ("quadratic_bounds", lambda c: replace(c, optimizers=(
+            NamedOptimizer("gf", DiscretizerConfig(scheme="euler", eta=0.1,
+                                                   flow=FlowSpec("gf"))),)),
+         r"^analysis: run_bounds and run_closeness need a flow-driven optimizer"),
         ("closeness_sweep", lambda c: replace(c, optimizers=tuple(
             replace(o, config=replace(o.config, flow=replace(o.config.flow, q=1.5)))
             for o in c.optimizers)),
@@ -211,7 +219,7 @@ class TestLoadConfig:
          r"^mu must be positive"),
     ], ids=["duplicate-names", "no-optimizers", "unknown-objective", "bad-params",
             "x0-length", "batch-no-support", "batch-over-dataset", "analysis-no-flow",
-            "q-not-above-p", "bounds-no-optimum", "dominance-p-1", "dominance-p-half",
+            "analysis-gf-only", "q-not-above-p", "bounds-no-optimum", "dominance-p-1", "dominance-p-half",
             "dominance-mu-negative"])
     def test_faulty_config_built_in_python_rejected(self, preset, build, message):
         cfg = load_config(preset)
@@ -550,16 +558,16 @@ def two_integration_report(obj, opt, x0, p, mu, h_ref, arrival_grad_tol=1e-6,
     params = dominance_params(p, mu, flow.q, flow.c)
     grad0 = float(np.linalg.norm(obj.gradient(x0)))
     f_gap0 = float(obj.value(x0)) - f_star
-    t_bound = settling_time_bound(params, flow.c, grad0)
+    t_bound = settling_time_bound(params, grad0)
     ref = integrate_reference(
         flow, obj, x0, h_ref,
         StopCriteria(max_iters=int(math.ceil(horizon_factor * t_bound / h_ref)),
                      grad_tol=arrival_grad_tol))
     arrival = float(ref.t[-1]) if ref.terminal_reason == "grad_tol" else math.nan
     env = verify_envelope(
-        ref, lambda t: energy_decay_envelope(params, flow.c, f_gap0, t),
+        ref, lambda t: energy_decay_envelope(params, params.c, f_gap0, t),
         f_star, slack=envelope_slack, key="t")
-    ks = k_star(params, flow.c, opt.eta, f_gap0)
+    ks = k_star(params, opt.eta, f_gap0)
     k_max = int(math.ceil(1.1 * ks))
     disc = run(opt, obj, x0, StopCriteria(max_iters=k_max, grad_tol=0.0, f_tol=0.0))
     horizon = k_max * opt.eta
@@ -571,7 +579,7 @@ def two_integration_report(obj, opt, x0, p, mu, h_ref, arrival_grad_tol=1e-6,
     lipschitz = float(np.max(disc.grad_norm2))
     weak = verify_envelope(
         disc,
-        lambda k: weak_bound(params, flow.c, opt.eta, f_gap0, lipschitz, eps, k),
+        lambda k: weak_bound(params, opt.eta, f_gap0, lipschitz, eps, k),
         f_star, slack=envelope_slack, key="k")
     return {
         "t_star_bound": t_bound, "arrival_time": arrival,
@@ -627,6 +635,25 @@ class TestBoundReport:
         # exact comparison in which a missing arrival (nan) equals itself
         np.testing.assert_equal(bench.bound_report(obj, opt, x0, p, mu, h_ref=h_ref),
                                 expected)
+
+    def test_plain_gradient_flow_is_refused(self):
+        # gf has no finite settling time, so the bounds say nothing about it
+        obj, opt, x0, p, mu, h_ref = SHARED_GRID_CASES["rgf_q3_2d"]
+        gf = replace(opt, flow=FlowSpec("gf"))
+        with pytest.raises(ValueError, match="rgf or sgf"):
+            bench.bound_report(obj, gf, x0, p, mu, h_ref=h_ref)
+        with pytest.raises(ValueError, match="rgf or sgf"):
+            bench.closeness_table(obj, gf, x0, 1.0)
+
+    def test_gf_optimizer_is_skipped_like_gd(self, tmp_path):
+        data = dict(MINIMAL, optimizers=[
+            {"name": "gf", "scheme": "euler", "eta": 0.1, "flow": {"kind": "gf"}},
+            {"name": "gd", "scheme": "gd", "eta": 0.1},
+            {"name": "rgf", "scheme": "euler", "eta": 0.1,
+             "flow": {"kind": "rgf", "q": 3.0}},
+        ], analysis={"run_bounds": True, "dominance": {"p": 2.0, "mu": 1.0}})
+        cfg = load_config(write_config(tmp_path, data))
+        assert [o.name for o in bench.flow_optimizers(cfg)] == ["rgf"]
 
     @pytest.mark.parametrize("h_ref", [None, 1e-3], ids=["eta/100", "eta"])
     def test_other_reference_steps_complete_on_quadratic_bounds(self, h_ref):
