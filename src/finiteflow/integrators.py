@@ -145,28 +145,34 @@ def _ensure_finite(x: np.ndarray, scheme: str) -> None:
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
 
 
-def _combine(coefs: tuple[float, ...], vs: list[np.ndarray]) -> np.ndarray | None:
-    """sum_j coefs[j] * vs[j], added left to right; None when every coefficient
-    is zero. Skipping zero terms and unit factors leaves a sum of finite
-    velocities unchanged up to the sign of a zero."""
+def _stage_sums(tableau: tuple) -> tuple:
+    """(rows of a past the first, b) of the tableau (a, b), each row as its
+    nonzero (stage, coefficient) pairs in stage order."""
+    a, b = tableau
+    rows = tuple(tuple((j, coef) for j, coef in enumerate(row) if coef) for row in a[1:] + (b,))
+    return rows[:-1], rows[-1]
+
+
+def _combine(terms: tuple[tuple[int, float], ...], vs: list[np.ndarray]) -> np.ndarray | None:
+    """sum_j coef_j * vs[j] over the (j, coef_j) terms, added left to right;
+    None when there are none. Leaving out zero terms and unit factors keeps a
+    sum of finite velocities unchanged up to the sign of a zero."""
     total = None
-    for coef, v in zip(coefs, vs):
-        if coef:
-            term = v if coef == 1.0 else v * coef
-            total = term if total is None else total + term
+    for j, coef in terms:
+        term = vs[j] if coef == 1.0 else vs[j] * coef
+        total = term if total is None else total + term
     return total
 
 
-def _tableau_update(tableau: tuple, h: float, x: np.ndarray, v1: np.ndarray,
+def _tableau_update(sums: tuple, h: float, x: np.ndarray, v1: np.ndarray,
                     velocity: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """One explicit tableau step from x, given the velocity v1 at x and the
-    velocity field for the later stages."""
-    a, b = tableau
+    """One explicit tableau step from x, given the tableau's ``_stage_sums``,
+    the velocity v1 at x and the velocity field for the later stages."""
     vs = [v1]
-    for row in a[1:]:
-        offset = _combine(row, vs)
+    for terms in sums[0]:
+        offset = _combine(terms, vs)
         vs.append(velocity(x if offset is None else x + offset * h))
-    return x + _combine(b, vs) * h
+    return x + _combine(sums[1], vs) * h
 
 
 def _tableau_step(cfg: DiscretizerConfig) -> Step:
@@ -174,17 +180,17 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
     flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
     h, scheme = cfg.eta, cfg.scheme
     # the paper's family: a[i][j] = betas[j] for every stage i > j, b = alphas
-    tableau = ((tuple(cfg.betas[:i] for i in range(cfg.stages)), cfg.alphas)
-               if scheme == "rk" else _EULER)
+    sums = _stage_sums((tuple(cfg.betas[:i] for i in range(cfg.stages)), cfg.alphas)
+                       if scheme == "rk" else _EULER)
     # x + 1.0 * v1 * h is what the one-stage tableau update computes
-    one_stage = tableau[1] == (1.0,)
+    one_stage = sums == ((), ((0, 1.0),))
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         x = state.x
         v1 = (flow_eval(flow, obj.gradient(x)) if grad is None
               else _velocity(flow, grad, grad_norm))
         x_next = (x + v1 * h if one_stage else _tableau_update(
-            tableau, h, x, v1, lambda z: flow_eval(flow, obj.gradient(z))))
+            sums, h, x, v1, lambda z: flow_eval(flow, obj.gradient(z))))
         _ensure_finite(x_next, scheme)
         return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
 
@@ -274,17 +280,19 @@ class Trajectory:
                           terminal_reason=TERMINAL_MAX_ITERS)
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    out = np.empty((2 * len(a),) + a.shape[1:])
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    out = np.empty((rows,) + a.shape[1:])
     out[:len(a)] = a
     return out
 
 
 def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCriteria,
-                       advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+                       advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray | None]
                        ) -> Trajectory:
     """Record x, then step with ``advance(x, grad, ||grad||) -> next x`` until
-    a stop rule fires.
+    a stop rule fires. Without a wall limit ``advance`` may return None when x
+    stays put to the bit at every later step; the rows up to ``max_iters``
+    are then copies of the last one and cost no objective call.
 
     Iterate k is recorded at time k*dt with its cost, gradient norms and wall
     seconds. The run ends as numerical_failure, keeping every iterate
@@ -313,7 +321,7 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             gn2 = norm2(g)
             wall = time.perf_counter() - t_start
             if n == len(xs):
-                xs, fs, gn2s, gn1s, walls = map(_doubled, (xs, fs, gn2s, gn1s, walls))
+                xs, fs, gn2s, gn1s, walls = (_grown(a, 2 * n) for a in (xs, fs, gn2s, gn1s, walls))
             xs[n] = x
             fs[n] = f
             gn2s[n] = gn2
@@ -332,10 +340,18 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             if reason is not None:
                 break
             x = advance(x, g, gn2)
+            if x is None:
+                break  # frozen: reason None asks for the copies below
     except (NumericalFailure, ArithmeticError):
         reason = TERMINAL_NUMERICAL_FAILURE
     # row by row this is np.abs(g).sum() of each gradient, to the bit
     gn1s[n - n % chunk:n] = np.abs(grads[:n % chunk]).sum(axis=1)
+    if reason is None:
+        # row n - 1 passed the stop rules, so its copies run to max_iters
+        xs, fs, gn2s, gn1s, walls = (_grown(a[:n], max_iters + 1) for a in (xs, fs, gn2s, gn1s, walls))
+        for a in (xs, fs, gn2s, gn1s, walls):
+            a[n:] = a[n - 1]
+        n, reason = max_iters + 1, TERMINAL_MAX_ITERS
     if n < len(xs):
         xs, fs, gn2s, gn1s, walls = (a[:n].copy() for a in (xs, fs, gn2s, gn1s, walls))
     k = np.arange(n)
@@ -397,6 +413,10 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
     a thousand times the previous per-step displacement rate is clamped to
     that rate, which keeps a single wild stage from hurling the iterate
     across the equilibrium.
+
+    A step under a zero cap (the step before did not move x) that leaves x's
+    bits unchanged recurs at every later step. Without a wall limit the rows
+    after it are then copies, made with no objective call.
     """
     if not h_ref > 0:
         raise ValueError("h_ref must be positive")
@@ -405,6 +425,7 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         raise ValueError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
     prev_x: np.ndarray | None = None
     speed_cap: float | None = None
+    rk4 = _stage_sums(_RK4)
 
     def clamped(v: np.ndarray) -> np.ndarray:
         if speed_cap is not None:
@@ -421,10 +442,13 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         if prev_x is not None:
             speed_cap = norm2(x - prev_x) / h_ref * 1e3
         # the first stage reuses the gradient norm the record pass computed
-        x_next = _tableau_update(_RK4, h_ref, x, clamped(_velocity(flow, g, gn2)),
+        x_next = _tableau_update(rk4, h_ref, x, clamped(_velocity(flow, g, gn2)),
                                  velocity)
         _ensure_finite(x_next, "reference")
         prev_x = x
+        # the next step starts from the same bits under the same zero cap
+        if speed_cap == 0.0 and stop.wall_limit is None and x_next.tobytes() == x.tobytes():
+            return None
         return x_next
 
     return _record_until_stop(obj, x, h_ref, stop, advance)

@@ -90,7 +90,7 @@ def make_quadratic(mu: float, dimension: int) -> Objective:
 
     def value(x: Vector) -> float:
         x = np.asarray(x, dtype=float)
-        return 0.5 * mu * float(np.sum(x * x))
+        return 0.5 * mu * float((x * x).sum())
 
     def gradient(x: Vector) -> Vector:
         return mu * np.asarray(x, dtype=float)
@@ -137,7 +137,7 @@ def make_pth_power(p: float, dimension: int) -> Objective:
 
     def value(x: Vector) -> float:
         x = np.asarray(x, dtype=float)
-        return float(np.sum(np.abs(x) ** p)) / p
+        return float((np.abs(x) ** p).sum()) / p
 
     def gradient(x: Vector) -> Vector:
         x = np.asarray(x, dtype=float)

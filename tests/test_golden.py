@@ -4,9 +4,11 @@ analysis passes.
 A trajectory is pinned by its step count, its terminal reason and a SHA-256
 digest of the float64 bytes of its x, f, grad_norm2 and grad_norm1 columns,
 so any change to the arithmetic of a stepper or of the run loop shows here.
-The dense reference integrator is pinned by step count and reason only:
-after arrival it chatters at |x| of about 1e-9, where rounding-level changes
-to its stage arithmetic move x without changing any reported quantity.
+The dense reference integrator is pinned by step count and reason to
+arrival, and past arrival by the digest of every row as well. It does not
+chatter there: from step 20,004 on it stays frozen at x = 6.08e-10, since
+its speed clamp's cap is the last displacement rate, which is zero once a
+step rounds to no move. The digest covers these frozen rows.
 """
 
 import hashlib
@@ -65,7 +67,8 @@ def reference_counts() -> tuple:
     past = integrate_reference(
         flow, obj, x0, 1e-4,
         StopCriteria(max_iters=n_arrive + PAST_ARRIVAL_STEPS, grad_tol=0.0))
-    return n_arrive, arrive.terminal_reason, int(past.k[-1]), past.terminal_reason
+    return (n_arrive, arrive.terminal_reason, int(past.k[-1]), past.terminal_reason,
+            digest(past))
 
 
 def analysis_outputs(preset: str) -> dict:
@@ -94,7 +97,8 @@ GOLDEN_MLP = {
     "adam": (200, "max_iters", "a377d3ad3c691ca0489e22a1fdbd76e57ffee10ea4a10d7d6fa86c3ccc4a2659"),
 }
 
-GOLDEN_REFERENCE = (19981, "grad_tol", 23981, "max_iters")
+GOLDEN_REFERENCE = (19981, "grad_tol", 23981, "max_iters",
+                    "59e3156339101e520396cf620e2b96500379798e6fae5d855f6d7e2d39f82baa")
 
 GOLDEN_ANALYSIS = {
     "quadratic_bounds": {

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,6 +439,54 @@ class TestStepIsTheRunStep:
         assert np.all(traj.grad_norm1[:-1] == 1.0) and math.isnan(traj.grad_norm1[-1])
 
 
+# 1-D rgf q = 3 on f = x^2/2 from x = 1 with h = 1e-4: arrival at step
+# 19,981, and from step 20,004 on x stays at 6.08e-10 to the bit
+Q3_1D = (FlowSpec("rgf", q=3.0), make_quadratic(1.0, 1), np.array([1.0]), 1e-4)
+Q3_FROZEN_FROM = 20_004
+Q3_PAST_ARRIVAL = 23_981
+
+# (flow, objective, x0, h_ref, max_iters) of references that freeze
+FROZEN_CASES = {
+    "rgf_q3_1d": Q3_1D + (21_000,),
+    "rgf_q4_2d_no_arrival": (FlowSpec("rgf", q=4.0, c=1.5), QUAD2,
+                             np.array([0.6, -0.8]), 1e-3, 3000),
+    "sgf_q3_2d": (FlowSpec("sgf", q=3.0), QUAD2, np.array([0.6, -0.8]), 1e-3, 3000),
+}
+
+
+@pytest.fixture(scope="module")
+def q3_past_arrival():
+    flow, obj, x0, h = Q3_1D
+    return integrate_reference(flow, obj, x0, h, StopCriteria(max_iters=Q3_PAST_ARRIVAL))
+
+
+def counting(obj):
+    """obj with its value and gradient calls counted."""
+    calls = {"value": 0, "gradient": 0}
+
+    def value(x):
+        calls["value"] += 1
+        return obj.value(x)
+
+    def gradient(x):
+        calls["gradient"] += 1
+        return obj.gradient(x)
+
+    return replace(obj, value=value, gradient=gradient), calls
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_rows(a, b):
+    """Equal to the bit in every column but wall_s, and in why the run stopped."""
+    assert a.terminal_reason == b.terminal_reason
+    for col in ("k", "t", "x", "f", "grad_norm2", "grad_norm1"):
+        assert same_bits(getattr(a, col), getattr(b, col)), col
+
+
 class TestIntegrateReference:
     def test_arrival_time_matches_closed_form_crossing(self):
         # |x|' = -|x|^(1/2) gives x(t) = (1 - t/2)^2, so |x| first reaches
@@ -468,6 +517,52 @@ class TestIntegrateReference:
         with pytest.raises(ValueError):
             integrate_reference(FlowSpec("gf"), QUAD2, np.zeros(2), 0.0,
                                 StopCriteria(max_iters=10))
+
+    def test_frozen_rows_cost_no_objective_calls(self):
+        flow, obj, x0, h = Q3_1D
+        counted, calls = counting(obj)
+        traj = integrate_reference(flow, counted, x0, h,
+                                   StopCriteria(max_iters=Q3_PAST_ARRIVAL))
+        assert traj.terminal_reason == "max_iters"
+        assert len(traj) == Q3_PAST_ARRIVAL + 1
+        r = Q3_FROZEN_FROM
+        assert traj.x[r - 1, 0] != traj.x[r, 0]
+        for col in (traj.x, traj.f, traj.grad_norm2, traj.grad_norm1):
+            assert same_bits(col[r:], np.repeat(col[r:r + 1], len(col) - r, axis=0))
+        # rows 0..r+1 are evaluated once each, and each step from them adds
+        # three stage gradients; the rows after row r+1 cost no call
+        assert calls["value"] == r + 2
+        assert calls["gradient"] <= 4 * (r + 2)
+
+    @pytest.mark.parametrize("n", [20_003, 20_004, 20_005, Q3_PAST_ARRIVAL])
+    def test_shorter_run_is_head_of_longer_run(self, n, q3_past_arrival):
+        flow, obj, x0, h = Q3_1D
+        short = integrate_reference(flow, obj, x0, h, StopCriteria(max_iters=n))
+        assert_same_rows(short, q3_past_arrival.head(n + 1))
+
+    @pytest.mark.parametrize("case,frozen", [
+        ("rgf_q3_1d", 21_000 - Q3_FROZEN_FROM),
+        ("rgf_q4_2d_no_arrival", 1_542),
+        ("sgf_q3_2d", 1_161),
+    ])
+    def test_wall_limit_steps_every_row_to_the_same_result(self, case, frozen):
+        flow, obj, x0, h, n = FROZEN_CASES[case]
+        plain = integrate_reference(flow, obj, x0, h, StopCriteria(max_iters=n))
+        counted, calls = counting(obj)
+        walled = integrate_reference(flow, counted, x0, h,
+                                     StopCriteria(max_iters=n, wall_limit=1e9))
+        assert_same_rows(walled, plain)
+        assert calls["value"] == len(walled) == n + 1
+        assert same_bits(plain.x[n - frozen:], np.repeat(plain.x[n:], frozen + 1, axis=0))
+        assert not same_bits(plain.x[n - frozen - 1], plain.x[n])
+
+    def test_equilibrium_start_under_wall_limit_ends_by_wall_limit(self):
+        traj = integrate_reference(FlowSpec("rgf", q=3.0), QUAD2, np.zeros(2), 1e-3,
+                                   StopCriteria(max_iters=10 ** 6, wall_limit=0.05))
+        assert traj.terminal_reason == "wall_limit"
+        assert 1 <= len(traj) < 10 ** 5
+        assert np.array_equal(traj.x, np.zeros((len(traj), 2)))
+
 
 
 def plain_rk4(flow, obj, x0, h, n):

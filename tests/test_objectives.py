@@ -123,6 +123,16 @@ class TestMlp:
             make_mlp([3, 4, 1], 0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 64, 4096])
+def test_values_match_np_sum_bitwise(d):
+    # the array's own .sum() is np.sum's reduction without its dispatch
+    x = np.random.default_rng(d).standard_normal(d) * 3.0
+    for mu in (1.0, 0.3):
+        assert make_quadratic(mu, d).value(x) == 0.5 * mu * float(np.sum(x * x))
+    for p in (2.0, 3.0, 4.5):
+        assert make_pth_power(p, d).value(x) == float(np.sum(np.abs(x) ** p)) / p
+
+
 class TestFiniteDifferenceCheck:
     def test_quadratic_is_exact_up_to_rounding(self):
         obj = make_quadratic(1.0, 3)
