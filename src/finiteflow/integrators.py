@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import FlowSpec, NumericalFailure, _velocity, flow_eval, norm2
+from .flows import FlowSpec, NumericalFailure, _speed_bound, _velocity, flow_eval, norm2
 from .objectives import BatchContext, Objective
 
 SCHEMES = ("euler", "rk", "nesterov", "gd", "nagd", "adam")
@@ -37,6 +37,15 @@ _RK4 = (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
 # rows held before their l1 norms are taken
 _RECORD_BLOCK = 1024
 _GRADIENT_CHUNK = 64
+
+# run keeps the step state of every _ANCHOR_EVERY-th step as the anchor that
+# later states are compared with, so it finds any cycle of at most this many
+# steps within one period of the first anchor inside the cycle
+_ANCHOR_EVERY = 32
+
+# a scalar speed bound within this factor of the cap leaves the velocity's
+# norm to be taken, which covers the bound's rounding
+_BOUND_SLACK = 1.0 + 1e-6
 
 TERMINAL_GRAD_TOL = "grad_tol"
 TERMINAL_F_TOL = "f_tol"
@@ -255,7 +264,13 @@ def make_step(cfg: DiscretizerConfig) -> Step:
 @dataclass
 class Trajectory:
     """Column-wise record of one run: per iterate index, time, state, cost,
-    gradient norms, and wall seconds, plus why the run stopped."""
+    gradient norms, and wall seconds, plus why the run stopped.
+
+    When the run found its step state repeating and filled its last rows
+    instead of stepping them, every row from ``cycle_start`` on equals the
+    row ``cycle_period`` after it, and ``cycle_period`` is the smallest such
+    period; both are None when every row was stepped.
+    """
 
     k: np.ndarray
     t: np.ndarray
@@ -265,19 +280,26 @@ class Trajectory:
     grad_norm1: np.ndarray
     wall_s: np.ndarray
     terminal_reason: str
+    cycle_start: int | None = None
+    cycle_period: int | None = None
 
     def __len__(self) -> int:
         return len(self.k)
 
     def head(self, n: int) -> Trajectory:
         """The first ``n`` records: what the same run records when it is
-        stopped after ``n - 1`` steps."""
+        stopped after ``n - 1`` steps. The cycle is kept while the head
+        still holds one repeat of it."""
         if n >= len(self.k):
             return self
+        cycle = ((self.cycle_start, self.cycle_period)
+                 if self.cycle_period is not None and self.cycle_start + self.cycle_period < n
+                 else (None, None))
         return Trajectory(k=self.k[:n], t=self.t[:n], x=self.x[:n], f=self.f[:n],
                           grad_norm2=self.grad_norm2[:n],
                           grad_norm1=self.grad_norm1[:n], wall_s=self.wall_s[:n],
-                          terminal_reason=TERMINAL_MAX_ITERS)
+                          terminal_reason=TERMINAL_MAX_ITERS, cycle_start=cycle[0],
+                          cycle_period=cycle[1])
 
 
 def _grown(a: np.ndarray, rows: int) -> np.ndarray:
@@ -286,13 +308,35 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+class _Repeats(Exception):
+    """Raised by a step callback of ``_record_until_stop`` with one argument,
+    the smallest period of a step state known to repeat."""
+
+
+def _cycle_start(xs: np.ndarray, period: int) -> int:
+    """The first row from which each of the rows ``xs`` equals the row
+    ``period`` after it, comparing the bits of x, on which the other columns
+    depend."""
+    bits = xs.view(np.uint64)
+    moved = np.flatnonzero((bits[period:] != bits[:len(bits) - period]).any(axis=1))
+    return int(moved[-1]) + 1 if len(moved) else 0
+
+
 def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCriteria,
-                       advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray | None]
+                       advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
                        ) -> Trajectory:
     """Record x, then step with ``advance(x, grad, ||grad||) -> next x`` until
-    a stop rule fires. Without a wall limit ``advance`` may return None when x
-    stays put to the bit at every later step; the rows up to ``max_iters``
-    are then copies of the last one and cost no objective call.
+    a stop rule fires.
+
+    Without a wall limit ``advance`` may instead raise ``_Repeats(P)``, with
+    P the smallest period of a step state known to repeat: each row after
+    the last one recorded then repeats the row P before it. The loop stops
+    stepping, and the rows up to ``max_iters`` are filled by one periodic
+    rule: for the n rows recorded, row j >= n is row n - P + (j - n) mod P
+    in the x, f and gradient norm columns, and the run ends as max_iters
+    with no further objective call. No stop rule can fire on such rows,
+    since each repeats a row that passed them. Filled rows hold the last
+    measured ``wall_s``, so ``wall_s`` never goes down.
 
     Iterate k is recorded at time k*dt with its cost, gradient norms and wall
     seconds. The run ends as numerical_failure, keeping every iterate
@@ -313,6 +357,7 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     f_tol = stop.f_tol if obj.metadata is not None else 0.0
     f_star = obj.metadata.f_star if f_tol > 0 else 0.0
     n = 0  # rows recorded; the next row is iterate k = n
+    period = None
     t_start = time.perf_counter()
     try:
         while True:
@@ -340,23 +385,27 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             if reason is not None:
                 break
             x = advance(x, g, gn2)
-            if x is None:
-                break  # frozen: reason None asks for the copies below
+    except _Repeats as repeats:
+        period = repeats.args[0]
     except (NumericalFailure, ArithmeticError):
         reason = TERMINAL_NUMERICAL_FAILURE
     # row by row this is np.abs(g).sum() of each gradient, to the bit
     gn1s[n - n % chunk:n] = np.abs(grads[:n % chunk]).sum(axis=1)
-    if reason is None:
-        # row n - 1 passed the stop rules, so its copies run to max_iters
+    start = None
+    if period is not None:
+        start = _cycle_start(xs[:n], period)
         xs, fs, gn2s, gn1s, walls = (_grown(a[:n], max_iters + 1) for a in (xs, fs, gn2s, gn1s, walls))
-        for a in (xs, fs, gn2s, gn1s, walls):
-            a[n:] = a[n - 1]
+        for a in (xs, fs, gn2s, gn1s):
+            # np.resize repeats the last period's rows in order
+            a[n:] = np.resize(a[n - period:n], a[n:].shape)
+        walls[n:] = walls[n - 1]
         n, reason = max_iters + 1, TERMINAL_MAX_ITERS
     if n < len(xs):
         xs, fs, gn2s, gn1s, walls = (a[:n].copy() for a in (xs, fs, gn2s, gn1s, walls))
     k = np.arange(n)
     return Trajectory(k=k, t=k * dt, x=xs, f=fs, grad_norm2=gn2s, grad_norm1=gn1s,
-                      wall_s=walls, terminal_reason=reason)
+                      wall_s=walls, terminal_reason=reason, cycle_start=start,
+                      cycle_period=period)
 
 
 def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriteria,
@@ -368,6 +417,17 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
     true cost). When ``batch`` is given, the stepper sees the mini-batch
     gradient for its step index; the run is then a pure function of
     (cfg, obj, x0, stop, batch.rng_seed).
+
+    Without ``batch`` and without a wall limit, a tableau or look-ahead step
+    is a pure function of the step state (x, y), so once that state repeats
+    so do all later rows. ``run`` compares each state with an anchor, the
+    state of the last step whose index is a multiple of ``_ANCHOR_EVERY``:
+    first by the row's gradient norm and, when that matches, by the bits of
+    x and y. The first match comes one smallest period after an anchor in
+    the cycle, and the rest of the rows are then filled as periodic copies
+    of rows already recorded (see ``_record_until_stop``); this finds every
+    cycle of up to ``_ANCHOR_EVERY`` steps. Adam, whose bias correction
+    reads the step index, and mini-batch runs step every row.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dimension,):
@@ -379,20 +439,34 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
 
     step = make_step(cfg)
     state = init_state(x0)
-    # the stepper's view of the objective: its gradient is the mini-batch
-    # gradient over the current step's indices
-    idx = None
-    batch_obj = (None if batch is None
-                 else replace(obj, gradient=lambda z: obj.batch_gradient(z, idx)))
+    if batch is not None:
+        # the stepper's view of the objective: its gradient is the mini-batch
+        # gradient over the current step's indices
+        idx = None
+        batch_obj = replace(obj, gradient=lambda z: obj.batch_gradient(z, idx))
 
-    def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
-        nonlocal state, idx
-        if batch is None:
-            # the step reuses the gradient the record pass computed at x
-            state = step(cfg, obj, state, g, gn2)
-        else:
+        def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
+            nonlocal state, idx
             idx = batch.indices(state.k)
             state = step(cfg, batch_obj, state)
+            return state.x
+
+        return _record_until_stop(obj, state.x, cfg.eta, stop, advance)
+
+    # the anchor's gradient norm stays nan, which equals no norm, when the
+    # steps are not pure functions of (x, y)
+    anchor, anchor_gn2 = state, math.nan
+    next_anchor = -1 if stop.wall_limit is not None or cfg.scheme == "adam" else 0
+
+    def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
+        nonlocal state, anchor, anchor_gn2, next_anchor
+        if (gn2 == anchor_gn2 and state.x.tobytes() == anchor.x.tobytes()
+                and state.y.tobytes() == anchor.y.tobytes()):
+            raise _Repeats(state.k - anchor.k)
+        if state.k == next_anchor:
+            anchor, anchor_gn2, next_anchor = state, gn2, next_anchor + _ANCHOR_EVERY
+        # the step reuses the gradient the record pass computed at x
+        state = step(cfg, obj, state, g, gn2)
         return state.x
 
     return _record_until_stop(obj, state.x, cfg.eta, stop, advance)
@@ -416,7 +490,8 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
 
     A step under a zero cap (the step before did not move x) that leaves x's
     bits unchanged recurs at every later step. Without a wall limit the rows
-    after it are then copies, made with no objective call.
+    after it are then filled by the periodic rule of ``_record_until_stop``
+    with period 1, with no objective call.
     """
     if not h_ref > 0:
         raise ValueError("h_ref must be positive")
@@ -427,28 +502,31 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
     speed_cap: float | None = None
     rk4 = _stage_sums(_RK4)
 
-    def clamped(v: np.ndarray) -> np.ndarray:
-        if speed_cap is not None:
+    def clamped(g: np.ndarray, gn2: float) -> np.ndarray:
+        """The velocity at gradient g of norm gn2, its speed clamped to the cap;
+        its norm is taken only when the scalar bound leaves the cap in doubt."""
+        v = _velocity(flow, g, gn2)
+        if speed_cap is not None and _speed_bound(flow, gn2, v) * _BOUND_SLACK > speed_cap:
             speed = norm2(v)
             if speed > speed_cap:
                 v = v * (speed_cap / speed) if speed_cap > 0 else np.zeros_like(v)
         return v
 
     def velocity(z: np.ndarray) -> np.ndarray:
-        return clamped(flow_eval(flow, obj.gradient(z)))
+        g = np.asarray(obj.gradient(z), dtype=float)
+        return clamped(g, norm2(g))
 
     def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
         nonlocal prev_x, speed_cap
         if prev_x is not None:
             speed_cap = norm2(x - prev_x) / h_ref * 1e3
         # the first stage reuses the gradient norm the record pass computed
-        x_next = _tableau_update(rk4, h_ref, x, clamped(_velocity(flow, g, gn2)),
-                                 velocity)
+        x_next = _tableau_update(rk4, h_ref, x, clamped(g, gn2), velocity)
         _ensure_finite(x_next, "reference")
         prev_x = x
         # the next step starts from the same bits under the same zero cap
         if speed_cap == 0.0 and stop.wall_limit is None and x_next.tobytes() == x.tobytes():
-            return None
+            raise _Repeats(1)
         return x_next
 
     return _record_until_stop(obj, x, h_ref, stop, advance)

@@ -8,7 +8,13 @@ The dense reference integrator is pinned by step count and reason to
 arrival, and past arrival by the digest of every row as well. It does not
 chatter there: from step 20,004 on it stays frozen at x = 6.08e-10, since
 its speed clamp's cap is the last displacement rate, which is zero once a
-step rounds to no move. The digest covers these frozen rows.
+step rounds to no move. The digest covers these frozen rows, which the run
+loop fills as the period-1 case of its periodic rule: once a step state
+repeats with smallest period P, row j >= n of the n rows recorded is row
+n - P + (j - n) mod P, and filled rows keep the last measured wall_s. None
+of the pinned Rosenbrock cells repeats within its 1,000 steps;
+tests/test_integrators.py checks the fill of longer periods against runs
+that step every row.
 """
 
 import hashlib

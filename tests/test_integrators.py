@@ -9,11 +9,13 @@ from finiteflow import (BatchContext, DiscretizerConfig, FlowSpec,
                         NumericalFailure, Objective, StopCriteria, flow_eval,
                         init_state, integrate_reference, make_mlp,
                         make_quadratic, make_rosenbrock, run)
-from finiteflow import integrators
-from finiteflow.integrators import _RECORD_BLOCK, make_step
+from finiteflow import flows, integrators
+from finiteflow.flows import norm2
+from finiteflow.integrators import _ANCHOR_EVERY, _RECORD_BLOCK, make_step
 
 QUAD2 = make_quadratic(1.0, 2)
 ROSEN = make_rosenbrock(1.0, 100.0)
+BANANA = make_rosenbrock(1.0, 0.2)
 
 
 def iterate(cfg, obj, x0, n):
@@ -533,6 +535,7 @@ class TestIntegrateReference:
         # three stage gradients; the rows after row r+1 cost no call
         assert calls["value"] == r + 2
         assert calls["gradient"] <= 4 * (r + 2)
+        assert (traj.cycle_start, traj.cycle_period) == (r, 1)
 
     @pytest.mark.parametrize("n", [20_003, 20_004, 20_005, Q3_PAST_ARRIVAL])
     def test_shorter_run_is_head_of_longer_run(self, n, q3_past_arrival):
@@ -555,6 +558,37 @@ class TestIntegrateReference:
         assert calls["value"] == len(walled) == n + 1
         assert same_bits(plain.x[n - frozen:], np.repeat(plain.x[n:], frozen + 1, axis=0))
         assert not same_bits(plain.x[n - frozen - 1], plain.x[n])
+        assert (plain.cycle_start, plain.cycle_period) == (n - frozen, 1)
+        assert walled.cycle_start is walled.cycle_period is None
+
+    @pytest.mark.parametrize("case", [
+        (FlowSpec("rgf", q=4.0, c=1.5), QUAD2, [0.6, -0.8], 1e-3),
+        (FlowSpec("sgf", q=3.0), QUAD2, [0.6, -0.8], 1e-3),
+        (FlowSpec("rgf"), make_quadratic(1.0, 3), [0.6, -0.8, 0.3], 1e-3),
+        (FlowSpec("rgf", q=6.0), BANANA, [0.5, 1.5], 1e-2),
+    ], ids=["rgf_q4", "sgf_q3", "rgf_inf_3d", "rgf_q6_banana"])
+    def test_clamp_matches_norming_every_stage(self, case):
+        # each case clamps stages to a positive cap in hundreds of its steps
+        flow, obj, x0, h = case
+        traj = integrate_reference(flow, obj, np.array(x0), h, StopCriteria(max_iters=3000))
+        assert same_bits(traj.x, clamped_rk4(flow, obj, np.array(x0), h, 3000))
+
+    def test_live_step_takes_five_norms(self, monkeypatch):
+        # one for the record, one for the cap and one per later stage's
+        # gradient; the clamp's scalar bound decides every stage here
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return norm2(v)
+
+        monkeypatch.setattr(integrators, "norm2", counted)
+        monkeypatch.setattr(flows, "norm2", counted)
+        flow, obj, x0, h = Q3_1D
+        traj = integrate_reference(flow, obj, x0, h, StopCriteria(max_iters=1000))
+        assert traj.cycle_period is None
+        # rows 0..1000 are recorded; the first step has no cap
+        assert calls[0] == 1001 + 999 + 3 * 1000 == 5 * 1000
 
     def test_equilibrium_start_under_wall_limit_ends_by_wall_limit(self):
         traj = integrate_reference(FlowSpec("rgf", q=3.0), QUAD2, np.zeros(2), 1e-3,
@@ -563,6 +597,141 @@ class TestIntegrateReference:
         assert 1 <= len(traj) < 10 ** 5
         assert np.array_equal(traj.x, np.zeros((len(traj), 2)))
 
+
+# (cfg, objective, x0, max_iters, cycle_start, cycle_period) of runs whose
+# step state repeats to the bit; the banana cases are preset optimizers that
+# stall there, and the last two were found by a search for periods above 2
+CYCLES = {
+    "euler_rgf_q6": (DiscretizerConfig(scheme="euler", eta=1e-2, flow=FlowSpec("rgf", q=6.0)),
+                     BANANA, [0.5, 1.5], 2000, 354, 2),
+    "rk_rgf_q6": (DiscretizerConfig(scheme="rk", eta=1e-2, stages=2, alphas=(0.5, 0.5),
+                                    betas=(0.09,), flow=FlowSpec("rgf", q=6.0)),
+                  BANANA, [0.5, 1.5], 2000, 337, 2),
+    "nesterov_sgf_q10": (DiscretizerConfig(scheme="nesterov", eta=1e-2, beta=0.09,
+                                           flow=FlowSpec("sgf", q=10.0)),
+                         BANANA, [0.5, 1.5], 2000, 165, 2),
+    # the last bits of x at the minimum flip back and forth
+    "gd": (DiscretizerConfig(scheme="gd", eta=0.5), BANANA, [0.5, 1.5], 2000, 306, 2),
+    "nagd": (DiscretizerConfig(scheme="nagd", eta=0.5, beta=0.09), BANANA, [0.5, 1.5],
+             2000, 299, 2),
+    # eta = 0: every state is the first one
+    "gd_eta0": (DiscretizerConfig(scheme="gd", eta=0.0), QUAD2, [0.6, -0.8], 100, 0, 1),
+    "nesterov_sgf_q3_p12": (DiscretizerConfig(scheme="nesterov", eta=0.1, beta=0.5,
+                                              flow=FlowSpec("sgf", q=3.0)),
+                            QUAD2, [0.5, 0.6], 2000, 75, 12),
+    "nagd_p28": (DiscretizerConfig(scheme="nagd", eta=0.5, beta=0.5), BANANA, [0.5, 1.5],
+                 2000, 119, 28),
+}
+
+
+class TestCycleFill:
+    """Once a run's step state repeats, its remaining rows are periodic
+    copies of rows it recorded, the same as stepping every row."""
+
+    @pytest.mark.parametrize("case", CYCLES)
+    def test_fill_equals_stepping_every_row(self, case):
+        cfg, obj, x0, n, start, period = CYCLES[case]
+        counted, calls = counting(obj)
+        plain = run(cfg, counted, np.array(x0), StopCriteria(max_iters=n))
+        walled = run(cfg, obj, np.array(x0), StopCriteria(max_iters=n, wall_limit=1e9))
+        assert_same_rows(plain, walled)
+        assert plain.terminal_reason == "max_iters" and len(plain) == n + 1
+        assert (plain.cycle_start, plain.cycle_period) == (start, period)
+        assert walled.cycle_start is walled.cycle_period is None
+        x = plain.x
+        assert same_bits(x[start + period:], x[start:n + 1 - period])
+        assert start == 0 or not same_bits(x[start - 1], x[start - 1 + period])
+        # the smallest period: no shorter shift maps the cycle onto itself
+        assert all(not same_bits(x[start + p:], x[start:n + 1 - p]) for p in range(1, period))
+        # stepping stops within one anchor interval of the cycle's second
+        # lap (the look-ahead state trails x by a row); no row after costs a
+        # call, and every filled row keeps the last measured wall time
+        stepped = calls["value"]
+        assert start + period < stepped <= start + 1 + _ANCHOR_EVERY + period
+        per_step = 1 if cfg.scheme in ("nesterov", "nagd") else cfg.stages - 1
+        assert calls["gradient"] == stepped + per_step * (stepped - 1)
+        assert np.all(plain.wall_s[stepped:] == plain.wall_s[stepped - 1])
+        assert np.all(np.diff(plain.wall_s) >= 0)
+
+    @pytest.mark.parametrize("n", [299, 300, 301, 302, 400])
+    def test_shorter_run_is_head_of_longer_run(self, n):
+        cfg, obj, x0, long_n, start, period = CYCLES["nagd"]
+        long = run(cfg, obj, np.array(x0), StopCriteria(max_iters=long_n))
+        short = run(cfg, obj, np.array(x0), StopCriteria(max_iters=n))
+        assert_same_rows(short, long.head(n + 1))
+        assert (long.head(n + 1).cycle_period is not None) == (n + 1 > start + period)
+
+    @pytest.mark.parametrize("cfg,batch", [
+        (DiscretizerConfig(scheme="adam", eta=0.0), None),
+        (DiscretizerConfig(scheme="nagd", eta=0.0, beta=0.5),
+         BatchContext(rng_seed=17, batch_size=8, dataset_size=32)),
+    ], ids=["adam", "mini_batch"])
+    def test_steps_that_read_the_step_index_are_not_filled(self, cfg, batch):
+        # with eta = 0 x never moves, yet Adam's bias correction and the
+        # mini-batch draw depend on k, so every row is stepped
+        obj, calls = counting(make_mlp([2, 4, 1], 32, noise_std=0.1, seed=3))
+        traj = run(cfg, obj, np.zeros(obj.dimension), StopCriteria(max_iters=100), batch=batch)
+        assert len(traj) == 101 and calls["value"] == len(traj)
+        assert np.all(traj.x == 0.0)
+        assert traj.cycle_start is traj.cycle_period is None
+
+
+class TestRescaledEulerLimitCycle:
+    """Forward Euler on rgf for f = mu/2 x^2 overshoots near 0 and settles
+    into the 2-cycle x -> -x, where 2r = eta c (mu r)^(1/(q-1)), so
+    r = (eta c mu^(1/(q-1)) / 2)^((q-1)/(q-2))."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(q=st.floats(min_value=2.2, max_value=12.0, exclude_min=True),
+           mu=st.floats(min_value=1.0, max_value=4.0),
+           c=st.floats(min_value=1.0, max_value=2.0),
+           eta=st.floats(min_value=1e-3, max_value=1e-1),
+           x0=st.floats(min_value=0.25, max_value=1.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_cycle_radius_matches_closed_form(self, q, mu, c, eta, x0, sign):
+        r = (eta * c * mu ** (1.0 / (q - 1.0)) / 2.0) ** ((q - 1.0) / (q - 2.0))
+        e = (q - 2.0) / (q - 1.0)
+        arrival = x0 ** e / (e * c * mu ** (1.0 - e))  # of the flow
+        flow = FlowSpec("rgf", q=q, c=c)
+        traj = run(DiscretizerConfig(scheme="euler", eta=eta, flow=flow),
+                   make_quadratic(mu, 1), np.array([sign * x0]),
+                   StopCriteria(max_iters=int(arrival / eta) + 1000))
+        assert traj.cycle_period is not None
+        cycle = traj.x[traj.cycle_start:traj.cycle_start + traj.cycle_period, 0]
+        if mu * r >= 1e-10:
+            assert traj.cycle_period == 2
+            assert np.abs(cycle) == pytest.approx(r, rel=1e-12)
+        elif mu * r < flow.grad_threshold:
+            # the whole cycle lies where the velocity is cut to zero
+            assert traj.cycle_period == 1
+            assert traj.grad_norm2[-1] <= flow.grad_threshold
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mu=st.floats(min_value=0.5, max_value=4.0),
+           c=st.floats(min_value=0.5, max_value=2.0),
+           eta=st.floats(min_value=1e-3, max_value=1e-1),
+           x0=st.floats(min_value=-2.0, max_value=2.0).filter(lambda v: abs(v) >= 0.25))
+    def test_normalized_flow_cycle_points_are_one_step_apart(self, mu, c, eta, x0):
+        # at q = inf each step moves eta * c toward 0, so the cycle's two
+        # points straddle 0 one step apart; where they sit depends on x0
+        flow = FlowSpec("rgf", q=math.inf, c=c)
+        traj = run(DiscretizerConfig(scheme="euler", eta=eta, flow=flow),
+                   make_quadratic(mu, 1), np.array([x0]),
+                   StopCriteria(max_iters=int(abs(x0) / (eta * c)) + 200))
+        if traj.cycle_period == 1:
+            # landed where the velocity is cut to zero
+            assert traj.grad_norm2[-1] <= flow.grad_threshold
+        else:
+            assert traj.cycle_period == 2
+            a, b = traj.x[traj.cycle_start:traj.cycle_start + 2, 0]
+            assert a * b < 0 and abs(a - b) == pytest.approx(eta * c, rel=1e-12)
+
+    def test_asymmetric_start_gives_asymmetric_cycle(self):
+        traj = run(DiscretizerConfig(scheme="euler", eta=0.03, flow=FlowSpec("rgf")),
+                   make_quadratic(1.0, 1), np.array([1.0]), StopCriteria(max_iters=100))
+        assert traj.cycle_period == 2
+        cycle = traj.x[traj.cycle_start:traj.cycle_start + 2, 0]
+        assert sorted(cycle) == pytest.approx([-0.02, 0.01], rel=1e-12)
 
 
 def plain_rk4(flow, obj, x0, h, n):
@@ -579,6 +748,29 @@ def plain_rk4(flow, obj, x0, h, n):
         v3 = velocity(x + v2 * 0.5 * h)
         v4 = velocity(x + v3 * h)
         xs.append(x + (v1 * (1 / 6) + v2 * (1 / 3) + v3 * (1 / 3) + v4 * (1 / 6)) * h)
+    return np.array(xs)
+
+
+def clamped_rk4(flow, obj, x0, h, n):
+    """n steps of the reference integrator as first written: every stage
+    velocity is normed and clamped to 1e3 times the last step's rate."""
+    x, prev, xs = x0, None, [x0]
+
+    def velocity(z, cap):
+        v = flow_eval(flow, obj.gradient(z))
+        speed = norm2(v)
+        if cap is not None and speed > cap:
+            v = v * (cap / speed) if cap > 0 else np.zeros_like(v)
+        return v
+
+    for _ in range(n):
+        cap = None if prev is None else norm2(x - prev) / h * 1e3
+        v1 = velocity(x, cap)
+        v2 = velocity(x + v1 * 0.5 * h, cap)
+        v3 = velocity(x + v2 * 0.5 * h, cap)
+        v4 = velocity(x + v3 * h, cap)
+        prev, x = x, x + (v1 * (1 / 6) + v2 * (1 / 3) + v3 * (1 / 3) + v4 * (1 / 6)) * h
+        xs.append(x)
     return np.array(xs)
 
 
