@@ -10,6 +10,7 @@ import numpy as np
 
 from . import bench
 from .config import ConfigError, load_config, preset_names
+from .integrators import TERMINAL_NUMERICAL_FAILURE
 from .objectives import (finite_difference_check, make_mlp, make_pth_power,
                          make_quadratic, make_rosenbrock)
 
@@ -62,7 +63,7 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     summary = bench.run_experiment(cfg, out_dir=args.output_dir)
-    failed = [c for c in summary.cells if c.terminal_reason == "numerical_failure"]
+    failed = [c for c in summary.cells if c.terminal_reason == TERMINAL_NUMERICAL_FAILURE]
     for opt in cfg.optimizers:
         stats = summary.aggregate(opt.name)
         med = stats["median_iters_to_tol"]

@@ -165,6 +165,8 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
+    """The CSVs are always written; ``json`` in ``formats`` adds ``summary.json``."""
+
     dir: str
     formats: tuple[str, ...] = ("csv",)
 

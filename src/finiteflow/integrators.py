@@ -38,9 +38,9 @@ _RK4 = (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
 _RECORD_BLOCK = 1024
 _GRADIENT_CHUNK = 64
 
-# run keeps the step state of every _ANCHOR_EVERY-th step as the anchor that
-# later states are compared with, so it finds any cycle of at most this many
-# steps within one period of the first anchor inside the cycle
+# the record loop keeps row 1 and every _ANCHOR_EVERY-th row after it as the
+# anchor that later rows are compared with, so it finds any cycle of at most
+# this many steps within one period of the first anchor inside the cycle
 _ANCHOR_EVERY = 32
 
 # a scalar speed bound within this factor of the cap leaves the velocity's
@@ -108,7 +108,9 @@ class DiscretizerConfig:
 
 @dataclass(frozen=True)
 class StopCriteria:
-    """Run termination rules; checked in the order grad_tol, f_tol, max_iters.
+    """Run termination rules, checked at each row in the order grad_tol,
+    f_tol, max_iters, wall_limit once the row's cost and gradient norm are
+    found finite (a non-finite one ends the run as numerical_failure).
 
     A tolerance of zero disables that rule. ``f_tol`` applies to f - f_star
     and is only active when the objective carries optimum metadata.
@@ -308,11 +310,6 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-class _Repeats(Exception):
-    """Raised by a step callback of ``_record_until_stop`` with one argument,
-    the smallest period of a step state known to repeat."""
-
-
 def _cycle_start(xs: np.ndarray, period: int) -> int:
     """The first row from which each of the rows ``xs`` equals the row
     ``period`` after it, comparing the bits of x, on which the other columns
@@ -323,26 +320,29 @@ def _cycle_start(xs: np.ndarray, period: int) -> int:
 
 
 def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCriteria,
-                       advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-                       ) -> Trajectory:
+                       advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
+                       repeats: bool) -> Trajectory:
     """Record x, then step with ``advance(x, grad, ||grad||) -> next x`` until
     a stop rule fires.
-
-    Without a wall limit ``advance`` may instead raise ``_Repeats(P)``, with
-    P the smallest period of a step state known to repeat: each row after
-    the last one recorded then repeats the row P before it. The loop stops
-    stepping, and the rows up to ``max_iters`` are filled by one periodic
-    rule: for the n rows recorded, row j >= n is row n - P + (j - n) mod P
-    in the x, f and gradient norm columns, and the run ends as max_iters
-    with no further objective call. No stop rule can fire on such rows,
-    since each repeats a row that passed them. Filled rows hold the last
-    measured ``wall_s``, so ``wall_s`` never goes down.
 
     Iterate k is recorded at time k*dt with its cost, gradient norms and wall
     seconds. The run ends as numerical_failure, keeping every iterate
     recorded so far, when a recorded cost or gradient is not finite, when
     the objective raises an ArithmeticError, or when a step raises
     NumericalFailure.
+
+    ``repeats`` promises that, from row 1 on, the next x is a pure function
+    of the last two rows. Without a wall limit the loop then compares each
+    row and the row before it with an anchor pair, taken at row 1 and every
+    ``_ANCHOR_EVERY`` rows after: by the gradient norm first and by the bits
+    of x only when that matches. A match P rows after the anchor means every
+    later row repeats the row P before it (P is the smallest period once the
+    anchor lies in the cycle), so the rows up to ``max_iters`` are filled,
+    with no objective call, by one periodic rule: for the n rows recorded,
+    row j >= n is row n - P + (j - n) mod P in the x, f and gradient norm
+    columns. The run ends as max_iters; no stop rule can fire on a filled
+    row, which repeats a row that passed them. Filled rows hold the last
+    measured ``wall_s``, so ``wall_s`` never goes down.
 
     The record columns start at ``_RECORD_BLOCK`` rows and double when full,
     since a run under a wall limit may have a huge ``max_iters``; gradient
@@ -358,6 +358,10 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     f_star = obj.metadata.f_star if f_tol > 0 else 0.0
     n = 0  # rows recorded; the next row is iterate k = n
     period = None
+    # the anchor's gradient norm stays nan, which equals no norm, until row
+    # next_anchor is recorded, and for good when rows may not repeat
+    anchor, anchor_gn2 = 0, math.nan
+    next_anchor = 1 if repeats and wall_limit is None else -1
     t_start = time.perf_counter()
     try:
         while True:
@@ -384,9 +388,13 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
                       else None)
             if reason is not None:
                 break
+            if (gn2 == anchor_gn2 and xs[n - 1].tobytes() == xs[anchor].tobytes()
+                    and xs[n - 2].tobytes() == xs[anchor - 1].tobytes()):
+                period = n - 1 - anchor
+                break
+            if n - 1 == next_anchor:
+                anchor, anchor_gn2, next_anchor = n - 1, gn2, next_anchor + _ANCHOR_EVERY
             x = advance(x, g, gn2)
-    except _Repeats as repeats:
-        period = repeats.args[0]
     except (NumericalFailure, ArithmeticError):
         reason = TERMINAL_NUMERICAL_FAILURE
     # row by row this is np.abs(g).sum() of each gradient, to the bit
@@ -418,16 +426,11 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
     gradient for its step index; the run is then a pure function of
     (cfg, obj, x0, stop, batch.rng_seed).
 
-    Without ``batch`` and without a wall limit, a tableau or look-ahead step
-    is a pure function of the step state (x, y), so once that state repeats
-    so do all later rows. ``run`` compares each state with an anchor, the
-    state of the last step whose index is a multiple of ``_ANCHOR_EVERY``:
-    first by the row's gradient norm and, when that matches, by the bits of
-    x and y. The first match comes one smallest period after an anchor in
-    the cycle, and the rest of the rows are then filled as periodic copies
-    of rows already recorded (see ``_record_until_stop``); this finds every
-    cycle of up to ``_ANCHOR_EVERY`` steps. Adam, whose bias correction
-    reads the step index, and mini-batch runs step every row.
+    Without ``batch``, a tableau step reads x alone and a look-ahead step
+    reads x and y, where y is x_k - x_{k-1} to the bit; either way the next
+    x is a pure function of the last two rows, so ``_record_until_stop``
+    fills the rows of a repeating run by its periodic rule. Adam, whose bias
+    correction reads the step index, and mini-batch runs step every row.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dimension,):
@@ -451,25 +454,16 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
             state = step(cfg, batch_obj, state)
             return state.x
 
-        return _record_until_stop(obj, state.x, cfg.eta, stop, advance)
-
-    # the anchor's gradient norm stays nan, which equals no norm, when the
-    # steps are not pure functions of (x, y)
-    anchor, anchor_gn2 = state, math.nan
-    next_anchor = -1 if stop.wall_limit is not None or cfg.scheme == "adam" else 0
+        return _record_until_stop(obj, state.x, cfg.eta, stop, advance, repeats=False)
 
     def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
-        nonlocal state, anchor, anchor_gn2, next_anchor
-        if (gn2 == anchor_gn2 and state.x.tobytes() == anchor.x.tobytes()
-                and state.y.tobytes() == anchor.y.tobytes()):
-            raise _Repeats(state.k - anchor.k)
-        if state.k == next_anchor:
-            anchor, anchor_gn2, next_anchor = state, gn2, next_anchor + _ANCHOR_EVERY
+        nonlocal state
         # the step reuses the gradient the record pass computed at x
         state = step(cfg, obj, state, g, gn2)
         return state.x
 
-    return _record_until_stop(obj, state.x, cfg.eta, stop, advance)
+    return _record_until_stop(obj, state.x, cfg.eta, stop, advance,
+                              repeats=cfg.scheme != "adam")
 
 
 def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
@@ -488,10 +482,10 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
     that rate, which keeps a single wild stage from hurling the iterate
     across the equilibrium.
 
-    A step under a zero cap (the step before did not move x) that leaves x's
-    bits unchanged recurs at every later step. Without a wall limit the rows
-    after it are then filled by the periodic rule of ``_record_until_stop``
-    with period 1, with no objective call.
+    The cap reads x_k - x_{k-1}, so the next x is a pure function of the
+    last two rows: once a step under a zero cap leaves x's bits unchanged,
+    ``_record_until_stop`` fills the frozen rows after it by its periodic
+    rule with period 1, with no objective call.
     """
     if not h_ref > 0:
         raise ValueError("h_ref must be positive")
@@ -524,9 +518,6 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         x_next = _tableau_update(rk4, h_ref, x, clamped(g, gn2), velocity)
         _ensure_finite(x_next, "reference")
         prev_x = x
-        # the next step starts from the same bits under the same zero cap
-        if speed_cap == 0.0 and stop.wall_limit is None and x_next.tobytes() == x.tobytes():
-            raise _Repeats(1)
         return x_next
 
-    return _record_until_stop(obj, x, h_ref, stop, advance)
+    return _record_until_stop(obj, x, h_ref, stop, advance, repeats=True)

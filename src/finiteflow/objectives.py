@@ -33,8 +33,8 @@ class OptimumInfo:
 class BatchContext:
     """Deterministic mini-batch sampling plan for stochastic runs.
 
-    Each step draws its own generator from (rng_seed, step index), so a run
-    is reproducible regardless of how many runs execute concurrently.
+    Each step draws its own generator from (rng_seed, step index), so a
+    run's batches depend on these two alone.
     """
 
     rng_seed: int
@@ -62,9 +62,10 @@ class BatchContext:
 class Objective:
     """Differentiable cost with optional known-optimum metadata.
 
-    Immutable after construction; ``value`` and ``gradient`` are pure and may
-    be called concurrently. ``batch_gradient(x, indices)`` is present only
-    for objectives with mini-batch support.
+    Immutable after construction; ``value`` and ``gradient`` are pure
+    functions of x, which lets a run fill the rows of a limit cycle without
+    calling them. ``batch_gradient(x, indices)`` is present only for
+    objectives with mini-batch support.
     """
 
     dimension: int

@@ -9,12 +9,13 @@ arrival, and past arrival by the digest of every row as well. It does not
 chatter there: from step 20,004 on it stays frozen at x = 6.08e-10, since
 its speed clamp's cap is the last displacement rate, which is zero once a
 step rounds to no move. The digest covers these frozen rows, which the run
-loop fills as the period-1 case of its periodic rule: once a step state
-repeats with smallest period P, row j >= n of the n rows recorded is row
-n - P + (j - n) mod P, and filled rows keep the last measured wall_s. None
-of the pinned Rosenbrock cells repeats within its 1,000 steps;
-tests/test_integrators.py checks the fill of longer periods against runs
-that step every row.
+loop fills as the period-1 case of its one repeat rule: the next x is a
+pure function of the last two rows, so once the last two rows equal an
+anchor row and the row before it to the bit, P rows after the anchor, row
+j >= n of the n rows recorded is row n - P + (j - n) mod P, and filled rows
+keep the last measured wall_s. None of the pinned Rosenbrock cells repeats
+within its 1,000 steps; tests/test_integrators.py checks the fill of longer
+periods against runs that step every row.
 """
 
 import hashlib

@@ -531,10 +531,13 @@ class TestIntegrateReference:
         assert traj.x[r - 1, 0] != traj.x[r, 0]
         for col in (traj.x, traj.f, traj.grad_norm2, traj.grad_norm1):
             assert same_bits(col[r:], np.repeat(col[r:r + 1], len(col) - r, axis=0))
-        # rows 0..r+1 are evaluated once each, and each step from them adds
-        # three stage gradients; the rows after row r+1 cost no call
-        assert calls["value"] == r + 2
-        assert calls["gradient"] <= 4 * (r + 2)
+        # the first anchor inside the freeze is row a, the first row past r
+        # that is 1 plus a multiple of _ANCHOR_EVERY; rows 0..a+1 are
+        # evaluated once each, each step from rows 0..a adds three stage
+        # gradients, and the rows after row a+1 cost no call
+        a = r + 1 + (-r) % _ANCHOR_EVERY
+        assert calls["value"] == a + 2 == 20_035
+        assert calls["gradient"] == a + 2 + 3 * (a + 1)
         assert (traj.cycle_start, traj.cycle_period) == (r, 1)
 
     @pytest.mark.parametrize("n", [20_003, 20_004, 20_005, Q3_PAST_ARRIVAL])
@@ -652,6 +655,21 @@ class TestCycleFill:
         assert calls["gradient"] == stepped + per_step * (stepped - 1)
         assert np.all(plain.wall_s[stepped:] == plain.wall_s[stepped - 1])
         assert np.all(np.diff(plain.wall_s) >= 0)
+
+    def test_revisit_after_another_row_is_stepped(self):
+        # nagd on a gradient table visits x = 0, 1, -1, 1, 2, 2.5, 2.75, ...:
+        # row 3 has the x and gradient norm of the anchor, row 1, but the
+        # row before it differs, and so does the momentum
+        table = {0.0: -1.0, 1.5: 2.5, -2.0: -3.0}
+        obj = Objective(dimension=1, value=lambda x: 0.0,
+                        gradient=lambda x: np.array([table.get(float(x[0]), 0.0)]))
+        cfg = DiscretizerConfig(scheme="nagd", eta=1.0, beta=0.5)
+        plain = run(cfg, obj, np.zeros(1), StopCriteria(max_iters=20))
+        walled = run(cfg, obj, np.zeros(1), StopCriteria(max_iters=20, wall_limit=1e9))
+        assert list(plain.x[:7, 0]) == [0.0, 1.0, -1.0, 1.0, 2.0, 2.5, 2.75]
+        assert plain.grad_norm2[3] == plain.grad_norm2[1]
+        assert_same_rows(plain, walled)
+        assert plain.cycle_start is plain.cycle_period is None
 
     @pytest.mark.parametrize("n", [299, 300, 301, 302, 400])
     def test_shorter_run_is_head_of_longer_run(self, n):
