@@ -27,13 +27,13 @@ N_HALVINGS = 3  # closeness_table: step sizes eta, eta/2, ..., eta/2^(N_HALVINGS
 
 
 # one formatting call per row over the columns' tolist() values; %.17g
-# writes the same digits as f"{v:.17g}"
+# writes the same digits as f"{v:.17g}", and %s of such a string the same
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__
+_CSV_ROW_SAME_GAP = "%d,%.17g,%s,%s,%.17g,%.17g,%.17g\n".__mod__  # f's string twice
+_CSV_TAIL_ROW = "%d,%.17g,%s,%s\n".__mod__  # k, t, then f to grad_norm1, then wall_s
+_CYCLE_ROW = "%.17g,%.17g,%.17g,%.17g".__mod__  # f, f_gap, grad_norm2, grad_norm1
 _MEAN_CURVE_ROW = "%d,%.17g,%.17g\n".__mod__
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_fmt = "%.17g".__mod__  # one float
 
 
 def _gap(f: np.ndarray, f_star: float | None) -> np.ndarray:
@@ -41,13 +41,38 @@ def _gap(f: np.ndarray, f_star: float | None) -> np.ndarray:
 
 
 def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None) -> Path:
-    """Write one trajectory as CSV with 17-significant-digit floats, LF newlines."""
+    """Write one trajectory as CSV with 17-significant-digit floats, LF newlines.
+
+    Numbers that the columns repeat are formatted once. From one period into
+    a filled cycle on, a row's f, f_gap and gradient norms reuse the strings
+    of the cycle's row in the same phase, and its trailing rows that hold the
+    last wall_s share one string. f_gap reuses f's strings when the two
+    columns are equal to the bit, as they are when f_star = 0.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = (traj.k, traj.t, traj.f, _gap(traj.f, f_star), traj.grad_norm2,
-               traj.grad_norm1, traj.wall_s)
-    rows = map(_CSV_ROW, zip(*(c.tolist() for c in columns)))
-    path.write_text(CSV_HEADER + "\n" + "".join(rows), newline="\n")
+    n = len(traj)
+    f, gap, wall = traj.f, _gap(traj.f, f_star), traj.wall_s
+    periodic = (f, gap, traj.grad_norm2, traj.grad_norm1)
+    # rows from `tail` on repeat the row a period before them in `periodic`
+    start, period = traj.cycle_start, traj.cycle_period
+    tail = n if period is None else min(n, start + period)
+    k, t = traj.k.tolist(), traj.t.tolist()
+    cols = [k, t] + [c[:tail].tolist() for c in (*periodic, wall)]
+    row = _CSV_ROW
+    if gap.tobytes() == f.tobytes():
+        cols[2] = cols[3] = list(map(_fmt, cols[2]))
+        row = _CSV_ROW_SAME_GAP
+    text = [CSV_HEADER + "\n", *map(row, zip(*cols))]
+    if tail < n:
+        phases = list(map(_CYCLE_ROW, zip(*(c[start:tail].tolist() for c in periodic))))
+        # the rows after the last change of wall_s share its string
+        changed = np.flatnonzero(wall[tail:] != wall[-1])
+        held = tail + (int(changed[-1]) + 1 if len(changed) else 0)
+        walls = list(map(_fmt, wall[tail:held].tolist())) + [_fmt(wall[-1])] * (n - held)
+        phases *= (n - tail) // period + 1
+        text += map(_CSV_TAIL_ROW, zip(k[tail:], t[tail:], phases, walls))
+    path.write_text("".join(text), newline="\n")
     return path
 
 

@@ -106,22 +106,24 @@ def _velocity(spec: FlowSpec, g: np.ndarray, n2: float) -> np.ndarray:
         return np.zeros_like(g)
     if spec.kind == "gf":
         return -g
-    # array-first products: same bits as scalar-first, less dispatch per call
+    # one array product per velocity, with the bits of (g * s) * -c and
+    # (sign(g) * pw) * -c: negation is exact, and so is sign(g) * pw, as
+    # sign(g) is +-1 or 0; rgf with c != 1 keeps its two products
     if spec.kind == "rgf":
-        base = g * _power(n2, -spec._exponent)
-        return base * -spec.c
-    norm1 = float(np.abs(g).sum())
-    base = np.sign(g) * _power(norm1, spec._exponent)
-    return base * -spec.c
+        s = _power(n2, -spec._exponent)
+        return g * -s if spec.c == 1.0 else g * s * -spec.c
+    pw = _power(float(np.abs(g).sum()), spec._exponent)
+    return np.sign(g) * -(pw * spec.c)
 
 
 def _speed_bound(spec: FlowSpec, n2: float, v: np.ndarray) -> float:
     """An upper bound on ``norm2(v)`` for ``v = _velocity(spec, g, n2)``, made
-    of scalars: ``n2`` for gf (equal to the bit), ``n2 * s * c`` for rgf with
-    its scale s, and ``sqrt(d) * pw * c`` for sgf, whose every nonzero
-    component is +-pw*c. It can fall short of ``norm2(v)`` only by rounding,
-    under a relative 1e-6 for any dimension below about 1e9; inf for an sgf
-    velocity whose first component is zero."""
+    of scalars: ``n2`` for gf (equal to the bit), ``n2 * s * c`` for rgf,
+    whose velocity is ``g * -s`` or ``g * s * -c`` with its scale s, and
+    ``sqrt(d) * |v[0]|`` for sgf, whose velocity ``sign(g) * -(pw * c)`` has
+    every nonzero component equal to +-(pw * c). It can fall short of
+    ``norm2(v)`` only by rounding, under a relative 1e-6 for any dimension
+    below about 1e9; inf for an sgf velocity whose first component is zero."""
     if n2 <= spec.grad_threshold:
         return 0.0
     if spec.kind == "gf":

@@ -508,7 +508,9 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
 
     def velocity(z: np.ndarray) -> np.ndarray:
         g = np.asarray(obj.gradient(z), dtype=float)
-        return clamped(g, norm2(g))
+        # norm2's finite path inline; it rescales a squared norm that overflows
+        sq = float(g.dot(g))
+        return clamped(g, math.sqrt(sq) if math.isfinite(sq) else norm2(g))
 
     def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
         nonlocal prev_x, speed_cap

@@ -294,6 +294,21 @@ class TestPresets:
             assert cfg.optimizers
 
 
+SPECIAL = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 0.1])
+
+
+def row_by_row_csv(traj, f_star) -> bytes:
+    """The CSV bytes of a trajectory with every number formatted in its row."""
+    lines = ["k,t,f,f_gap,grad_norm2,grad_norm1,wall_s"]
+    for i in range(len(traj)):
+        f = float(traj.f[i])
+        gap = f - f_star if f_star is not None else math.nan
+        values = (float(traj.t[i]), f, gap, float(traj.grad_norm2[i]),
+                  float(traj.grad_norm1[i]), float(traj.wall_s[i]))
+        lines.append(",".join([str(int(traj.k[i]))] + [f"{v:.17g}" for v in values]))
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestEmitCsv:
     def test_empty_trajectory_writes_header_only(self, tmp_path):
         path = emit_csv(empty_trajectory(), tmp_path / "empty.csv")
@@ -331,19 +346,38 @@ class TestEmitCsv:
     @pytest.mark.parametrize("f_star", [None, 0.0])
     @pytest.mark.parametrize("n", [0, 7])
     def test_bytes_match_row_by_row_rendering(self, tmp_path, f_star, n):
-        special = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 0.1])
-        f, t, gn2, gn1, wall = (np.roll(special, shift)[:n] for shift in range(5))
+        f, t, gn2, gn1, wall = (np.roll(SPECIAL, shift)[:n] for shift in range(5))
         traj = Trajectory(k=np.arange(n), t=t, x=np.zeros((n, 2)), f=f, grad_norm2=gn2,
                           grad_norm1=gn1, wall_s=wall, terminal_reason="numerical_failure")
-        lines = ["k,t,f,f_gap,grad_norm2,grad_norm1,wall_s"]
-        for i in range(n):
-            f = float(traj.f[i])
-            gap = f - f_star if f_star is not None else math.nan
-            values = (float(traj.t[i]), f, gap, float(traj.grad_norm2[i]),
-                      float(traj.grad_norm1[i]), float(traj.wall_s[i]))
-            lines.append(",".join([str(int(traj.k[i]))] + [f"{v:.17g}" for v in values]))
         path = emit_csv(traj, tmp_path / "rows.csv", f_star)
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert path.read_bytes() == row_by_row_csv(traj, f_star)
+
+    @pytest.mark.parametrize("f_star", [None, 0.0, 0.5])
+    @pytest.mark.parametrize("held_wall", [True, False])
+    @pytest.mark.parametrize("start, period, n", [(0, 1, 9), (3, 2, 40), (1, 6, 45),
+                                                  (2, 5, 6), (4, 3, 7)])
+    def test_filled_cycle_bytes_match_row_by_row_rendering(self, tmp_path, f_star, held_wall,
+                                                          start, period, n):
+        # rows from start on repeat with the period in every column but k, t
+        # and wall_s, which is held from row 20 on or takes special values
+        row = [j if j < start + period else start + (j - start) % period for j in range(n)]
+        f, gn2, gn1, wall = (np.roll(SPECIAL, shift)[row] for shift in range(4))
+        if held_wall:
+            wall = np.minimum(0.25 * np.arange(n), 5.0)
+        traj = Trajectory(k=np.arange(n), t=0.1 * np.arange(n), x=np.zeros((n, 2)), f=f,
+                          grad_norm2=gn2, grad_norm1=gn1, wall_s=wall,
+                          terminal_reason="max_iters", cycle_start=start, cycle_period=period)
+        path = emit_csv(traj, tmp_path / "cycle.csv", f_star)
+        assert path.read_bytes() == row_by_row_csv(traj, f_star)
+
+    @pytest.mark.parametrize("f_star", [None, 0.0])
+    def test_filled_run_bytes_match_row_by_row_rendering(self, tmp_path, f_star):
+        # Euler on the normalized flow cycles between 0.01 and -0.02 from x0 = 1
+        traj = run(DiscretizerConfig(scheme="euler", eta=0.03, flow=FlowSpec("rgf")),
+                   make_quadratic(1.0, 1), np.array([1.0]), StopCriteria(max_iters=500))
+        assert traj.cycle_period == 2 and len(traj) == 501
+        path = emit_csv(traj, tmp_path / "run.csv", f_star)
+        assert path.read_bytes() == row_by_row_csv(traj, f_star)
 
 
 class TestRunExperiment:

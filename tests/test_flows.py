@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finiteflow import FlowSpec, flow_eval
+from finiteflow.flows import _power, _velocity, norm2
 
 finite_grads = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
@@ -120,6 +121,61 @@ class TestFlowProperties:
         assert np.all(np.isfinite(tiny))
         huge = flow_eval(FlowSpec("rgf", q=3.0), np.array([1e130]))
         assert np.all(np.isfinite(huge))
+
+
+# gradients of 1 to 8 components of magnitude 1e-12 to 1e12 or zero, half
+# of them scaled by 1e+-95 to send the norm into _power's log-space range;
+# half the specs have no cutoff, so those tiny norms reach the products
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(min_value=-12.0, max_value=12.0))
+    .map(lambda se: se[0] * 10.0 ** se[1]),
+)
+wide_grads = st.tuples(st.lists(_component, min_size=1, max_size=8),
+                       st.sampled_from([1.0, 1e95, 1e-95, 1.0])).map(
+    lambda cs: np.array(cs[0]) * cs[1])
+wide_specs = st.builds(
+    FlowSpec,
+    kind=st.sampled_from(["rgf", "sgf"]),
+    q=st.one_of(st.floats(min_value=1.1, max_value=12.0, exclude_min=True), st.just(math.inf)),
+    c=st.one_of(st.just(1.0), st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0 ** e)),
+    grad_threshold=st.sampled_from([0.0, 1e-12, 0.0, 1e-3]),
+)
+
+
+def two_product_velocity(spec, g, n2):
+    """The rescaled velocities as (g * s) * -c and (sign(g) * pw) * -c."""
+    if n2 <= spec.grad_threshold:
+        return np.zeros_like(g)
+    if spec.kind == "rgf":
+        return (g * _power(n2, -spec.rgf_exponent())) * -spec.c
+    return (np.sign(g) * _power(float(np.abs(g).sum()), spec.sgf_exponent())) * -spec.c
+
+
+class TestVelocityProducts:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(spec=wide_specs, g=wide_grads)
+    def test_equals_two_product_formula_to_the_bit(self, spec, g):
+        n2 = norm2(g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = two_product_velocity(spec, g, n2)
+            except OverflowError:
+                # the scale itself overflows, before any product
+                with pytest.raises(OverflowError):
+                    _velocity(spec, g, n2)
+                return
+            got = _velocity(spec, g, n2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rgf", "sgf"])
+    @pytest.mark.parametrize("g", [[1e-150, 0.0], [3e120, -4e120], [1e-13], [0.0, -0.0]])
+    def test_log_space_and_below_threshold_paths(self, kind, g):
+        g = np.array(g)
+        for c in (1.0, 2.5e-3):
+            spec = FlowSpec(kind, q=3.0, c=c, grad_threshold=0.0 if g[0] < 1e-100 else 1e-12)
+            n2 = norm2(g)
+            assert _velocity(spec, g, n2).tobytes() == two_product_velocity(spec, g, n2).tobytes()
 
 
 class TestFlowErrors:

@@ -78,6 +78,32 @@ def reference_counts() -> tuple:
             digest(past))
 
 
+def closeness_reference() -> tuple:
+    # the dense reference closeness_table integrates for closeness_sweep:
+    # h = 1e-2 / 4 / 10 over 1.2 settling-time bounds from x0 = (1, 1)
+    ref = integrate_reference(FlowSpec("rgf", q=3.0), make_quadratic(1.0, 2),
+                              np.array([1.0, 1.0]), 2.5e-4,
+                              StopCriteria(max_iters=11_418, grad_tol=0.0))
+    return int(ref.k[-1]), ref.terminal_reason, digest(ref)
+
+
+def clamped_sign_reference() -> tuple:
+    # the sign field chatters across the axes near arrival, where the speed
+    # clamp cuts about 200 stage velocities before the reference freezes
+    ref = integrate_reference(FlowSpec("sgf", q=3.0), make_quadratic(1.0, 2),
+                              np.array([1.0, 0.5]), 1e-3,
+                              StopCriteria(max_iters=4000, grad_tol=0.0))
+    return int(ref.k[-1]), ref.terminal_reason, digest(ref)
+
+
+def scaled_flow_cell(name: str) -> tuple:
+    cfg = load_config("rosenbrock_fig1")
+    obj = cfg.build_objective()
+    x0 = cfg.init.draw(obj.dimension, cfg.init.base_seed)
+    traj = run(SCALED_FLOW_OPTIMIZERS[name], obj, x0, StopCriteria(max_iters=ROSENBROCK_STEPS))
+    return int(traj.k[-1]), traj.terminal_reason, digest(traj)
+
+
 def analysis_outputs(preset: str) -> dict:
     reports = analysis_reports(load_config(preset))
     return {"bounds": reports["bounds"], "closeness": reports["closeness"]}
@@ -106,6 +132,25 @@ GOLDEN_MLP = {
 
 GOLDEN_REFERENCE = (19981, "grad_tol", 23981, "max_iters",
                     "59e3156339101e520396cf620e2b96500379798e6fae5d855f6d7e2d39f82baa")
+
+GOLDEN_CLOSENESS_REFERENCE = (
+    11418, "max_iters", "2f13379a4ed1acee02cee616051cd237279f4e529bc6b15a9a4dd02f28a5792d")
+
+GOLDEN_CLAMPED_SIGN_REFERENCE = (
+    4000, "max_iters", "241bda6bcd98672945babd5f5c7f839fc456cbf77d607467b92d5e42a409e431")
+
+# flows with c != 1 on the rosenbrock_fig1 objective from its base seed's x0
+SCALED_FLOW_OPTIMIZERS = {
+    "rgf_euler_q3_c1.5": DiscretizerConfig(scheme="euler", eta=1e-3,
+                                           flow=FlowSpec("rgf", q=3.0, c=1.5)),
+    "sgf_nesterov_q3_c1e-3": DiscretizerConfig(scheme="nesterov", eta=1.0, beta=0.9,
+                                               flow=FlowSpec("sgf", q=3.0, c=1e-3)),
+}
+
+GOLDEN_SCALED_FLOWS = {
+    "rgf_euler_q3_c1.5": (1000, "max_iters", "08295b312fffbfc802b9b038030bf7ef1837f17804cbc1352963a5dd4dd90df8"),
+    "sgf_nesterov_q3_c1e-3": (1000, "max_iters", "bd59695b6ff109a21883298bea57a0595042847752cf0a8d7b68d74054a1cd1a"),
+}
 
 GOLDEN_ANALYSIS = {
     "quadratic_bounds": {
@@ -157,6 +202,19 @@ def test_mlp_minibatch_trajectories(scheme):
 
 def test_reference_step_counts_to_and_past_arrival():
     assert reference_counts() == GOLDEN_REFERENCE
+
+
+def test_closeness_sweep_reference():
+    assert closeness_reference() == GOLDEN_CLOSENESS_REFERENCE
+
+
+def test_clamped_sign_flow_reference():
+    assert clamped_sign_reference() == GOLDEN_CLAMPED_SIGN_REFERENCE
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_FLOW_OPTIMIZERS))
+def test_scaled_flow_trajectories(name):
+    assert scaled_flow_cell(name) == GOLDEN_SCALED_FLOWS[name]
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN_ANALYSIS))

@@ -578,7 +578,8 @@ class TestIntegrateReference:
 
     def test_live_step_takes_five_norms(self, monkeypatch):
         # one for the record, one for the cap and one per later stage's
-        # gradient; the clamp's scalar bound decides every stage here
+        # gradient, which the stage takes from one dot without norm2; the
+        # clamp's scalar bound decides every stage here, so it takes none
         calls = [0]
 
         def counted(v):
@@ -591,7 +592,17 @@ class TestIntegrateReference:
         traj = integrate_reference(flow, obj, x0, h, StopCriteria(max_iters=1000))
         assert traj.cycle_period is None
         # rows 0..1000 are recorded; the first step has no cap
-        assert calls[0] == 1001 + 999 + 3 * 1000 == 5 * 1000
+        assert calls[0] == 1001 + 999
+
+    def test_stage_norm_survives_an_overflowing_square(self):
+        # ||g||^2 = 1e400 overflows; the stages' norms must rescale as norm2
+        # does, for about the unit-speed velocity of a slope of 1
+        with np.errstate(over="ignore"):
+            huge, unit = (integrate_reference(FlowSpec("rgf"), linear_objective(slope),
+                                              np.array([0.0]), 0.5, StopCriteria(max_iters=4))
+                          for slope in (1e200, 1.0))
+        assert huge.terminal_reason == "max_iters"
+        assert np.allclose(huge.x, unit.x, rtol=1e-12, atol=0.0)
 
     def test_equilibrium_start_under_wall_limit_ends_by_wall_limit(self):
         traj = integrate_reference(FlowSpec("rgf", q=3.0), QUAD2, np.zeros(2), 1e-3,
