@@ -156,29 +156,41 @@ def _ensure_finite(x: np.ndarray, scheme: str) -> None:
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
 
 
+def _factor(c: float) -> np.ndarray:
+    """The per-run constant c as the factor of a per-step array product: a
+    float64 0-d array, which numpy multiplies by without converting c again
+    at every call, with the same rounding as the Python float c."""
+    return np.array(c, dtype=float)
+
+
 def _stage_sums(tableau: tuple) -> tuple:
     """(rows of a past the first, b) of the tableau (a, b), each row as its
-    nonzero (stage, coefficient) pairs in stage order."""
+    nonzero (stage, factor) pairs in stage order, where the factor is the
+    coefficient as a ``_factor``, or None for a unit coefficient."""
     a, b = tableau
-    rows = tuple(tuple((j, coef) for j, coef in enumerate(row) if coef) for row in a[1:] + (b,))
+    rows = tuple(tuple((j, None if coef == 1.0 else _factor(coef))
+                       for j, coef in enumerate(row) if coef) for row in a[1:] + (b,))
     return rows[:-1], rows[-1]
 
 
-def _combine(terms: tuple[tuple[int, float], ...], vs: list[np.ndarray]) -> np.ndarray | None:
-    """sum_j coef_j * vs[j] over the (j, coef_j) terms, added left to right;
-    None when there are none. Leaving out zero terms and unit factors keeps a
-    sum of finite velocities unchanged up to the sign of a zero."""
+def _combine(terms: tuple[tuple[int, np.ndarray | None], ...],
+             vs: list[np.ndarray]) -> np.ndarray | None:
+    """sum_j coef_j * vs[j] over the (j, factor) terms of ``_stage_sums``,
+    added left to right; None when there are none. A unit coefficient adds
+    vs[j] itself. Leaving out zero terms and unit factors keeps a sum of
+    finite velocities unchanged up to the sign of a zero."""
     total = None
     for j, coef in terms:
-        term = vs[j] if coef == 1.0 else vs[j] * coef
+        term = vs[j] if coef is None else vs[j] * coef
         total = term if total is None else total + term
     return total
 
 
-def _tableau_update(sums: tuple, h: float, x: np.ndarray, v1: np.ndarray,
+def _tableau_update(sums: tuple, h: float | np.ndarray, x: np.ndarray, v1: np.ndarray,
                     velocity: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """One explicit tableau step from x, given the tableau's ``_stage_sums``,
-    the velocity v1 at x and the velocity field for the later stages."""
+    the step size h (a float or a ``_factor``), the velocity v1 at x and the
+    velocity field for the later stages."""
     vs = [v1]
     for terms in sums[0]:
         offset = _combine(terms, vs)
@@ -189,12 +201,12 @@ def _tableau_update(sums: tuple, h: float, x: np.ndarray, v1: np.ndarray,
 def _tableau_step(cfg: DiscretizerConfig) -> Step:
     """Explicit Runge-Kutta step of the configured flow (euler, rk, gd)."""
     flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
-    h, scheme = cfg.eta, cfg.scheme
+    h, scheme = _factor(cfg.eta), cfg.scheme
     # the paper's family: a[i][j] = betas[j] for every stage i > j, b = alphas
     sums = _stage_sums((tuple(cfg.betas[:i] for i in range(cfg.stages)), cfg.alphas)
                        if scheme == "rk" else _EULER)
-    # x + 1.0 * v1 * h is what the one-stage tableau update computes
-    one_stage = sums == ((), ((0, 1.0),))
+    # x + v1 * h is what the one-stage tableau update computes
+    one_stage = sums == ((), ((0, None),))
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         x = state.x
@@ -216,7 +228,7 @@ def _look_ahead_step(cfg: DiscretizerConfig) -> Step:
     The gradient at x_k, when given, goes unused.
     """
     flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
-    eta, beta, scheme = cfg.eta, cfg.beta, cfg.scheme
+    eta, beta, scheme = _factor(cfg.eta), _factor(cfg.beta), cfg.scheme
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         look_ahead = state.x + beta * state.y
@@ -494,7 +506,7 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         raise ValueError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
     prev_x: np.ndarray | None = None
     speed_cap: float | None = None
-    rk4 = _stage_sums(_RK4)
+    rk4, h = _stage_sums(_RK4), _factor(h_ref)
 
     def clamped(g: np.ndarray, gn2: float) -> np.ndarray:
         """The velocity at gradient g of norm gn2, its speed clamped to the cap;
@@ -517,7 +529,7 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         if prev_x is not None:
             speed_cap = norm2(x - prev_x) / h_ref * 1e3
         # the first stage reuses the gradient norm the record pass computed
-        x_next = _tableau_update(rk4, h_ref, x, clamped(g, gn2), velocity)
+        x_next = _tableau_update(rk4, h, x, clamped(g, gn2), velocity)
         _ensure_finite(x_next, "reference")
         prev_x = x
         return x_next

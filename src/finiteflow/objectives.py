@@ -88,13 +88,16 @@ def make_quadratic(mu: float, dimension: int) -> Objective:
     if dimension < 1:
         raise ValueError("dimension must be a positive integer")
     mu = float(mu)
+    # mu as a float64 0-d array: the same product, without converting the
+    # Python float again at every gradient call
+    mu_factor = np.array(mu)
 
     def value(x: Vector) -> float:
         x = np.asarray(x, dtype=float)
         return 0.5 * mu * float((x * x).sum())
 
     def gradient(x: Vector) -> Vector:
-        return mu * np.asarray(x, dtype=float)
+        return mu_factor * np.asarray(x, dtype=float)
 
     meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,

@@ -221,6 +221,116 @@ class TestFixedPoints:
         assert np.array_equal(new.x, np.zeros(2))
 
 
+# components from every range a step can meet: signed zeros, subnormals,
+# the edges of the exponent range and ordinary values
+COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                     1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+STEP_SIZE = st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1.0))
+COEFFICIENT = st.sampled_from([0.0, 1.0, 0.5, 0.09, 1.0 / 3.0, 1.0 / 6.0, 0.7])
+# stage weights that sum to 1, with zero, unit and other entries
+CONSISTENT_WEIGHTS = [(1.0,), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.25, 0.75),
+                      (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), (0.0, 0.0, 1.0),
+                      (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0), (0.0, 1.0, 0.0, 0.0)]
+
+
+def swap_gradient(z):
+    """An exact gradient field, -z reversed, which carries every bit of its
+    input into the next stage."""
+    return -np.asarray(z, dtype=float)[::-1]
+
+
+SWAP = Objective(dimension=1, value=lambda x: 0.0, gradient=swap_gradient)
+
+
+def py_tableau(a, b, h, x, v1, velocity):
+    """One explicit tableau step in Python floats, component by component,
+    with the rule the steps follow: zero coefficients drop out, unit ones
+    add their velocity unscaled, and sums run left to right."""
+    def combine(coefs, vs):
+        total = None
+        for j, coef in enumerate(coefs):
+            if coef:
+                term = vs[j] if coef == 1.0 else [c * coef for c in vs[j]]
+                total = term if total is None else [s + t for s, t in zip(total, term)]
+        return total
+
+    vs = [v1]
+    for row in a[1:]:
+        offset = combine(row, vs)
+        z = x if offset is None else [xi + o * h for xi, o in zip(x, offset)]
+        vs.append(velocity(np.array(z)).tolist())
+    return [xi + o * h for xi, o in zip(x, combine(b, vs))]
+
+
+def same_as_floats(got, want):
+    return np.asarray(got).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestUpdateBits:
+    """The tableau, one-stage and look-ahead updates equal the Python-float
+    formulas they stand for, bit for bit, whatever form the step size and
+    the coefficients take."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=8),
+           h=STEP_SIZE, h_array=st.booleans(),
+           tableau=st.one_of(
+               st.sampled_from([integrators._EULER, integrators._RK4]),
+               st.tuples(st.lists(COEFFICIENT, min_size=1, max_size=3),
+                         st.lists(COEFFICIENT, min_size=2, max_size=4))
+               .filter(lambda t: len(t[1]) == len(t[0]) + 1 and any(t[1]))
+               .map(lambda t: (tuple(tuple(t[0][:i]) for i in range(len(t[1]))),
+                               tuple(t[1])))))
+    def test_tableau_update(self, data, d, h, h_array, tableau):
+        x, v1 = (data.draw(st.lists(COMPONENT, min_size=d, max_size=d)) for _ in range(2))
+        got = integrators._tableau_update(
+            integrators._stage_sums(tableau), np.array(h) if h_array else h,
+            np.array(x), np.array(v1), swap_gradient)
+        assert same_as_floats(got, py_tableau(*tableau, h, x, v1, swap_gradient))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=8), h=STEP_SIZE,
+           alphas=st.sampled_from(CONSISTENT_WEIGHTS))
+    def test_run_steps(self, data, d, h, alphas):
+        # gd is Euler on the plain gradient flow, and rk takes the paper's
+        # tableau a[i][j] = betas[j], b = alphas
+        stages = len(alphas)
+        x, g = (data.draw(st.lists(COMPONENT, min_size=d, max_size=d)) for _ in range(2))
+        betas = tuple(data.draw(st.lists(COEFFICIENT, min_size=stages - 1,
+                                         max_size=stages - 1)))
+        obj, g = replace(SWAP, dimension=d), np.array(g)
+        flow = integrators._GRADIENT_FLOW
+        for cfg, tableau in (
+                (DiscretizerConfig(scheme="gd", eta=h), integrators._EULER),
+                (DiscretizerConfig(scheme="rk", eta=h, flow=flow, stages=stages,
+                                   alphas=alphas, betas=betas),
+                 (tuple(betas[:i] for i in range(stages)), alphas))):
+            want = py_tableau(*tableau, h, x, flow_eval(flow, g).tolist(),
+                              lambda z: flow_eval(flow, obj.gradient(z)))
+            got = make_step(cfg)(cfg, obj, init_state(np.array(x)), g, norm2(g))
+            assert same_as_floats(got.x, want), cfg.scheme
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=8), eta=STEP_SIZE,
+           beta=st.one_of(st.sampled_from([0.0, 0.5, 0.9]),
+                          st.floats(min_value=0.0, max_value=0.99)))
+    def test_look_ahead_step(self, data, d, eta, beta):
+        x, y = (data.draw(st.lists(COMPONENT, min_size=d, max_size=d)) for _ in range(2))
+        cfg = DiscretizerConfig(scheme="nagd", eta=eta, beta=beta)
+        obj = replace(SWAP, dimension=d)
+        look = [xi + beta * yi for xi, yi in zip(x, y)]
+        v = flow_eval(integrators._GRADIENT_FLOW, obj.gradient(np.array(look))).tolist()
+        want = [li + eta * vi for li, vi in zip(look, v)]
+        state = replace(init_state(np.array(x)), y=np.array(y))
+        got = make_step(cfg)(cfg, obj, state)
+        assert same_as_floats(got.x, want)
+        assert same_as_floats(got.y, [w - xi for w, xi in zip(want, x)])
+
+
 def descent_guarantee_floor(spec: FlowSpec, eta: float, mu: float, dim: int) -> float:
     """Gradient-norm level above which one Euler step on the quadratic is a
     strict descent step; from the exact quadratic expansion
@@ -845,6 +955,45 @@ class TestRadialRescaledFlowClosedForm:
                 assert np.array_equal(traj.x, plain_rk4(flow, obj, x0, h, len(traj) - 1))
         assert errors[1] <= errors[0]
 
+
+def decay_runs(eta):
+    """x(1) of each tableau on x' = -x (gf on mu/2 x^2 with mu = 1) from
+    x(0) = 1, with step eta: Euler, the presets' 2-stage rk, Heun and the
+    reference's RK4."""
+    obj, gf, x0 = make_quadratic(1.0, 1), FlowSpec("gf"), np.array([1.0])
+    stop = StopCriteria(max_iters=round(1.0 / eta))
+
+    def two_stage(offset):
+        return DiscretizerConfig(scheme="rk", eta=eta, flow=gf, stages=2,
+                                 alphas=(0.5, 0.5), betas=(offset,))
+
+    trajs = {"euler": run(DiscretizerConfig(scheme="euler", eta=eta, flow=gf), obj, x0, stop),
+             "rk_preset": run(two_stage(0.09), obj, x0, stop),
+             "heun": run(two_stage(1.0), obj, x0, stop),
+             "rk4": integrate_reference(gf, obj, x0, eta, stop)}
+    assert all(traj.t[-1] == 1.0 for traj in trajs.values())
+    return {name: traj.x[-1, 0] for name, traj in trajs.items()}
+
+
+class TestTableauOrder:
+    """On x' = -x to t = 1 each tableau's error falls as eta^order: a
+    2-stage member of the paper's family is second order only when
+    alphas[1] * betas[0] = 1/2, which Heun meets and the presets' rk
+    (0.5 * 0.09) does not."""
+
+    ORDERS = {"euler": 1, "rk_preset": 1, "heun": 2, "rk4": 4}
+    ERRORS_AT_1E_2 = {"euler": 1.85e-3, "rk_preset": 1.68e-3, "heun": 6.18e-6}
+
+    def test_observed_orders(self):
+        errors = [{name: abs(x - math.exp(-1.0)) for name, x in decay_runs(eta).items()}
+                  for eta in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
+        for name, order in self.ORDERS.items():
+            observed = [math.log2(coarse[name] / fine[name])
+                        for coarse, fine in zip(errors, errors[1:])]
+            # RK4's finest error, 7.7e-15, is within reach of rounding
+            assert observed == pytest.approx([order] * 3, abs=0.05 if order < 4 else 0.1), name
+        for name, error in self.ERRORS_AT_1E_2.items():
+            assert float(f"{errors[0][name]:.2e}") == error, name
 
 class TestConfigValidation:
     def test_unknown_scheme(self):

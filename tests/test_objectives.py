@@ -129,6 +129,9 @@ def test_values_match_np_sum_bitwise(d):
     x = np.random.default_rng(d).standard_normal(d) * 3.0
     for mu in (1.0, 0.3):
         assert make_quadratic(mu, d).value(x) == 0.5 * mu * float(np.sum(x * x))
+        # the gradient's factor mu, held as a 0-d array, rounds as the float
+        assert (make_quadratic(mu, d).gradient(x).tobytes()
+                == np.array([mu * xi for xi in x.tolist()]).tobytes())
     for p in (2.0, 3.0, 4.5):
         assert make_pth_power(p, d).value(x) == float(np.sum(np.abs(x) ** p)) / p
 
