@@ -156,19 +156,17 @@ def _ensure_finite(x: np.ndarray, scheme: str) -> None:
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
 
 
-def _factor(c: float) -> np.ndarray:
-    """The per-run constant c as the factor of a per-step array product: a
-    float64 0-d array, which numpy multiplies by without converting c again
-    at every call, with the same rounding as the Python float c."""
-    return np.array(c, dtype=float)
-
-
 def _stage_sums(tableau: tuple) -> tuple:
     """(rows of a past the first, b) of the tableau (a, b), each row as its
     nonzero (stage, factor) pairs in stage order, where the factor is the
-    coefficient as a ``_factor``, or None for a unit coefficient."""
+    coefficient as a float64 0-d array, or None for a unit coefficient.
+
+    Every per-run constant of a per-step array product in this module (these
+    factors, the step sizes, eta and beta) is such an array, made once where
+    the step is built: numpy multiplies by one without converting a Python
+    float again at every call, and rounds as it would with that float."""
     a, b = tableau
-    rows = tuple(tuple((j, None if coef == 1.0 else _factor(coef))
+    rows = tuple(tuple((j, None if coef == 1.0 else np.array(coef, dtype=float))
                        for j, coef in enumerate(row) if coef) for row in a[1:] + (b,))
     return rows[:-1], rows[-1]
 
@@ -189,7 +187,7 @@ def _combine(terms: tuple[tuple[int, np.ndarray | None], ...],
 def _tableau_update(sums: tuple, h: float | np.ndarray, x: np.ndarray, v1: np.ndarray,
                     velocity: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """One explicit tableau step from x, given the tableau's ``_stage_sums``,
-    the step size h (a float or a ``_factor``), the velocity v1 at x and the
+    the step size h (a float or a float64 0-d array), the velocity v1 at x and the
     velocity field for the later stages."""
     vs = [v1]
     for terms in sums[0]:
@@ -201,7 +199,7 @@ def _tableau_update(sums: tuple, h: float | np.ndarray, x: np.ndarray, v1: np.nd
 def _tableau_step(cfg: DiscretizerConfig) -> Step:
     """Explicit Runge-Kutta step of the configured flow (euler, rk, gd)."""
     flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
-    h, scheme = _factor(cfg.eta), cfg.scheme
+    h, scheme = np.array(cfg.eta, dtype=float), cfg.scheme
     # the paper's family: a[i][j] = betas[j] for every stage i > j, b = alphas
     sums = _stage_sums((tuple(cfg.betas[:i] for i in range(cfg.stages)), cfg.alphas)
                        if scheme == "rk" else _EULER)
@@ -228,7 +226,8 @@ def _look_ahead_step(cfg: DiscretizerConfig) -> Step:
     The gradient at x_k, when given, goes unused.
     """
     flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
-    eta, beta, scheme = _factor(cfg.eta), _factor(cfg.beta), cfg.scheme
+    eta, beta = np.array(cfg.eta, dtype=float), np.array(cfg.beta, dtype=float)
+    scheme = cfg.scheme
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         look_ahead = state.x + beta * state.y
@@ -506,7 +505,7 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         raise ValueError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
     prev_x: np.ndarray | None = None
     speed_cap: float | None = None
-    rk4, h = _stage_sums(_RK4), _factor(h_ref)
+    rk4, h = _stage_sums(_RK4), np.array(h_ref, dtype=float)
 
     def clamped(g: np.ndarray, gn2: float) -> np.ndarray:
         """The velocity at gradient g of norm gn2, its speed clamped to the cap;

@@ -90,7 +90,7 @@ def make_quadratic(mu: float, dimension: int) -> Objective:
     mu = float(mu)
     # mu as a float64 0-d array: the same product, without converting the
     # Python float again at every gradient call
-    mu_factor = np.array(mu)
+    mu_factor = np.array(mu, dtype=float)
 
     def value(x: Vector) -> float:
         x = np.asarray(x, dtype=float)

@@ -1,6 +1,7 @@
-"""The summary arithmetic and the benchmark check of tools/bench_pairs.py."""
+"""The summary arithmetic, the benchmark check and the output of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,5 +86,31 @@ def test_refuses_checkouts_whose_benchmarks_differ(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_once", no_run)
     out = tmp_path / "out.json"
     assert bench_pairs.main([str(a), str(b), "--workload", "w", "--seed", "0",
-                             "--pairs", "1", "--out", str(out)]) == 2
+                             "--pairs", "1", "--out", str(out), "--key", "w"]) == 2
     assert not out.exists()
+
+
+def test_merges_alternating_pairs_into_the_trend_file(tmp_path, monkeypatch):
+    for side in ("a", "b"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "sweep_s", "better": "lower"}]}')
+    a, b = tmp_path / "a", tmp_path / "b"
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append(checkout.name)
+        return result(1.5 if checkout.name == "a" else 1.4, 30.0, 46.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH.json"
+    out.write_text('{"machine": {"cpu": "kept"}, "gated_runs": {"other": {}}}')
+    assert bench_pairs.main([str(a), str(b), "--workload", "w", "--seed", "3",
+                             "--pairs", "2", "--out", str(out), "--key", "w3"]) == 0
+    assert calls == ["a", "b", "b", "a"]
+    doc = json.loads(out.read_text())
+    assert doc["machine"] == {"cpu": "kept"} and set(doc["gated_runs"]) == {"other", "w3"}
+    summary = doc["gated_runs"]["w3"]
+    assert summary["command"] == ("python3 perfbench/run.py --workload w --seed 3 "
+                                  "--seconds 50 --trace 0")
+    assert summary["metrics"]["sweep_s"]["change_better_pairs"] == 2

@@ -995,6 +995,7 @@ class TestTableauOrder:
         for name, error in self.ERRORS_AT_1E_2.items():
             assert float(f"{errors[0][name]:.2e}") == error, name
 
+
 class TestConfigValidation:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

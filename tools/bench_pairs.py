@@ -3,16 +3,15 @@
 Runs ``perfbench/run.py --workload W --seed S --seconds 50 --trace 0`` in a
 parent checkout and a change checkout in turn, ``--pairs`` times, with the
 side that runs first alternating (the parent in even pairs, counting from
-0), and writes each end-to-end metric's median and quartiles per side, the
-pairs each side won (a tie counts for neither), and every run's
-``correct``, ``attempted`` and ``failed`` values::
+0). It summarizes each end-to-end metric's median and quartiles per side,
+the pairs each side won (a tie counts for neither), and every run's
+``correct``, ``attempted`` and ``failed`` values, and merges the summary
+into ``--out`` as ``gated_runs[KEY]``, the layout of the ``BENCH_*.json``
+trend files; the file gains the machine and both git revisions if it
+lacks them::
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload bounds_analysis \\
-        --seed 0 --pairs 10 --out pairs.json
-
-With ``--key NAME`` the summary is merged into ``--out`` as
-``gated_runs[NAME]``, the layout of the ``BENCH_*.json`` trend files, and
-the file gains the machine and both git revisions if it lacks them.
+        --seed 0 --pairs 10 --out BENCH_14.json --key bounds_analysis
 
 It refuses to run unless both checkouts hold byte-identical ``perfbench/``
 and ``BENCHMARK.json``: a pair compares two programs only when both run the
@@ -47,10 +46,15 @@ def benchmark_differences(a: Path, b: Path) -> list[str]:
                   if name not in fa or fa[name] != fb.get(name))
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def command(workload: str, seed: int) -> list[str]:
+    """The benchmark command of one run, after the interpreter."""
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", "50", "--trace", "0"]
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``: the JSON line it prints last."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, *command(workload, seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
     if proc.returncode != 0 or not lines:
@@ -133,9 +137,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--key", help="merge into --out as gated_runs[KEY]")
+    parser.add_argument("--key", required=True, help="merge into --out as gated_runs[KEY]")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -155,17 +158,13 @@ def main(argv=None) -> int:
         pair = {"first": order[0]}
         for side in order:
             pair[side] = run_once(parent if side == "parent" else change,
-                                  args.workload, args.seed, args.seconds)
+                                  args.workload, args.seed)
         pairs.append(pair)
         sweep = {side: pair[side]["metrics"].get("sweep_s", {}).get("value") for side in order}
         print(f"pair {i + 1}/{args.pairs}: sweep_s {sweep}", file=sys.stderr)
 
-    summary = {"command": f"python3 perfbench/run.py --workload {args.workload} "
-                          f"--seed {args.seed} --seconds {args.seconds:g} --trace 0",
+    summary = {"command": " ".join(["python3", *command(args.workload, args.seed)]),
                **summarize(pairs, better)}
-    if args.key is None:
-        args.out.write_text(json.dumps(summary, indent=2) + "\n")
-        return 0
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("machine", _machine())
     doc.setdefault("git_sha", {"parent": _git_sha(parent), "change": _git_sha(change)})
