@@ -22,11 +22,6 @@ import numpy as np
 
 FLOW_KINDS = ("gf", "rgf", "sgf")
 
-# outside this range the power ||g||^e is evaluated in log space
-_POW_LO = 1e-100
-_POW_HI = 1e100
-
-
 class NumericalFailure(ValueError):
     """A step met a non-finite gradient or produced a non-finite iterate."""
 
@@ -65,15 +60,6 @@ class FlowSpec:
         return 0.0 if math.isinf(self.q) else 1.0 / (self.q - 1.0)
 
 
-def _power(base: float, exponent: float) -> float:
-    # base > 0; log-space keeps extreme norms from over/underflowing
-    if exponent == 0.0:
-        return 1.0
-    if _POW_LO <= base <= _POW_HI:
-        return base ** exponent
-    return math.exp(exponent * math.log(base))
-
-
 def norm2(v: np.ndarray) -> float:
     """Euclidean norm; nan or inf when a component is."""
     # ndarray.dot is bit-identical to ``v @ v`` and cheaper per call
@@ -110,9 +96,9 @@ def _velocity(spec: FlowSpec, g: np.ndarray, n2: float) -> np.ndarray:
     # (sign(g) * pw) * -c: negation is exact, and so is sign(g) * pw, as
     # sign(g) is +-1 or 0; rgf with c != 1 keeps its two products
     if spec.kind == "rgf":
-        s = _power(n2, -spec._exponent)
+        s = n2 ** -spec._exponent
         return g * -s if spec.c == 1.0 else g * s * -spec.c
-    pw = _power(float(np.abs(g).sum()), spec._exponent)
+    pw = float(np.abs(g).sum()) ** spec._exponent
     return np.sign(g) * -(pw * spec.c)
 
 
@@ -129,7 +115,7 @@ def _speed_bound(spec: FlowSpec, n2: float, v: np.ndarray) -> float:
     if spec.kind == "gf":
         return n2
     if spec.kind == "rgf":
-        return n2 * _power(n2, -spec._exponent) * spec.c
+        return n2 * n2 ** -spec._exponent * spec.c
     first = abs(v.item(0))
     return math.sqrt(v.size) * first if first else math.inf
 

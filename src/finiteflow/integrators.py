@@ -1,10 +1,13 @@
 """Discrete-time steppers, the run loop, and a fixed-step reference integrator.
 
-Every scheme is one of three steps. The explicit tableau step covers forward
-Euler and ``gd`` (the one-stage tableau, ``gd`` on the plain gradient flow),
-the paper's multi-stage family ``rk``, and the classical RK4 of the reference
-integrator. The look-ahead step covers ``nesterov`` and ``nagd`` (the same
-step on the plain gradient flow). Adam is the third.
+Every scheme is one of three steps. The Runge-Kutta step runs the paper's
+multi-stage family ``rk``, whose stage i sits at
+``x + h * sum_{j<i} betas[j] * v_j`` and whose step is
+``x + h * sum_i alphas[i] * v_i``; forward Euler and ``gd`` (Euler on the
+plain gradient flow) are its one-stage member ``x + h * v_1``. The
+look-ahead step covers ``nesterov`` and ``nagd`` (the same step on the plain
+gradient flow). Adam is the third. The reference integrator is the
+classical RK4, written out.
 """
 
 from __future__ import annotations
@@ -26,12 +29,6 @@ _LOOK_AHEAD_SCHEMES = ("nesterov", "nagd")
 # gd and nagd are euler and nesterov on this flow: a zero cutoff makes the
 # velocity -grad f everywhere
 _GRADIENT_FLOW = FlowSpec("gf", grad_threshold=0.0)
-
-# explicit tableaus (a, b): stage i sits at x + h * sum_j a[i][j] * v_j over
-# the earlier stages j, and the step is x + h * sum_i b[i] * v_i
-_EULER = (((),), (1.0,))
-_RK4 = (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
-        (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))
 
 # rows of the record columns before their first doubling, and gradient
 # rows held before their l1 norms are taken
@@ -156,62 +153,55 @@ def _ensure_finite(x: np.ndarray, scheme: str) -> None:
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
 
 
-def _stage_sums(tableau: tuple) -> tuple:
-    """(rows of a past the first, b) of the tableau (a, b), each row as its
-    nonzero (stage, factor) pairs in stage order, where the factor is the
-    coefficient as a float64 0-d array, or None for a unit coefficient.
-
-    Every per-run constant of a per-step array product in this module (these
-    factors, the step sizes, eta and beta) is such an array, made once where
-    the step is built: numpy multiplies by one without converting a Python
-    float again at every call, and rounds as it would with that float."""
-    a, b = tableau
-    rows = tuple(tuple((j, None if coef == 1.0 else np.array(coef, dtype=float))
-                       for j, coef in enumerate(row) if coef) for row in a[1:] + (b,))
-    return rows[:-1], rows[-1]
-
-
-def _combine(terms: tuple[tuple[int, np.ndarray | None], ...],
-             vs: list[np.ndarray]) -> np.ndarray | None:
-    """sum_j coef_j * vs[j] over the (j, factor) terms of ``_stage_sums``,
-    added left to right; None when there are none. A unit coefficient adds
-    vs[j] itself. Leaving out zero terms and unit factors keeps a sum of
-    finite velocities unchanged up to the sign of a zero."""
-    total = None
-    for j, coef in terms:
-        term = vs[j] if coef is None else vs[j] * coef
-        total = term if total is None else total + term
-    return total
-
-
-def _tableau_update(sums: tuple, h: float | np.ndarray, x: np.ndarray, v1: np.ndarray,
-                    velocity: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """One explicit tableau step from x, given the tableau's ``_stage_sums``,
-    the step size h (a float or a float64 0-d array), the velocity v1 at x and the
-    velocity field for the later stages."""
-    vs = [v1]
-    for terms in sums[0]:
-        offset = _combine(terms, vs)
-        vs.append(velocity(x if offset is None else x + offset * h))
-    return x + _combine(sums[1], vs) * h
-
-
 def _tableau_step(cfg: DiscretizerConfig) -> Step:
-    """Explicit Runge-Kutta step of the configured flow (euler, rk, gd)."""
+    """Runge-Kutta step of the configured flow: the one-stage update
+    ``x + v1 * h`` for euler, gd and an rk of the single weight 1, else the
+    paper's family in ``cfg.betas`` and ``cfg.alphas``.
+
+    With stage velocities v_0, v_1, ..., v_{i+1} is taken at
+    x + offset_i * h, where offset_i = offset_{i-1} + betas[i] * v_i, and
+    the step adds h times the running sum of alphas[i] * v_i, so each sum
+    runs left to right. A zero
+    coefficient drops out and a unit one adds its velocity unscaled; every
+    other coefficient, like every per-run constant of a per-step array
+    product in this module, is a float64 0-d array made once here: numpy
+    multiplies by one without converting a Python float again at every
+    call, and rounds as it would with that float."""
     flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
     h, scheme = np.array(cfg.eta, dtype=float), cfg.scheme
-    # the paper's family: a[i][j] = betas[j] for every stage i > j, b = alphas
-    sums = _stage_sums((tuple(cfg.betas[:i] for i in range(cfg.stages)), cfg.alphas)
-                       if scheme == "rk" else _EULER)
-    # x + v1 * h is what the one-stage tableau update computes
-    one_stage = sums == ((), ((0, None),))
+
+    if scheme != "rk" or cfg.alphas == (1.0,):
+        def step(_cfg, obj, state, grad=None, grad_norm=None):
+            x = state.x
+            v1 = (flow_eval(flow, obj.gradient(x)) if grad is None
+                  else _velocity(flow, grad, grad_norm))
+            x_next = x + v1 * h
+            _ensure_finite(x_next, scheme)
+            return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
+
+        return step
+
+    # each coefficient with its factor, None for a unit coefficient
+    alphas, betas = (tuple((c, None if c == 1.0 else np.array(c, dtype=float)) for c in coefs)
+                     for coefs in (cfg.alphas, cfg.betas))
+    last = len(betas)
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         x = state.x
-        v1 = (flow_eval(flow, obj.gradient(x)) if grad is None
-              else _velocity(flow, grad, grad_norm))
-        x_next = (x + v1 * h if one_stage else _tableau_update(
-            sums, h, x, v1, lambda z: flow_eval(flow, obj.gradient(z))))
+        v = (flow_eval(flow, obj.gradient(x)) if grad is None
+             else _velocity(flow, grad, grad_norm))
+        offset = total = None
+        for i, (alpha, a) in enumerate(alphas):
+            if alpha:
+                term = v if a is None else v * a
+                total = term if total is None else total + term
+            if i < last:
+                beta, b = betas[i]
+                if beta:
+                    term = v if b is None else v * b
+                    offset = term if offset is None else offset + term
+                v = flow_eval(flow, obj.gradient(x if offset is None else x + offset * h))
+        x_next = x + total * h
         _ensure_finite(x_next, scheme)
         return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
 
@@ -437,7 +427,7 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
     gradient for its step index; the run is then a pure function of
     (cfg, obj, x0, stop, batch.rng_seed).
 
-    Without ``batch``, a tableau step reads x alone and a look-ahead step
+    Without ``batch``, a Runge-Kutta step reads x alone and a look-ahead step
     reads x and y, where y is x_k - x_{k-1} to the bit; either way the next
     x is a pure function of the last two rows, so ``_record_until_stop``
     fills the rows of a repeating run by its periodic rule. Adam, whose bias
@@ -481,6 +471,15 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
                         h_ref: float, stop: StopCriteria) -> Trajectory:
     """Classical RK4 fixed-step integration of dx/dt = F(grad f(x)).
 
+    Each step is the RK4 update written out, with its factors 1/2, 1/3 and
+    1/6 made float64 0-d arrays once::
+
+        v2 = F(x + v1 * half * h),  v3 = F(x + v2 * half * h),
+        v4 = F(x + v3 * h),
+        x + (v1 * sixth + v2 * third + v3 * third + v4 * sixth) * h
+
+    where the first stage v1 reuses the gradient and norm of the record pass.
+
     Intended as the near-exact continuous trajectory against which discrete
     runs are compared, so ``h_ref`` should be much smaller than any discrete
     step size under study. Dense output is recorded every step, and the
@@ -505,7 +504,8 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         raise ValueError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
     prev_x: np.ndarray | None = None
     speed_cap: float | None = None
-    rk4, h = _stage_sums(_RK4), np.array(h_ref, dtype=float)
+    h = np.array(h_ref, dtype=float)
+    half, third, sixth = (np.array(c, dtype=float) for c in (0.5, 1.0 / 3.0, 1.0 / 6.0))
 
     def clamped(g: np.ndarray, gn2: float) -> np.ndarray:
         """The velocity at gradient g of norm gn2, its speed clamped to the cap;
@@ -528,7 +528,11 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         if prev_x is not None:
             speed_cap = norm2(x - prev_x) / h_ref * 1e3
         # the first stage reuses the gradient norm the record pass computed
-        x_next = _tableau_update(rk4, h, x, clamped(g, gn2), velocity)
+        v1 = clamped(g, gn2)
+        v2 = velocity(x + v1 * half * h)
+        v3 = velocity(x + v2 * half * h)
+        v4 = velocity(x + v3 * h)
+        x_next = x + (v1 * sixth + v2 * third + v3 * third + v4 * sixth) * h
         _ensure_finite(x_next, "reference")
         prev_x = x
         return x_next

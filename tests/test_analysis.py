@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finiteflow
 from finiteflow import (DominanceParams, FlowSpec, StopCriteria, Trajectory,
                         check_gradient_dominance, closeness_epsilon,
                         dominance_params, energy_decay_envelope,
@@ -151,7 +154,11 @@ class TestGradientDominance:
                 "finiteflow.check_gradient_dominance(finiteflow.make_quadratic(1.0, 2),"
                 " 2.0, 1.0, 1.0, 10, 0)\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
+        # the child imports the finiteflow this process imported
+        src = str(Path(finiteflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 

@@ -244,6 +244,12 @@ def swap_gradient(z):
 
 SWAP = Objective(dimension=1, value=lambda x: 0.0, gradient=swap_gradient)
 
+# explicit tableaus (a, b): stage i sits at x + h * sum_j a[i][j] * v_j over
+# the earlier stages j, and the step is x + h * sum_i b[i] * v_i
+EULER = (((),), (1.0,))
+RK4 = (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+       (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))
+
 
 def py_tableau(a, b, h, x, v1, velocity):
     """One explicit tableau step in Python floats, component by component,
@@ -271,26 +277,25 @@ def same_as_floats(got, want):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestUpdateBits:
-    """The tableau, one-stage and look-ahead updates equal the Python-float
-    formulas they stand for, bit for bit, whatever form the step size and
-    the coefficients take."""
+    """The one-stage, Runge-Kutta, reference RK4 and look-ahead updates
+    equal the Python-float formulas they stand for, bit for bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(data=st.data(), d=st.integers(min_value=1, max_value=8),
-           h=STEP_SIZE, h_array=st.booleans(),
-           tableau=st.one_of(
-               st.sampled_from([integrators._EULER, integrators._RK4]),
-               st.tuples(st.lists(COEFFICIENT, min_size=1, max_size=3),
-                         st.lists(COEFFICIENT, min_size=2, max_size=4))
-               .filter(lambda t: len(t[1]) == len(t[0]) + 1 and any(t[1]))
-               .map(lambda t: (tuple(tuple(t[0][:i]) for i in range(len(t[1]))),
-                               tuple(t[1])))))
-    def test_tableau_update(self, data, d, h, h_array, tableau):
-        x, v1 = (data.draw(st.lists(COMPONENT, min_size=d, max_size=d)) for _ in range(2))
-        got = integrators._tableau_update(
-            integrators._stage_sums(tableau), np.array(h) if h_array else h,
-            np.array(x), np.array(v1), swap_gradient)
-        assert same_as_floats(got, py_tableau(*tableau, h, x, v1, swap_gradient))
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=8), h=STEP_SIZE)
+    def test_reference_step(self, data, d, h):
+        # row 1 of the reference is one unclamped RK4 step
+        x = data.draw(st.lists(COMPONENT, min_size=d, max_size=d))
+        flow, obj = integrators._GRADIENT_FLOW, replace(SWAP, dimension=d)
+        velocity = lambda z: flow_eval(flow, obj.gradient(z))
+        traj = integrate_reference(flow, obj, np.array(x), h, StopCriteria(max_iters=1))
+        try:
+            want = py_tableau(*RK4, h, x, velocity(np.array(x)).tolist(), velocity)
+        except NumericalFailure:
+            want = None
+        if want is None or not all(map(math.isfinite, want)):
+            assert traj.terminal_reason == "numerical_failure" and len(traj) == 1
+        else:
+            assert len(traj) == 2 and same_as_floats(traj.x[1], want)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), d=st.integers(min_value=1, max_value=8), h=STEP_SIZE,
@@ -305,7 +310,7 @@ class TestUpdateBits:
         obj, g = replace(SWAP, dimension=d), np.array(g)
         flow = integrators._GRADIENT_FLOW
         for cfg, tableau in (
-                (DiscretizerConfig(scheme="gd", eta=h), integrators._EULER),
+                (DiscretizerConfig(scheme="gd", eta=h), EULER),
                 (DiscretizerConfig(scheme="rk", eta=h, flow=flow, stages=stages,
                                    alphas=alphas, betas=betas),
                  (tuple(betas[:i] for i in range(stages)), alphas))):
