@@ -262,12 +262,9 @@ def _parse_optimizer(node, where: str) -> NamedOptimizer:
     if scheme not in SCHEMES:
         raise ConfigError(f"{where}.scheme: unknown scheme {node.get('scheme')!r}")
     node["scheme"] = scheme
-    alphas = node.get("alphas")
-    if scheme == "rk" and not (isinstance(alphas, list) and alphas):
+    if scheme == "rk" and not node.get("alphas"):
         raise ConfigError(f"{where}.alphas: expected a non-empty list")
-    # an rk scheme has one stage per weight unless stages says otherwise
-    stages = {"stages": len(alphas)} if scheme == "rk" else {}
-    config = _section(DiscretizerConfig, node, where, **stages)
+    config = _section(DiscretizerConfig, node, where)
     if not config.eta > 0:
         raise ConfigError(f"{where}.eta: must be positive, got {config.eta}")
     return NamedOptimizer(name=name, config=config)

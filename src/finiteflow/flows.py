@@ -44,9 +44,9 @@ class FlowSpec:
             raise ValueError(f"q must lie in (1, inf], got {self.q}")
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
-        if self.kind == "gf" and self.c != 1.0:
-            raise ValueError("plain gradient flow has no scale; c must be 1")
-        if self.grad_threshold < 0:
+        if self.kind == "gf" and (self.q != math.inf or self.c != 1.0):
+            raise ValueError(f"plain gradient flow takes no q or c, got q={self.q}, c={self.c}")
+        if not self.grad_threshold >= 0:
             raise ValueError("grad_threshold must be non-negative")
         exponent = self.rgf_exponent() if self.kind == "rgf" else self.sgf_exponent()
         object.__setattr__(self, "_exponent", exponent)

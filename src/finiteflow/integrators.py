@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .flows import FlowSpec, NumericalFailure, _speed_bound, _velocity, flow_eval, norm2
 from .objectives import BatchContext, Objective
-
-SCHEMES = ("euler", "rk", "nesterov", "gd", "nagd", "adam")
-_FLOW_SCHEMES = ("euler", "rk", "nesterov")
-_LOOK_AHEAD_SCHEMES = ("nesterov", "nagd")
 
 # gd and nagd are euler and nesterov on this flow: a zero cutoff makes the
 # velocity -grad f everywhere
@@ -55,17 +51,17 @@ TERMINAL_NUMERICAL_FAILURE = "numerical_failure"
 class DiscretizerConfig:
     """One discrete optimization scheme plus its hyperparameters.
 
-    ``flow`` is required for the flow-driven schemes (euler, rk, nesterov)
-    and must be absent for the baselines (gd, nagd, adam). Runge-Kutta
-    stage weights must satisfy the consistency condition sum(alphas) = 1;
-    violations are rejected here, never at step time.
+    Besides ``eta``, a scheme takes only the fields ``_SCHEME_TABLE`` lists
+    for it, and a flow scheme needs its ``flow``. ``stages`` defaults to
+    ``len(alphas)``, and the weights must sum to 1 (consistency condition).
+    Violations are rejected here, never at step time.
     """
 
     scheme: str
     eta: float
     beta: float = 0.0
     flow: FlowSpec | None = None
-    stages: int = 1
+    stages: int | None = None
     alphas: tuple[float, ...] = (1.0,)
     betas: tuple[float, ...] = ()
     beta1: float = 0.9
@@ -75,32 +71,32 @@ class DiscretizerConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError(f"step size eta must be non-negative, got {self.eta}")
+        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        takes = ("scheme", "eta") + _SCHEME_TABLE[self.scheme][1]
+        # a field the scheme does not read keeps its default, which passes the
+        # checks below; stages is None until filled in, and 1 by the default alphas
+        off = [f.name for f in fields(self) if f.name not in takes
+               and getattr(self, f.name) not in (None, 1 if f.name == "stages" else f.default)]
+        if off:
+            raise ValueError(f"scheme {self.scheme!r} does not take {', '.join(off)}")
+        if "flow" in takes and self.flow is None:
+            raise ValueError(f"scheme {self.scheme!r} requires a flow")
+        object.__setattr__(self, "stages", len(self.alphas) if self.stages is None else self.stages)
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"momentum beta must lie in [0, 1), got {self.beta}")
-        if self.scheme in _FLOW_SCHEMES:
-            if self.flow is None:
-                raise ValueError(f"scheme {self.scheme!r} requires a flow")
-        elif self.flow is not None:
-            raise ValueError(f"scheme {self.scheme!r} does not take a flow")
-        if self.scheme == "rk":
-            object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-            object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-            if self.stages < 1:
-                raise ValueError("stage count must be at least 1")
-            if len(self.alphas) != self.stages:
-                raise ValueError(f"expected {self.stages} stage weights, got {len(self.alphas)}")
-            if len(self.betas) != self.stages - 1:
-                raise ValueError(f"expected {self.stages - 1} stage offsets, got {len(self.betas)}")
-            if abs(math.fsum(self.alphas) - 1.0) > 1e-12:
-                raise ValueError(
-                    f"stage weights must sum to 1 (consistency condition), got {math.fsum(self.alphas)!r}")
-        if self.scheme == "adam":
-            if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-                raise ValueError("adam moment coefficients must lie in [0, 1)")
-            if not self.epsilon > 0:
-                raise ValueError("adam epsilon must be positive")
+        if not 1 <= self.stages == len(self.alphas) == len(self.betas) + 1:
+            raise ValueError(f"expected stages >= 1 weights and stages - 1 offsets, got stages = "
+                             f"{self.stages}, {len(self.alphas)} weights, {len(self.betas)} offsets")
+        if abs(math.fsum(self.alphas) - 1.0) > 1e-12:
+            raise ValueError(
+                f"stage weights must sum to 1 (consistency condition), got {math.fsum(self.alphas)!r}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("adam moment coefficients must lie in [0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("adam epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,7 @@ class StopCriteria:
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.grad_tol < 0 or self.f_tol < 0:
+        if not (self.grad_tol >= 0 and self.f_tol >= 0):
             raise ValueError("tolerances must be non-negative")
         if self.wall_limit is not None and not self.wall_limit > 0:
             raise ValueError("wall_limit must be positive when set")
@@ -170,7 +166,7 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
     flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
     h, scheme = np.array(cfg.eta, dtype=float), cfg.scheme
 
-    if scheme != "rk" or cfg.alphas == (1.0,):
+    if cfg.alphas == (1.0,):
         def step(_cfg, obj, state, grad=None, grad_norm=None):
             x = state.x
             v1 = (flow_eval(flow, obj.gradient(x)) if grad is None
@@ -247,6 +243,16 @@ def _adam_step(cfg: DiscretizerConfig) -> Step:
     return step
 
 
+# each scheme's step builder and the fields, besides eta, that its step reads
+_SCHEME_TABLE = {"euler": (_tableau_step, ("flow",)),
+                 "rk": (_tableau_step, ("flow", "stages", "alphas", "betas")),
+                 "nesterov": (_look_ahead_step, ("flow", "beta")),
+                 "gd": (_tableau_step, ()),
+                 "nagd": (_look_ahead_step, ("beta",)),
+                 "adam": (_adam_step, ("beta1", "beta2", "epsilon"))}
+SCHEMES = tuple(_SCHEME_TABLE)
+
+
 def make_step(cfg: DiscretizerConfig) -> Step:
     """The step ``(cfg, obj, state, grad=None, grad_norm=None) -> StepperState``
     of the scheme, with the scheme's constants resolved here once.
@@ -257,11 +263,7 @@ def make_step(cfg: DiscretizerConfig) -> Step:
     ``state.x`` and its Euclidean norm; they save re-evaluating what the
     caller has already observed.
     """
-    if cfg.scheme == "adam":
-        return _adam_step(cfg)
-    if cfg.scheme in _LOOK_AHEAD_SCHEMES:
-        return _look_ahead_step(cfg)
-    return _tableau_step(cfg)
+    return _SCHEME_TABLE[cfg.scheme][0](cfg)
 
 
 @dataclass

@@ -155,6 +155,20 @@ class TestLoadConfig:
         ({"name": None}, r"^name: expected a non-empty string, got None"),
         ({"objective": {"name": ["quadratic"], "params": {"mu": 1.0, "dimension": 2}}},
          r"^objective\.name: expected a non-empty string, got \['quadratic'\]"),
+        ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "rgf", "q": 3.0}, "alphas": [0.2, 0.8],
+                          "betas": [5.0], "stages": 2}]},
+         r"^optimizers\[0\]: scheme 'euler' does not take stages, alphas, betas$"),
+        ({"optimizers": [{"name": "gf", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "gf", "q": 3}}]},
+         r"^optimizers\[0\]\.flow: plain gradient flow takes no q or c, got q=3\.0, c=1\.0$"),
+        ({"optimizers": [{"name": "gd", "scheme": "gd", "eta": math.nan}]},
+         r"^optimizers\[0\]: step size eta must be non-negative, got nan$"),
+        ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "rgf", "q": 3.0, "grad_threshold": math.nan}}]},
+         r"^optimizers\[0\]\.flow: grad_threshold must be non-negative$"),
+        ({"stop": {"grad_tol": math.nan}}, r"^stop: tolerances must be non-negative$"),
+        ({"stop": {"f_tol": math.nan}}, r"^stop: tolerances must be non-negative$"),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
@@ -162,7 +176,9 @@ class TestLoadConfig:
             "bounds-no-dominance", "x0-length", "batch-no-support",
             "batch-over-dataset", "analysis-no-flow", "analysis-gf-only",
             "q-not-above-p", "bounds-no-optimum", "dominance-p-1",
-            "dominance-mu-negative", "name-null", "objective-name-list"])
+            "dominance-mu-negative", "name-null", "objective-name-list",
+            "euler-rk-fields", "gf-q", "eta-nan", "grad_threshold-nan", "grad_tol-nan",
+            "f_tol-nan"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
@@ -251,6 +267,73 @@ class TestLoadConfig:
         path.write_text("objective: {name: quadratic\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+# the fields, besides eta, that each scheme's step reads
+SCHEME_FIELDS = {"euler": ("flow",), "rk": ("flow", "stages", "alphas", "betas"),
+                 "nesterov": ("flow", "beta"), "gd": (), "nagd": ("beta",),
+                 "adam": ("beta1", "beta2", "epsilon")}
+# a value off its default for each optimizer field; a scheme's own values
+# together make a valid config of that scheme
+OFF_DEFAULT = {"beta": 0.5, "flow": {"kind": "rgf", "q": 3.0}, "stages": 2,
+               "alphas": [0.5, 0.5], "betas": [0.09], "beta1": 0.5, "beta2": 0.5,
+               "epsilon": 1e-6}
+
+
+def python_fields(node: dict) -> dict:
+    return {key: FlowSpec(**val) if key == "flow" else tuple(val) if isinstance(val, list)
+            else val for key, val in node.items()}
+
+
+def load_second_optimizer(tmp_path, node: dict):
+    """Load MINIMAL with ``node`` as its optimizer ``optimizers[1]``."""
+    data = {**MINIMAL, "optimizers": MINIMAL["optimizers"] + [dict(node, name="opt", eta=0.1)]}
+    return load_config(write_config(tmp_path, data)).optimizers[1].config
+
+
+class TestSchemeFields:
+    def test_table_lists_every_scheme_and_seventeen_fields(self):
+        assert sorted(SCHEME_FIELDS) == sorted(config.SCHEMES)
+        # eta plus the listed fields
+        assert sum(1 + len(taken) for taken in SCHEME_FIELDS.values()) == 17
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_FIELDS))
+    def test_scheme_accepts_its_own_fields(self, tmp_path, scheme):
+        own = {key: OFF_DEFAULT[key] for key in SCHEME_FIELDS[scheme]}
+        cfg = DiscretizerConfig(scheme, eta=0.1, **python_fields(own))
+        assert all(getattr(cfg, key) == val for key, val in python_fields(own).items())
+        assert load_second_optimizer(tmp_path, dict(own, scheme=scheme)) == cfg
+
+    @pytest.mark.parametrize("scheme,field", [
+        (scheme, key) for scheme, taken in sorted(SCHEME_FIELDS.items())
+        for key in OFF_DEFAULT if key not in taken])
+    def test_scheme_refuses_every_other_field(self, tmp_path, scheme, field):
+        own = {key: OFF_DEFAULT[key] for key in SCHEME_FIELDS[scheme]}
+        node = dict(own, **{field: OFF_DEFAULT[field]})
+        with pytest.raises(ValueError, match=rf"^scheme '{scheme}' does not take {field}$"):
+            DiscretizerConfig(scheme, eta=0.1, **python_fields(node))
+        with pytest.raises(ConfigError,
+                           match=rf"^optimizers\[1\]: scheme '{scheme}' does not take {field}$"):
+            load_second_optimizer(tmp_path, dict(node, scheme=scheme))
+
+    def test_refusal_names_every_field_off_its_default(self):
+        with pytest.raises(ValueError, match=r"^scheme 'euler' does not take beta, alphas, beta1$"):
+            DiscretizerConfig("euler", eta=0.1, beta=0.5, flow=FlowSpec("rgf", q=3.0),
+                              alphas=(0.2, 0.8), beta1=0.2)
+        with pytest.raises(ValueError, match=r"^scheme 'gd' does not take stages$"):
+            DiscretizerConfig("gd", eta=0.1, stages=0)
+
+    def test_stages_defaults_to_the_number_of_weights(self):
+        rk = DiscretizerConfig("rk", eta=0.1, flow=FlowSpec("rgf", q=3.0),
+                               alphas=(0.25, 0.5, 0.25), betas=(0.5, 0.5))
+        assert rk.stages == 3
+        assert DiscretizerConfig("gd", eta=0.1).stages == 1
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_replacing_eta_keeps_every_preset_optimizer(self, preset):
+        for opt in load_config(preset).optimizers:
+            cfg = replace(opt.config, eta=opt.config.eta / 2)
+            assert replace(cfg, eta=opt.config.eta) == opt.config
 
 
 class TestPresets:

@@ -7,10 +7,12 @@ import importlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import finiteflow
 from finiteflow import analysis, bench
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +49,24 @@ def test_layer_probes_run_and_report_declared_metrics(perfbench):
         out.update(probe())
     assert out and set(out) <= declared
     assert all(math.isfinite(v) and v > 0 for v in out.values())
+
+
+def test_replacing_eta_keeps_every_scheme_probe(perfbench):
+    probes, _ = perfbench
+    for cfg in probes.SCHEME_CONFIGS.values():
+        assert replace(replace(cfg, eta=cfg.eta / 2), eta=cfg.eta) == cfg
+
+
+def test_every_workload_config_loads(perfbench, tmp_path):
+    # a config rule that refuses a value the benchmark sets fails here
+    workloads = importlib.import_module("workloads")
+    loaded = 0
+    for scale in workloads.SCALES.values():
+        for name in workloads.WORKLOADS:
+            for seed in range(workloads.INPUT_SETS):
+                for cfg_name, text in workloads.build(name, seed, scale).yaml_texts():
+                    path = tmp_path / f"{cfg_name}.yaml"
+                    path.write_text(text)
+                    assert finiteflow.load_config(path).name == cfg_name
+                    loaded += 1
+    assert loaded == 200
