@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -66,6 +66,15 @@ class Objective:
     functions of x, which lets a run fill the rows of a limit cycle without
     calling them. ``batch_gradient(x, indices)`` is present only for
     objectives with mini-batch support.
+
+    ``value_and_grad(x)`` returns ``(float(value(x)), gradient(x))`` as a
+    float and a float64 array, in one call; each recorded row of a run
+    makes this one call. A maker passes a closed form of it as ``fused``,
+    which must agree with ``value`` and ``gradient`` to the bit. Without
+    ``fused`` it is composed from the objective's own ``value`` and
+    ``gradient``, gradient first; so an objective built by hand, and every
+    ``dataclasses.replace`` of one, which does not pass ``fused`` on, never
+    runs a fused form that its callables have outgrown.
     """
 
     dimension: int
@@ -75,10 +84,21 @@ class Objective:
     batch_gradient: Callable[[Vector, np.ndarray], Vector] | None = None
     name: str = ""
     aux: dict = field(default_factory=dict, repr=False)
+    fused: InitVar[Callable[[Vector], tuple[float, Vector]] | None] = None
+    value_and_grad: Callable[[Vector], tuple[float, Vector]] = field(
+        init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, fused) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
+        if fused is None:
+            value, gradient = self.value, self.gradient
+
+            def fused(x: Vector) -> tuple[float, Vector]:
+                g = np.asarray(gradient(x), dtype=float)
+                return float(value(x)), g
+
+        object.__setattr__(self, "value_and_grad", fused)
 
 
 def make_quadratic(mu: float, dimension: int) -> Objective:
@@ -99,9 +119,13 @@ def make_quadratic(mu: float, dimension: int) -> Objective:
     def gradient(x: Vector) -> Vector:
         return mu_factor * np.asarray(x, dtype=float)
 
+    def value_and_grad(x: Vector) -> tuple[float, Vector]:
+        x = np.asarray(x, dtype=float)
+        return 0.5 * mu * float((x * x).sum()), mu_factor * x
+
     meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,
-                     metadata=meta, name="quadratic")
+                     metadata=meta, name="quadratic", fused=value_and_grad)
 
 
 def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
@@ -126,9 +150,15 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
         g2 = 2.0 * b * (x2 - x1 ** 2)
         return np.array([g1, g2])
 
+    def value_and_grad(x: Vector) -> tuple[float, Vector]:
+        x1, x2 = float(x[0]), float(x[1])
+        r = x2 - x1 ** 2
+        return ((a - x1) ** 2 + b * r ** 2,
+                np.array([-2.0 * (a - x1) - 4.0 * b * x1 * r, 2.0 * b * r]))
+
     meta = OptimumInfo(x_star=np.array([a, a ** 2]), f_star=0.0)
     return Objective(dimension=2, value=value, gradient=gradient,
-                     metadata=meta, name="rosenbrock")
+                     metadata=meta, name="rosenbrock", fused=value_and_grad)
 
 
 def make_pth_power(p: float, dimension: int) -> Objective:
@@ -147,9 +177,14 @@ def make_pth_power(p: float, dimension: int) -> Objective:
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.abs(x) ** (p - 1.0)
 
+    def value_and_grad(x: Vector) -> tuple[float, Vector]:
+        x = np.asarray(x, dtype=float)
+        a = np.abs(x)
+        return float((a ** p).sum()) / p, np.sign(x) * a ** (p - 1.0)
+
     meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,
-                     metadata=meta, name="pth_power")
+                     metadata=meta, name="pth_power", fused=value_and_grad)
 
 
 def _mlp_shapes(widths: list[int]) -> list[tuple[int, int]]:
@@ -238,9 +273,12 @@ def make_mlp(layer_widths: list[int], dataset_size: int, noise_std: float = 0.0,
         resid = pred - targets
         return float(np.mean(resid * resid))
 
-    def gradient(theta: Vector) -> Vector:
+    def value_and_grad(theta: Vector) -> tuple[float, Vector]:
         return _mlp_value_grad(np.asarray(theta, dtype=float), widths,
-                               inputs, targets)[1]
+                               inputs, targets)
+
+    def gradient(theta: Vector) -> Vector:
+        return value_and_grad(theta)[1]
 
     def batch_gradient(theta: Vector, idx: np.ndarray) -> Vector:
         return _mlp_value_grad(np.asarray(theta, dtype=float), widths,
@@ -253,6 +291,7 @@ def make_mlp(layer_widths: list[int], dataset_size: int, noise_std: float = 0.0,
         metadata=None,
         batch_gradient=batch_gradient,
         name="mlp",
+        fused=value_and_grad,
         aux={
             "layer_widths": tuple(widths),
             "teacher_params": teacher,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -513,6 +514,56 @@ class TestRun:
         traj = run(cfg, cliff, np.array([1.0]), StopCriteria(max_iters=100))
         assert traj.terminal_reason == "numerical_failure"
         assert len(traj) == records
+
+    @pytest.mark.parametrize("scheme", ["gd", "rk"])
+    def test_each_row_makes_one_objective_call(self, scheme):
+        calls = {"value_and_grad": 0, "value": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def call(x):
+                calls[name] += 1
+                return fn(x)
+            return call
+
+        obj = Objective(dimension=2, value=counted("value", QUAD2.value),
+                        gradient=counted("gradient", QUAD2.gradient),
+                        fused=counted("value_and_grad", QUAD2.value_and_grad))
+        cfg = (DiscretizerConfig(scheme="gd", eta=0.1) if scheme == "gd" else
+               DiscretizerConfig(scheme="rk", eta=0.1, flow=FlowSpec("gf"),
+                                 alphas=(0.5, 0.5), betas=(1.0,)))
+        traj = run(cfg, obj, np.array([1.0, 0.5]), StopCriteria(max_iters=40))
+        # the record pass makes the row's one call; a second stage takes a
+        # gradient of its own
+        assert calls == {"value_and_grad": len(traj), "value": 0,
+                         "gradient": 0 if scheme == "gd" else len(traj) - 1}
+
+    def test_overflowing_squared_norms_raise_no_warning(self):
+        # components of 1e155 overflow a squared norm, not the vector: the
+        # record pass, the step's finiteness check and the reference's stage
+        # norms all take their rescaled paths, with no warning to stop them
+        steep = Objective(dimension=2, value=lambda x: float(x.sum()),
+                          gradient=lambda x: np.array([1e155, 1e155]))
+        x0 = np.array([1e155, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = (run(DiscretizerConfig(scheme="euler", eta=0.1, flow=FlowSpec("rgf")),
+                        steep, x0, StopCriteria(max_iters=5)),
+                    integrate_reference(FlowSpec("rgf"), steep, x0, 0.1,
+                                        StopCriteria(max_iters=5)))
+        for traj in runs:
+            assert traj.terminal_reason == "max_iters" and len(traj) == 6
+            assert np.all(traj.grad_norm2 == 1e155 * math.sqrt(2.0))
+            # the unit-speed velocity moves the second component
+            assert np.all(np.diff(traj.x[:, 1]) < 0)
+        assert np.geterr()["over"] == "warn"
+
+    def test_callers_overflow_raise_still_ends_the_run(self):
+        steep = Objective(dimension=2, value=lambda x: float(x.sum()),
+                          gradient=lambda x: np.array([1e155, 1e155]))
+        with np.errstate(over="raise"):
+            traj = run(DiscretizerConfig(scheme="gd", eta=0.1), steep,
+                       np.array([0.0, 1.0]), StopCriteria(max_iters=5))
+        assert traj.terminal_reason == "numerical_failure" and len(traj) == 0
 
 
 # the schemes as the per-layer benchmark times them, on its banana valley

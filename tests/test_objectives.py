@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finiteflow import (BatchContext, finite_difference_check, make_mlp,
+from finiteflow import (BatchContext, Objective, finite_difference_check, make_mlp,
                         make_pth_power, make_quadratic, make_rosenbrock)
 
 FD_CASES = [
@@ -210,3 +212,62 @@ class TestBatchContext:
     def test_full_batch_indices_are_identity(self):
         ctx = BatchContext(rng_seed=9, batch_size=8, dataset_size=8)
         assert np.array_equal(ctx.indices(0), np.arange(8))
+
+
+# moderate components keep every square and power finite, with no warning
+COMPONENT = st.floats(-1e3, 1e3, allow_nan=False)
+FUSED_MAKERS = [
+    *[(f"quadratic_d{d}", lambda d=d: make_quadratic(0.7, d)) for d in range(1, 7)],
+    ("rosenbrock", lambda: make_rosenbrock(1.0, 0.2)),
+    ("pth_power_p1.5", lambda: make_pth_power(1.5, 3)),
+    ("pth_power_p4", lambda: make_pth_power(4.0, 3)),
+    ("mlp", lambda: make_mlp([2, 3, 1], 8, noise_std=0.1, seed=3)),
+]
+
+
+class TestValueAndGrad:
+    @pytest.mark.parametrize("name, maker", FUSED_MAKERS, ids=[n for n, _ in FUSED_MAKERS])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fused_form_equals_value_and_gradient_bitwise(self, name, maker, data):
+        obj = maker()
+        x = data.draw(st.lists(COMPONENT, min_size=obj.dimension, max_size=obj.dimension))
+        # a list is array-like, which value and gradient also accept
+        for point in (np.array(x), x):
+            f, g = obj.value_and_grad(point)
+            assert type(f) is float
+            assert np.float64(f).tobytes() == np.float64(float(obj.value(point))).tobytes()
+            expected = obj.gradient(point)
+            assert g.dtype == np.float64 and g.shape == expected.shape == (obj.dimension,)
+            assert g.tobytes() == expected.tobytes()
+
+    def test_hand_built_objective_composes_its_own_callables(self):
+        obj = Objective(dimension=2, value=lambda x: np.float32(1.5),
+                        gradient=lambda x: [1, 2])
+        f, g = obj.value_and_grad(np.zeros(2))
+        assert type(f) is float and f == 1.5
+        assert g.dtype == np.float64 and g.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("name, maker", FUSED_MAKERS, ids=[n for n, _ in FUSED_MAKERS])
+    def test_replace_runs_the_new_callables(self, name, maker):
+        obj = maker()
+        calls = []
+
+        def other(x):
+            calls.append("value")
+            return 2.5
+
+        def other_gradient(x):
+            calls.append("gradient")
+            return np.ones(obj.dimension)
+
+        x = np.full(obj.dimension, 0.25)
+        f, g = replace(obj, value=other).value_and_grad(x)
+        assert f == 2.5 and g.tobytes() == obj.gradient(x).tobytes()
+        assert calls == ["value"]
+        f, g = replace(obj, gradient=other_gradient).value_and_grad(x)
+        assert f == obj.value(x) and g.tolist() == [1.0] * obj.dimension
+        # the composed form takes the gradient first, as the record pass did
+        both = replace(obj, value=other, gradient=other_gradient)
+        assert both.value_and_grad(x)[0] == 2.5
+        assert calls == ["value", "gradient", "gradient", "value"]
