@@ -27,12 +27,10 @@ N_HALVINGS = 3  # closeness_table: step sizes eta, eta/2, ..., eta/2^(N_HALVINGS
 
 
 # one formatting call per row over the columns' tolist() values; %.17g
-# writes the same digits as f"{v:.17g}", and %s of such a string the same.
-# Each row starts with its "k,t," string from RowPrefixes.
-_KT_PREFIX = "%d,%.17g,".__mod__
-_CSV_ROW = "%s%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__
-_CSV_ROW_SAME_GAP = "%s%s,%s,%.17g,%.17g,%.17g\n".__mod__  # f's string twice
-_CSV_TAIL_ROW = "%s%s,%s\n".__mod__  # "k,t,", then f to grad_norm1, then wall_s
+# writes the same digits as f"{v:.17g}", and %s of such a string the same
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__
+_CSV_ROW_SAME_GAP = "%d,%.17g,%s,%s,%.17g,%.17g,%.17g\n".__mod__  # f's string twice
+_CSV_TAIL_ROW = "%d,%.17g,%s,%s\n".__mod__  # k, t, then f to grad_norm1, then wall_s
 _CYCLE_ROW = "%.17g,%.17g,%.17g,%.17g".__mod__  # f, f_gap, grad_norm2, grad_norm1
 _MEAN_CURVE_ROW = "%d,%.17g,%.17g\n".__mod__
 _fmt = "%.17g".__mod__  # one float
@@ -42,38 +40,10 @@ def _gap(f: np.ndarray, f_star: float | None) -> np.ndarray:
     return f - f_star if f_star is not None else np.full(len(f), math.nan)
 
 
-class RowPrefixes:
-    """The "k,t," strings that begin the CSV rows of a sweep's trajectories.
-
-    The runs of one step size share t = k * dt to the bit, so the strings of
-    the longest k and t columns seen since they last changed are kept and
-    reused wherever a trajectory's columns agree with them; only the rows
-    beyond them are formatted, and columns that disagree replace them. So
-    one step size's strings are held at a time.
-    """
-
-    def __init__(self) -> None:
-        self._k, self._t, self._strings = np.empty(0, dtype=np.int64), np.empty(0), []
-
-    def __call__(self, k: np.ndarray, t: np.ndarray) -> list[str]:
-        m = min(len(k), len(self._k))
-        if k[:m].tobytes() != self._k[:m].tobytes() or t[:m].tobytes() != self._t[:m].tobytes():
-            self._k, self._t, self._strings = k[:0], t[:0], []
-        if len(k) > len(self._k):
-            rest = slice(len(self._k), None)
-            self._strings += map(_KT_PREFIX, zip(k[rest].tolist(), t[rest].tolist()))
-            self._k, self._t = k.copy(), t.copy()
-        return self._strings
-
-
-def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None,
-             prefixes: RowPrefixes | None = None) -> Path:
+def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None) -> Path:
     """Write one trajectory as CSV with 17-significant-digit floats, LF newlines.
 
-    Numbers that the columns repeat are formatted once. The rows' "k,t,"
-    strings come from ``prefixes``, which shares them among the trajectories
-    of one step size that a sweep writes; by default they are formatted
-    here. From one period into
+    Numbers that the columns repeat are formatted once. From one period into
     a filled cycle on, a row's f, f_gap and gradient norms reuse the strings
     of the cycle's row in the same phase, and its trailing rows that hold the
     last wall_s share one string. f_gap reuses f's strings when the two
@@ -87,11 +57,11 @@ def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None,
     # rows from `tail` on repeat the row a period before them in `periodic`
     start, period = traj.cycle_start, traj.cycle_period
     tail = n if period is None else min(n, start + period)
-    kt = (RowPrefixes() if prefixes is None else prefixes)(traj.k, traj.t)
-    cols = [kt[:tail]] + [c[:tail].tolist() for c in (*periodic, wall)]
+    k, t = traj.k.tolist(), traj.t.tolist()
+    cols = [k, t] + [c[:tail].tolist() for c in (*periodic, wall)]
     row = _CSV_ROW
     if gap.tobytes() == f.tobytes():
-        cols[1] = cols[2] = list(map(_fmt, cols[1]))
+        cols[2] = cols[3] = list(map(_fmt, cols[2]))
         row = _CSV_ROW_SAME_GAP
     text = [CSV_HEADER + "\n", *map(row, zip(*cols))]
     if tail < n:
@@ -101,7 +71,7 @@ def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None,
         held = tail + (int(changed[-1]) + 1 if len(changed) else 0)
         walls = list(map(_fmt, wall[tail:held].tolist())) + [_fmt(wall[-1])] * (n - held)
         phases *= (n - tail) // period + 1
-        text += map(_CSV_TAIL_ROW, zip(kt[tail:n], phases, walls))
+        text += map(_CSV_TAIL_ROW, zip(k[tail:], t[tail:], phases, walls))
     path.write_text("".join(text), newline="\n")
     return path
 
@@ -176,7 +146,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     cells: list[CellResult] = []
     # the cost columns of each optimizer's cells that recorded anything
     costs: dict[str, list[np.ndarray]] = {}
-    prefixes = RowPrefixes()
     for opt in cfg.optimizers:
         for seed in range(cfg.init.base_seed, cfg.init.base_seed + cfg.init.n_seeds):
             batch = None
@@ -186,7 +155,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             path = out / f"{opt.name}__seed{seed}.csv"
             traj = run(opt.config, obj, cfg.init.draw(obj.dimension, seed), cfg.stop,
                        batch=batch)
-            emit_csv(traj, path, f_star, prefixes)
+            emit_csv(traj, path, f_star)
             # a run whose objective fails at x0 records nothing
             final_f = float(traj.f[-1]) if len(traj) else math.nan
             cells.append(CellResult(
@@ -202,7 +171,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             if len(traj):
                 costs.setdefault(opt.name, []).append(traj.f)
             del traj  # free before the next cell runs
-    del prefixes  # and the shared row strings before the summary and analysis
 
     summary = RunSummary(cells=cells, out_dir=out)
     _write_summary(summary, cfg, out)

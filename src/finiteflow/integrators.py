@@ -12,7 +12,6 @@ classical RK4, written out.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -352,12 +351,7 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     since a run under a wall limit may have a huge ``max_iters``; gradient
     rows are reduced to their l1 norms ``_GRADIENT_CHUNK`` rows at a time.
 
-    Each row makes one objective call, ``obj.value_and_grad``. Under numpy's
-    default ``over="warn"`` the loop ignores overflow: a finite vector whose
-    squared norm overflows takes the rescaled path of ``norm2`` and
-    ``_ensure_finite`` with no warning, and an infinite cost or gradient
-    still ends the run as numerical_failure. A caller's ``over="raise"``
-    still ends the run there too.
+    Each row makes one objective call, ``obj.value_and_grad``.
     """
     rows = min(stop.max_iters + 1, _RECORD_BLOCK)
     xs = np.empty((rows, obj.dimension))
@@ -374,45 +368,42 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     anchor, anchor_gn2 = 0, math.nan
     next_anchor = 1 if repeats and wall_limit is None else -1
     value_and_grad, clock = obj.value_and_grad, time.perf_counter
-    quiet = (np.errstate(over="ignore") if np.geterr()["over"] == "warn"
-             else contextlib.nullcontext())
     t_start = clock()
-    with quiet:
-        try:
-            while True:
-                f, g = value_and_grad(x)
-                gn2 = norm2(g)
-                wall = clock() - t_start
-                if n == len(xs):
-                    xs, fs, gn2s, gn1s, walls = (_grown(a, 2 * n) for a in (xs, fs, gn2s, gn1s, walls))
-                xs[n] = x
-                fs[n] = f
-                gn2s[n] = gn2
-                walls[n] = wall
-                grads[n % chunk] = g
-                n += 1
-                if n % chunk == 0:
-                    gn1s[n - chunk:n] = np.abs(grads).sum(axis=1)
-                # the stop rules, in the order StopCriteria documents
-                reason = (TERMINAL_NUMERICAL_FAILURE if not (math.isfinite(f) and math.isfinite(gn2))
-                          else TERMINAL_GRAD_TOL if grad_tol > 0 and gn2 <= grad_tol
-                          else TERMINAL_F_TOL if f_tol > 0 and f - f_star <= f_tol
-                          else TERMINAL_MAX_ITERS if n > max_iters
-                          else TERMINAL_WALL_LIMIT if wall_limit is not None and wall >= wall_limit
-                          else None)
-                if reason is not None:
-                    break
-                if (gn2 == anchor_gn2 and xs[n - 1].tobytes() == xs[anchor].tobytes()
-                        and xs[n - 2].tobytes() == xs[anchor - 1].tobytes()):
-                    period = n - 1 - anchor
-                    break
-                if n - 1 == next_anchor:
-                    anchor, anchor_gn2, next_anchor = n - 1, gn2, next_anchor + _ANCHOR_EVERY
-                x = advance(x, g, gn2)
-        except (NumericalFailure, ArithmeticError):
-            reason = TERMINAL_NUMERICAL_FAILURE
-        # row by row this is np.abs(g).sum() of each gradient, to the bit
-        gn1s[n - n % chunk:n] = np.abs(grads[:n % chunk]).sum(axis=1)
+    try:
+        while True:
+            f, g = value_and_grad(x)
+            gn2 = norm2(g)
+            wall = clock() - t_start
+            if n == len(xs):
+                xs, fs, gn2s, gn1s, walls = (_grown(a, 2 * n) for a in (xs, fs, gn2s, gn1s, walls))
+            xs[n] = x
+            fs[n] = f
+            gn2s[n] = gn2
+            walls[n] = wall
+            grads[n % chunk] = g
+            n += 1
+            if n % chunk == 0:
+                gn1s[n - chunk:n] = np.abs(grads).sum(axis=1)
+            # the stop rules, in the order StopCriteria documents
+            reason = (TERMINAL_NUMERICAL_FAILURE if not (math.isfinite(f) and math.isfinite(gn2))
+                      else TERMINAL_GRAD_TOL if grad_tol > 0 and gn2 <= grad_tol
+                      else TERMINAL_F_TOL if f_tol > 0 and f - f_star <= f_tol
+                      else TERMINAL_MAX_ITERS if n > max_iters
+                      else TERMINAL_WALL_LIMIT if wall_limit is not None and wall >= wall_limit
+                      else None)
+            if reason is not None:
+                break
+            if (gn2 == anchor_gn2 and xs[n - 1].tobytes() == xs[anchor].tobytes()
+                    and xs[n - 2].tobytes() == xs[anchor - 1].tobytes()):
+                period = n - 1 - anchor
+                break
+            if n - 1 == next_anchor:
+                anchor, anchor_gn2, next_anchor = n - 1, gn2, next_anchor + _ANCHOR_EVERY
+            x = advance(x, g, gn2)
+    except (NumericalFailure, ArithmeticError):
+        reason = TERMINAL_NUMERICAL_FAILURE
+    # row by row this is np.abs(g).sum() of each gradient, to the bit
+    gn1s[n - n % chunk:n] = np.abs(grads[:n % chunk]).sum(axis=1)
     start = None
     if period is not None:
         start = _cycle_start(xs[:n], period)

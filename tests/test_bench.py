@@ -463,74 +463,6 @@ class TestEmitCsv:
         assert path.read_bytes() == row_by_row_csv(traj, f_star)
 
 
-def kt_per_row_csv(traj, f_star) -> bytes:
-    """The CSV bytes of a trajectory with k and t formatted in each row."""
-    lines = ["k,t,f,f_gap,grad_norm2,grad_norm1,wall_s\n"]
-    for i in range(len(traj)):
-        f = float(traj.f[i])
-        gap = f - f_star if f_star is not None else math.nan
-        rest = (f, gap, float(traj.grad_norm2[i]), float(traj.grad_norm1[i]),
-                float(traj.wall_s[i]))
-        lines.append("%d,%.17g," % (int(traj.k[i]), float(traj.t[i]))
-                     + ",".join("%.17g" % v for v in rest) + "\n")
-    return "".join(lines).encode()
-
-
-def stepped(n, eta, seed=0):
-    """A trajectory of n stepped rows at step size eta, t = k * eta as run records it."""
-    rng = np.random.default_rng(seed)
-    k = np.arange(n)
-    return Trajectory(k=k, t=k * eta, x=np.zeros((n, 1)), f=rng.standard_normal(n),
-                      grad_norm2=rng.random(n), grad_norm1=rng.random(n),
-                      wall_s=np.cumsum(rng.random(n)), terminal_reason="max_iters")
-
-
-def cycling(eta):
-    # Euler on the normalized flow cycles between 0.01 and -0.02 from x0 = 1
-    # when eta = 0.03; rows 2 on repeat with period 2
-    return run(DiscretizerConfig(scheme="euler", eta=eta, flow=FlowSpec("rgf")),
-               make_quadratic(1.0, 1), np.array([1.0]), StopCriteria(max_iters=300))
-
-
-class TestSharedKtStrings:
-    """Cells of one step size share their "k,t," strings; every file must
-    still equal a writer that formats k and t in each row."""
-
-    @pytest.mark.parametrize("sequence", [
-        [(0, 0.1), (1, 0.1), (5, 0.1)],
-        [(5, 0.1), (1, 0.1), (0, 0.1)],
-        [(4, 0.1), (12, 0.1)],
-        [(12, 0.1), (4, 0.1)],
-        [(6, 0.0), (9, 0.0), (3, 0.1), (9, 0.0)],
-        [(8, 0.1), (8, 0.2), (8, 0.1), (20, 1e-3), (3, 0.2)],
-        [(1, 0.0), (1, 0.5), (0, 0.5), (2, 0.5)],
-    ])
-    @pytest.mark.parametrize("f_star", [None, 0.0])
-    def test_each_file_matches_the_per_row_writer(self, tmp_path, sequence, f_star):
-        prefixes = bench.RowPrefixes()
-        for i, (n, eta) in enumerate(sequence):
-            traj = stepped(n, eta, seed=i)
-            path = emit_csv(traj, tmp_path / f"{i}.csv", f_star, prefixes)
-            assert path.read_bytes() == kt_per_row_csv(traj, f_star), (n, eta)
-
-    def test_filled_cycles_share_strings_with_stepped_rows(self, tmp_path):
-        filled = cycling(0.03)
-        assert filled.cycle_period == 2 and len(filled) == 301
-        prefixes = bench.RowPrefixes()
-        for i, traj in enumerate([stepped(40, 0.03), filled, stepped(400, 0.03), filled,
-                                  filled.head(7), cycling(0.05), filled]):
-            path = emit_csv(traj, tmp_path / f"{i}.csv", 0.0, prefixes)
-            assert path.read_bytes() == kt_per_row_csv(traj, 0.0), i
-
-    def test_only_the_longest_columns_of_the_last_step_size_are_kept(self, tmp_path):
-        prefixes, none = bench.RowPrefixes(), np.empty(0)
-        for i, (n, eta, kept) in enumerate([(50, 0.1, 50), (80, 0.1, 80), (30, 0.1, 80),
-                                            (20, 0.2, 20)]):
-            emit_csv(stepped(n, eta), tmp_path / f"{i}.csv", None, prefixes)
-            # empty columns agree with any, and return the strings held
-            assert len(prefixes(none.astype(int), none)) == kept
-
-
 class TestRunExperiment:
     def test_single_cell_matches_geometric_decay(self, tmp_path):
         data = dict(MINIMAL)

@@ -33,8 +33,7 @@ def test_probe_names_and_units():
 
 
 def test_every_probe_builds_and_measures_on_this_checkout(tmp_path):
-    bench_inproc.load_workloads(_ROOT)
-    measures, absent = bench_inproc.build_probes(finiteflow, tmp_path, PROBE_NAMES)
+    measures, absent = bench_inproc.build_probes(finiteflow, tmp_path)
     assert absent == {} and list(measures) == PROBE_NAMES
     # the sweep repetition takes about a second; the rest are quick, and the
     # run probes check that their runs do not cycle
@@ -42,17 +41,24 @@ def test_every_probe_builds_and_measures_on_this_checkout(tmp_path):
         assert measures[name]() > 0, name
 
 
-def test_a_probe_the_package_lacks_is_absent(tmp_path):
+def only_probes(monkeypatch, names):
+    """Cut the tool's probe table down to ``names``; a name it lacks gets a
+    probe in us that is never built."""
+    probes = {name: bench_inproc.PROBES.get(name, ("us", None)) for name in names}
+    monkeypatch.setattr(bench_inproc, "PROBES", probes)
+
+
+def test_a_probe_the_package_lacks_is_absent(tmp_path, monkeypatch):
     lacking = types.SimpleNamespace(**{name: getattr(finiteflow, name)
                                        for name in finiteflow.__all__ if name != "make_mlp"})
-    names = ["objectives.row_calls_us.mlp", "integrators.run_row_us.gd"]
-    measures, absent = bench_inproc.build_probes(lacking, tmp_path, names)
+    only_probes(monkeypatch, ["objectives.row_calls_us.mlp", "integrators.run_row_us.gd"])
+    measures, absent = bench_inproc.build_probes(lacking, tmp_path)
     assert list(measures) == ["integrators.run_row_us.gd"]
     assert set(absent) == {"objectives.row_calls_us.mlp"}
     assert "make_mlp" in absent["objectives.row_calls_us.mlp"]
 
 
-def test_sides_alternate_by_round_and_probe_by_probe():
+def test_sides_alternate_by_round_and_probe_by_probe(monkeypatch):
     calls = []
 
     def measure(side, name):
@@ -62,10 +68,11 @@ def test_sides_alternate_by_round_and_probe_by_probe():
         return call
 
     names = ["a", "b"]
+    only_probes(monkeypatch, names)
     measures = {side: {name: measure(side, name) for name in names}
                 for side in ("parent", "change")}
     del measures["parent"]["b"]  # absent from the parent
-    results = bench_inproc.alternate(measures, names, rounds=3)
+    results = bench_inproc.alternate(measures, rounds=3)
     assert [r["first"] for r in results] == ["parent", "change", "parent"]
     assert calls == [("parent", "a"), ("change", "a"), ("change", "b"),
                      ("change", "a"), ("parent", "a"), ("change", "b"),
@@ -75,12 +82,11 @@ def test_sides_alternate_by_round_and_probe_by_probe():
 
 
 def test_summary_medians_wins_and_absent_probes(monkeypatch):
-    monkeypatch.setitem(bench_inproc.PROBES, "a", ("us", None))
-    monkeypatch.setitem(bench_inproc.PROBES, "b", ("s", None))
+    monkeypatch.setattr(bench_inproc, "PROBES", {"a": ("us", None), "b": ("s", None)})
     results = [{"first": "parent", "parent": {"a": 2.0}, "change": {"a": 1.0, "b": 3.0}},
                {"first": "change", "parent": {"a": 4.0}, "change": {"a": 4.0, "b": 5.0}},
                {"first": "parent", "parent": {"a": 3.0}, "change": {"a": 3.5, "b": 4.0}}]
-    summary = bench_inproc.summarize(results, ["a", "b"],
+    summary = bench_inproc.summarize(results,
                                      {"parent": {"b": "AttributeError: b"}, "change": {}})
     assert summary["pairs"] == 3
     assert [r["first"] for r in summary["runs"]] == ["parent", "change", "parent"]
@@ -94,11 +100,11 @@ def test_summary_medians_wins_and_absent_probes(monkeypatch):
     assert b["absent"] == {"parent": "AttributeError: b"} and "change_better_pairs" not in b
 
 
-def test_merges_into_the_trend_file(tmp_path):
+def test_merges_into_the_trend_file(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     out.write_text('{"machine": {"cpu": "kept"}, "gated_runs": {"w": {"pairs": 10}}}')
-    bench_inproc.main([str(_ROOT), str(_ROOT), "--rounds", "2", "--out", str(out),
-                       "--probes", "objectives.row_calls_us.quadratic"])
+    only_probes(monkeypatch, ["objectives.row_calls_us.quadratic"])
+    bench_inproc.main([str(_ROOT), str(_ROOT), "--rounds", "2", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert doc["machine"] == {"cpu": "kept"} and doc["gated_runs"] == {"w": {"pairs": 10}}
     section = doc["in_process"]
@@ -108,8 +114,3 @@ def test_merges_into_the_trend_file(tmp_path):
     assert entry["parent_median"] > 0 and entry["change_median"] > 0
     assert entry["change_better_pairs"] + entry["parent_better_pairs"] <= 2
 
-
-def test_rejects_unknown_probes(tmp_path):
-    with pytest.raises(SystemExit):
-        bench_inproc.main([str(_ROOT), str(_ROOT), "--out", str(tmp_path / "o.json"),
-                           "--probes", "no.such.probe"])

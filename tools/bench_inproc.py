@@ -15,10 +15,13 @@ sides alternate probe by probe in that order). The probes:
   within the probe (checked on every run);
 - ``bench.emit_csv_us_per_row.same_eta``: writing ten ``gd`` trajectories of
   one step size, the way ``run_experiment`` writes the seeds of one
-  optimizer (sharing one ``bench.RowPrefixes`` where the checkout has it);
+  optimizer;
 - ``bench.run_experiment_s.banana_sweep``: one repetition of the
-  ``banana_sweep`` benchmark workload (input set 0), its config built by
-  the change checkout's ``perfbench/workloads.py``.
+  ``banana_sweep`` benchmark workload (input set 0).
+
+The timers and the workload config come from this checkout's
+``perfbench/probes.py`` and ``perfbench/workloads.py``, so both sides are
+timed alike.
 
 A probe that a checkout cannot build, because a name it uses is missing
 there, is reported as absent for that side. Per probe the summary gives
@@ -36,7 +39,6 @@ import argparse
 import importlib.util
 import json
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -46,15 +48,15 @@ from typing import Callable
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import bench_pairs  # noqa: E402  (a sibling script, for quartiles and the file's header)
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "tools"), str(_ROOT / "src"), str(_ROOT / "perfbench")]
+import bench_pairs  # noqa: E402  (a sibling script: the statistics and the file's header)
+import workloads  # noqa: E402
+from probes import _median_s, per_call_us  # noqa: E402
 
 SIDES = ("parent", "change")
-_BATCH_S = 0.01  # time per timed batch of a per-call probe
-_BATCHES = 5     # batches per measurement; the median is reported
 _RUN_ROWS = 1000  # rows of a recorded-run probe
 _BANANA_X0 = (-1.0, 2.0)
-_WORKLOADS = "bench_inproc_workloads"  # module name of the imported perfbench/workloads.py
 
 
 def load_package(checkout: Path, name: str) -> ModuleType:
@@ -67,36 +69,6 @@ def load_package(checkout: Path, name: str) -> ModuleType:
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return package
-
-
-def per_call_us(fn: Callable[[], object]) -> float:
-    """Median over batches of the wall time per call of ``fn``, in µs."""
-    n = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(n):
-            fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed >= _BATCH_S / 4:
-            break
-        n *= 4
-    n = max(1, round(n * _BATCH_S / elapsed))
-    times = []
-    for _ in range(_BATCHES):
-        t0 = time.perf_counter()
-        for _ in range(n):
-            fn()
-        times.append((time.perf_counter() - t0) / n)
-    return statistics.median(times) * 1e6
-
-
-def _median_s(fn: Callable[[], object], repeats: int = 3) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def _makers(ff: ModuleType) -> dict[str, Callable[[], object]]:
@@ -141,7 +113,7 @@ def _run_row(scheme: str) -> Callable:
             traj = ff.run(cfg, obj, x0, stop)
             if traj.cycle_period is not None or len(traj) != _RUN_ROWS:
                 raise AssertionError(f"the {scheme} probe's run cycled or stopped early")
-        return lambda: _median_s(one_run) / _RUN_ROWS * 1e6
+        return lambda: _median_s(one_run)[0] / _RUN_ROWS * 1e6
     return build
 
 
@@ -150,19 +122,15 @@ def _same_eta_csv(ff, work: Path):
     starts = np.random.default_rng(1).uniform(0.0, 2.0, (10, 2))
     trajs = [ff.run(cfg, obj, x0, ff.StopCriteria(max_iters=_RUN_ROWS - 1)) for x0 in starts]
     rows = sum(len(t) for t in trajs)
-    # a sweep shares one RowPrefixes among its CSVs, where the checkout has it
-    shared = getattr(ff.bench, "RowPrefixes", None)
 
     def write_all():
-        extra = () if shared is None else (shared(),)
         for i, traj in enumerate(trajs):
-            ff.emit_csv(traj, work / f"{i}.csv", 0.0, *extra)
-    return lambda: _median_s(write_all) / rows * 1e6
+            ff.emit_csv(traj, work / f"{i}.csv", 0.0)
+    return lambda: _median_s(write_all)[0] / rows * 1e6
 
 
 def _banana_sweep(ff, work: Path):
-    # the workload module that load_workloads imported
-    (name, text), = sys.modules[_WORKLOADS].build("banana_sweep", 0).yaml_texts()
+    (name, text), = workloads.build("banana_sweep", 0).yaml_texts()
     config_path = work / f"{name}.yaml"
     config_path.write_text(text)
     cfg = ff.load_config(config_path)
@@ -188,21 +156,11 @@ PROBES: dict[str, tuple[str, Callable]] = {
 }
 
 
-def load_workloads(checkout: Path) -> ModuleType:
-    """``perfbench/workloads.py`` of ``checkout``, which builds the workload configs."""
-    spec = importlib.util.spec_from_file_location(
-        _WORKLOADS, Path(checkout) / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_WORKLOADS] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def build_probes(ff: ModuleType, work: Path, names) -> tuple[dict, dict]:
-    """The measure of each probe in ``names`` on package ``ff``, and the
-    reason of each probe the package lacks a name for."""
+def build_probes(ff: ModuleType, work: Path) -> tuple[dict, dict]:
+    """The measure of each probe on package ``ff``, and the reason of each
+    probe the package lacks a name for."""
     measures, absent = {}, {}
-    for name in names:
+    for name in PROBES:
         probe_dir = work / name
         probe_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -212,15 +170,15 @@ def build_probes(ff: ModuleType, work: Path, names) -> tuple[dict, dict]:
     return measures, absent
 
 
-def alternate(measures: dict[str, dict[str, Callable]], names, rounds: int) -> list[dict]:
-    """``rounds`` rounds of every probe in ``names`` on both sides: round i
-    runs the parent first when i is even. ``measures[side][name]`` is the
-    probe's measure; a probe missing from a side is skipped there."""
+def alternate(measures: dict[str, dict[str, Callable]], rounds: int) -> list[dict]:
+    """``rounds`` rounds of every probe on both sides: round i runs the
+    parent first when i is even. ``measures[side][name]`` is the probe's
+    measure; a probe missing from a side is skipped there."""
     out = []
     for i in range(rounds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         result = {"first": order[0], "parent": {}, "change": {}}
-        for name in names:
+        for name in PROBES:
             for side in order:
                 if name in measures[side]:
                     result[side][name] = measures[side][name]()
@@ -228,23 +186,15 @@ def alternate(measures: dict[str, dict[str, Callable]], names, rounds: int) -> l
     return out
 
 
-def summarize(results: list[dict], names, absent: dict[str, dict]) -> dict:
-    """Per-probe medians, quartiles and round wins, lower being better, in the
-    layout of ``bench_pairs.summarize``; ``absent[side]`` maps a probe the
-    side lacks to the reason."""
+def summarize(results: list[dict], absent: dict[str, dict]) -> dict:
+    """Per-probe medians, quartiles and round wins, lower being better, by
+    ``bench_pairs.metric_summary``; ``absent[side]`` maps a probe the side
+    lacks to the reason."""
     metrics = {}
-    for name in names:
-        entry = {"unit": PROBES[name][0]}
-        sides = {side: [r[side][name] for r in results if name in r[side]] for side in SIDES}
-        for side, values in sides.items():
-            entry[f"{side}_median"] = statistics.median(values) if values else None
-        for side, values in sides.items():
-            entry[f"{side}_quartiles"] = bench_pairs.quartiles(values) if values else None
-        if all(sides.values()):
-            diffs = [c - p for p, c in zip(sides["parent"], sides["change"])]
-            entry["better"] = "lower"
-            entry["change_better_pairs"] = sum(d < 0 for d in diffs)
-            entry["parent_better_pairs"] = sum(d > 0 for d in diffs)
+    for name, (unit, _) in PROBES.items():
+        parent, change = ([r[side][name] for r in results if name in r[side]]
+                          for side in SIDES)
+        entry = bench_pairs.metric_summary(unit, parent, change, "lower")
         missing = {side: absent[side][name] for side in SIDES if name in absent[side]}
         if missing:
             entry["absent"] = missing
@@ -274,23 +224,16 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--probes", nargs="*", default=list(PROBES),
-                        help="probe names (default: all)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    unknown = sorted(set(args.probes) - set(PROBES))
-    if unknown:
-        parser.error(f"unknown probes {unknown}")
     parent, change = args.parent.resolve(), args.change.resolve()
-    load_workloads(change)
     packages = {"parent": load_package(parent, "finiteflow_parent"),
                 "change": load_package(change, "finiteflow_change")}
     with tempfile.TemporaryDirectory() as tmp:
-        built = {side: build_probes(packages[side], Path(tmp) / side, args.probes)
-                 for side in SIDES}
-        results = alternate({side: built[side][0] for side in SIDES}, args.probes, args.rounds)
-    summary = summarize(results, args.probes, {side: built[side][1] for side in SIDES})
+        built = {side: build_probes(packages[side], Path(tmp) / side) for side in SIDES}
+        results = alternate({side: built[side][0] for side in SIDES}, args.rounds)
+    summary = summarize(results, {side: built[side][1] for side in SIDES})
     summary["command"] = f"python3 tools/bench_inproc.py PARENT CHANGE --rounds {args.rounds}"
     merge(args.out, summary, parent, change)
     for name, entry in summary["metrics"].items():

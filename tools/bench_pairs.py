@@ -72,6 +72,27 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def metric_summary(unit: str, parent: list[float], change: list[float],
+                   better: str | None) -> dict:
+    """One metric's median and quartiles on each side, None for a side with
+    no values. When ``better`` is "lower" or "higher" and both sides have
+    values, taken pairwise, it adds the pairs each side won (a tie counts
+    for neither)."""
+    sides = {"parent": parent, "change": change}
+    summary = {"unit": unit}
+    for side, values in sides.items():
+        summary[f"{side}_median"] = statistics.median(values) if values else None
+    for side, values in sides.items():
+        summary[f"{side}_quartiles"] = quartiles(values) if values else None
+    if better is not None and parent and change:
+        sign = 1 if better == "lower" else -1
+        diffs = [sign * (c - p) for p, c in zip(parent, change)]
+        summary["better"] = better
+        summary["change_better_pairs"] = sum(d < 0 for d in diffs)
+        summary["parent_better_pairs"] = sum(d > 0 for d in diffs)
+    return summary
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per-metric medians, quartiles and pair wins of ``pairs``, each a dict
     ``{"parent": result, "change": result, "first": side}`` of two printed
@@ -79,20 +100,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     does not name are summarized without wins."""
     metrics = {}
     for name, entry in pairs[0]["parent"]["metrics"].items():
-        sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
-                 for side in ("parent", "change")}
-        summary = {"unit": entry["unit"]}
-        for side, values in sides.items():
-            summary[f"{side}_median"] = statistics.median(values)
-        for side, values in sides.items():
-            summary[f"{side}_quartiles"] = quartiles(values)
-        if name in better:
-            sign = 1 if better[name] == "lower" else -1
-            diffs = [sign * (c - p) for p, c in zip(sides["parent"], sides["change"])]
-            summary["better"] = better[name]
-            summary["change_better_pairs"] = sum(d < 0 for d in diffs)
-            summary["parent_better_pairs"] = sum(d > 0 for d in diffs)
-        metrics[name] = summary
+        parent, change = ([p[side]["metrics"][name]["value"] for p in pairs]
+                          for side in ("parent", "change"))
+        metrics[name] = metric_summary(entry["unit"], parent, change, better.get(name))
     runs = [{"first": p["first"],
              **{side: {key: p[side][key] for key in ("correct", "attempted", "failed")}
                 for side in ("parent", "change")}} for p in pairs]
