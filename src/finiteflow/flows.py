@@ -11,12 +11,19 @@ stationary points; q = inf gives the unit-speed normalized field (rgf) and
 the pure sign field (sgf). Below ``grad_threshold`` the velocity is defined
 as exactly zero, which keeps trajectories stationary at minimizers instead
 of dividing by a vanishing norm or chattering on the sign field.
+
+Each ``FlowSpec`` resolves its field once, when it is built, into one
+function of the gradient (and its Euclidean norm, when the caller has it)
+that returns the velocity together with a scalar bound on the velocity's
+norm, both from the same power of the norm. ``flow_eval`` and the
+integrators' stages call that function directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +41,9 @@ class FlowSpec:
     q: float = math.inf
     c: float = 1.0
     grad_threshold: float = 1e-12
-    # norm exponent of the configured kind, precomputed for the hot path
-    _exponent: float = field(init=False, repr=False, compare=False, default=0.0)
+    # the field resolved once: (g, n2=None) -> (velocity, speed bound)
+    _velocity_and_bound: Callable[..., tuple[np.ndarray, float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in FLOW_KINDS:
@@ -48,8 +56,11 @@ class FlowSpec:
             raise ValueError(f"plain gradient flow takes no q or c, got q={self.q}, c={self.c}")
         if not self.grad_threshold >= 0:
             raise ValueError("grad_threshold must be non-negative")
-        exponent = self.rgf_exponent() if self.kind == "rgf" else self.sgf_exponent()
-        object.__setattr__(self, "_exponent", exponent)
+        object.__setattr__(self, "_velocity_and_bound", _resolve(self))
+
+    def __reduce__(self):
+        # the resolved field is a closure; a copy or unpickled spec rebuilds it
+        return FlowSpec, (self.kind, self.q, self.c, self.grad_threshold)
 
     def rgf_exponent(self) -> float:
         """Exponent (q-2)/(q-1) on the Euclidean norm; 1 in the q = inf limit."""
@@ -79,43 +90,55 @@ def flow_eval(spec: FlowSpec, grad: np.ndarray) -> np.ndarray:
     """Velocity of the configured flow at a point with gradient ``grad``."""
     g = grad if isinstance(grad, np.ndarray) and grad.dtype == np.float64 \
         else np.asarray(grad, dtype=float)
-    return _velocity(spec, g, norm2(g))
+    return spec._velocity_and_bound(g)[0]
 
 
 def _velocity(spec: FlowSpec, g: np.ndarray, n2: float) -> np.ndarray:
     """``flow_eval`` for a float64 gradient ``g`` whose Euclidean norm ``n2``
     the caller has already computed."""
-    if not math.isfinite(n2):
-        raise NumericalFailure(f"non-finite gradient passed to {spec.kind} flow: {g!r}")
-    if n2 <= spec.grad_threshold:
-        # stationary point: zero velocity is an admissible solution there
-        return np.zeros_like(g)
-    if spec.kind == "gf":
-        return -g
-    # one array product per velocity, with the bits of (g * s) * -c and
-    # (sign(g) * pw) * -c: negation is exact, and so is sign(g) * pw, as
-    # sign(g) is +-1 or 0; rgf with c != 1 keeps its two products
-    if spec.kind == "rgf":
-        s = n2 ** -spec._exponent
-        return g * -s if spec.c == 1.0 else g * s * -spec.c
-    pw = float(np.abs(g).sum()) ** spec._exponent
-    return np.sign(g) * -(pw * spec.c)
+    return spec._velocity_and_bound(g, n2)[0]
 
 
-def _speed_bound(spec: FlowSpec, n2: float, v: np.ndarray) -> float:
-    """An upper bound on ``norm2(v)`` for ``v = _velocity(spec, g, n2)``, made
-    of scalars: ``n2`` for gf (equal to the bit), ``n2 * s * c`` for rgf,
-    whose velocity is ``g * -s`` or ``g * s * -c`` with its scale s, and
-    ``sqrt(d) * |v[0]|`` for sgf, whose velocity ``sign(g) * -(pw * c)`` has
-    every nonzero component equal to +-(pw * c). It can fall short of
+def _speed_bound(spec: FlowSpec, g: np.ndarray, n2: float) -> float:
+    """The scalar bound on ``norm2(_velocity(spec, g, n2))`` that the
+    resolved field returns with the velocity."""
+    return spec._velocity_and_bound(g, n2)[1]
+
+
+def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
+    """The field of ``spec`` as ``(g, n2=None) -> (v, bound)`` for a float64
+    gradient ``g``; without ``n2`` the norm is taken from one ``dot``, and
+    from ``norm2`` only when that square overflows.
+
+    A non-finite norm raises NumericalFailure, and a norm at or below the
+    cutoff gives exact zeros with bound 0. Each velocity is one array
+    product, with the bits of (g * s) * -c and (sign(g) * pw) * -c: negation
+    is exact, and so is sign(g) * pw, as sign(g) is +-1 or 0; rgf with
+    c != 1 keeps its two products. The bound is made of scalars: ``n2`` for
+    gf (equal to the bit), ``n2 * s * c`` for rgf, and ``sqrt(d) * pw * c``
+    for sgf, whose every component is 0 or +-(pw * c). It can fall short of
     ``norm2(v)`` only by rounding, under a relative 1e-6 for any dimension
-    below about 1e9; inf for an sgf velocity whose first component is zero."""
-    if n2 <= spec.grad_threshold:
-        return 0.0
-    if spec.kind == "gf":
-        return n2
-    if spec.kind == "rgf":
-        return n2 * n2 ** -spec._exponent * spec.c
-    first = abs(v.item(0))
-    return math.sqrt(v.size) * first if first else math.inf
+    below about 1e9."""
+    kind, c, threshold = spec.kind, spec.c, spec.grad_threshold
+    gf, rgf, unit = kind == "gf", kind == "rgf", c == 1.0
+    neg_exponent, exponent = -spec.rgf_exponent(), spec.sgf_exponent()
 
+    def velocity_and_bound(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
+        if n2 is None:
+            sq = float(g.dot(g))
+            n2 = math.sqrt(sq) if math.isfinite(sq) else norm2(g)
+        if not math.isfinite(n2):
+            raise NumericalFailure(f"non-finite gradient passed to {kind} flow: {g!r}")
+        if n2 <= threshold:
+            # stationary point: zero velocity is an admissible solution there
+            return np.zeros_like(g), 0.0
+        if rgf:
+            s = n2 ** neg_exponent
+            return (g * -s, n2 * s) if unit else (g * s * -c, n2 * s * c)
+        if gf:
+            return -g, n2
+        # np.add.reduce is ndarray.sum without its Python wrapper, to the bit
+        pwc = float(np.add.reduce(np.abs(g))) ** exponent * c
+        return np.sign(g) * -pwc, math.sqrt(g.size) * pwc
+
+    return velocity_and_bound

@@ -8,6 +8,13 @@ plain gradient flow) are its one-stage member ``x + h * v_1``. The
 look-ahead step covers ``nesterov`` and ``nagd`` (the same step on the plain
 gradient flow). Adam is the third. The reference integrator is the
 classical RK4, written out.
+
+Each step builder and each reference run binds its flow's resolved field
+(``FlowSpec._velocity_and_bound``) once. A stage calls it on the
+gradient, which takes the norm from one ``dot``; the first stage of a
+Runge-Kutta step or of the reference passes the norm the record pass
+has taken. An iterate's finiteness is read from its squared norm, and
+its components are checked only when that square is not finite.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import FlowSpec, NumericalFailure, _speed_bound, _velocity, flow_eval, norm2
+# flow_eval stays a name here: perfbench's --trace 1 wraps integrators.flow_eval
+from .flows import FlowSpec, NumericalFailure, flow_eval, norm2  # noqa: F401
 from .objectives import BatchContext, Objective
 
 # gd and nagd are euler and nesterov on this flow: a zero cutoff makes the
@@ -143,9 +151,11 @@ def init_state(x0: np.ndarray) -> StepperState:
     return StepperState(x=x0, y=zeros.copy(), m=zeros.copy(), v=zeros.copy(), k=0)
 
 
-def _ensure_finite(x: np.ndarray, scheme: str) -> None:
-    # a finite squared norm proves every component finite
-    if not math.isfinite(float(x.dot(x))) and not np.all(np.isfinite(x)):
+def _check_components(x: np.ndarray, scheme: str) -> None:
+    """Raise NumericalFailure unless every component of ``x`` is finite.
+    A step calls this only when the squared norm of its iterate is not
+    finite, since a finite one proves every component finite."""
+    if not np.all(np.isfinite(x)):
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
 
 
@@ -163,16 +173,17 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
     product in this module, is a float64 0-d array made once here: numpy
     multiplies by one without converting a Python float again at every
     call, and rounds as it would with that float."""
-    flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
+    flow_field = (_GRADIENT_FLOW if cfg.flow is None else cfg.flow)._velocity_and_bound
     h, scheme = np.array(cfg.eta, dtype=float), cfg.scheme
 
     if cfg.alphas == (1.0,):
         def step(_cfg, obj, state, grad=None, grad_norm=None):
             x = state.x
-            v1 = (flow_eval(flow, obj.gradient(x)) if grad is None
-                  else _velocity(flow, grad, grad_norm))
-            x_next = x + v1 * h
-            _ensure_finite(x_next, scheme)
+            if grad is None:
+                grad = np.asarray(obj.gradient(x), dtype=float)
+            x_next = x + flow_field(grad, grad_norm)[0] * h
+            if not math.isfinite(x_next.dot(x_next)):
+                _check_components(x_next, scheme)
             return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
 
         return step
@@ -184,8 +195,9 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         x = state.x
-        v = (flow_eval(flow, obj.gradient(x)) if grad is None
-             else _velocity(flow, grad, grad_norm))
+        if grad is None:
+            grad = np.asarray(obj.gradient(x), dtype=float)
+        v = flow_field(grad, grad_norm)[0]
         offset = total = None
         for i, (alpha, a) in enumerate(alphas):
             if alpha:
@@ -196,9 +208,11 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
                 if beta:
                     term = v if b is None else v * b
                     offset = term if offset is None else offset + term
-                v = flow_eval(flow, obj.gradient(x if offset is None else x + offset * h))
+                z = x if offset is None else x + offset * h
+                v = flow_field(np.asarray(obj.gradient(z), dtype=float))[0]
         x_next = x + total * h
-        _ensure_finite(x_next, scheme)
+        if not math.isfinite(x_next.dot(x_next)):
+            _check_components(x_next, scheme)
         return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
 
     return step
@@ -211,15 +225,16 @@ def _look_ahead_step(cfg: DiscretizerConfig) -> Step:
     On the plain gradient flow this is Nesterov-accelerated descent (nagd).
     The gradient at x_k, when given, goes unused.
     """
-    flow = _GRADIENT_FLOW if cfg.flow is None else cfg.flow
+    flow_field = (_GRADIENT_FLOW if cfg.flow is None else cfg.flow)._velocity_and_bound
     eta, beta = np.array(cfg.eta, dtype=float), np.array(cfg.beta, dtype=float)
     scheme = cfg.scheme
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         look_ahead = state.x + beta * state.y
-        v = flow_eval(flow, obj.gradient(look_ahead))
+        v = flow_field(np.asarray(obj.gradient(look_ahead), dtype=float))[0]
         x_next = look_ahead + eta * v
-        _ensure_finite(x_next, scheme)
+        if not math.isfinite(x_next.dot(x_next)):
+            _check_components(x_next, scheme)
         return StepperState(x_next, x_next - state.x, state.m, state.v, state.k + 1)
 
     return step
@@ -237,7 +252,8 @@ def _adam_step(cfg: DiscretizerConfig) -> Step:
         m_hat = m / (1.0 - beta1 ** k_next)
         v_hat = v / (1.0 - beta2 ** k_next)
         x_next = state.x - eta * m_hat / (np.sqrt(v_hat) + epsilon)
-        _ensure_finite(x_next, "adam")
+        if not math.isfinite(x_next.dot(x_next)):
+            _check_components(x_next, "adam")
         return StepperState(x_next, state.y, m, v, k_next)
 
     return step
@@ -510,34 +526,33 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
     speed_cap: float | None = None
     h = np.array(h_ref, dtype=float)
     half, third, sixth = (np.array(c, dtype=float) for c in (0.5, 1.0 / 3.0, 1.0 / 6.0))
+    flow_field, gradient = flow._velocity_and_bound, obj.gradient
 
-    def clamped(g: np.ndarray, gn2: float) -> np.ndarray:
-        """The velocity at gradient g of norm gn2, its speed clamped to the cap;
-        its norm is taken only when the scalar bound leaves the cap in doubt."""
-        v = _velocity(flow, g, gn2)
-        if speed_cap is not None and _speed_bound(flow, gn2, v) * _BOUND_SLACK > speed_cap:
+    def stage(z: np.ndarray, g: np.ndarray | None = None, gn2: float | None = None) -> np.ndarray:
+        """The velocity at z, its speed clamped to the cap; ``g`` and ``gn2``,
+        when given, are z's gradient and its norm. The velocity's norm is
+        taken only when the field's scalar bound leaves the cap in doubt."""
+        if g is None:
+            g = np.asarray(gradient(z), dtype=float)
+        v, bound = flow_field(g, gn2)
+        if speed_cap is not None and bound * _BOUND_SLACK > speed_cap:
             speed = norm2(v)
             if speed > speed_cap:
                 v = v * (speed_cap / speed) if speed_cap > 0 else np.zeros_like(v)
         return v
 
-    def velocity(z: np.ndarray) -> np.ndarray:
-        g = np.asarray(obj.gradient(z), dtype=float)
-        # norm2's finite path inline; it rescales a squared norm that overflows
-        sq = float(g.dot(g))
-        return clamped(g, math.sqrt(sq) if math.isfinite(sq) else norm2(g))
-
     def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
         nonlocal prev_x, speed_cap
         if prev_x is not None:
             speed_cap = norm2(x - prev_x) / h_ref * 1e3
-        # the first stage reuses the gradient norm the record pass computed
-        v1 = clamped(g, gn2)
-        v2 = velocity(x + v1 * half * h)
-        v3 = velocity(x + v2 * half * h)
-        v4 = velocity(x + v3 * h)
+        # the first stage reuses the gradient and norm the record pass computed
+        v1 = stage(x, g, gn2)
+        v2 = stage(x + v1 * half * h)
+        v3 = stage(x + v2 * half * h)
+        v4 = stage(x + v3 * h)
         x_next = x + (v1 * sixth + v2 * third + v3 * third + v4 * sixth) * h
-        _ensure_finite(x_next, "reference")
+        if not math.isfinite(x_next.dot(x_next)):
+            _check_components(x_next, "reference")
         prev_x = x
         return x_next
 

@@ -109,19 +109,20 @@ def make_quadratic(mu: float, dimension: int) -> Objective:
         raise ValueError("dimension must be a positive integer")
     mu = float(mu)
     # mu as a float64 0-d array: the same product, without converting the
-    # Python float again at every gradient call
+    # Python float again at every gradient call; np.add.reduce is
+    # ndarray.sum without its Python wrapper, to the bit
     mu_factor = np.array(mu, dtype=float)
 
     def value(x: Vector) -> float:
         x = np.asarray(x, dtype=float)
-        return 0.5 * mu * float((x * x).sum())
+        return 0.5 * mu * float(np.add.reduce(x * x))
 
     def gradient(x: Vector) -> Vector:
         return mu_factor * np.asarray(x, dtype=float)
 
     def value_and_grad(x: Vector) -> tuple[float, Vector]:
         x = np.asarray(x, dtype=float)
-        return 0.5 * mu * float((x * x).sum()), mu_factor * x
+        return 0.5 * mu * float(np.add.reduce(x * x)), mu_factor * x
 
     meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,
@@ -134,6 +135,9 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
     The unique stationary point sits at (a, a^2) for b >= 0. The function is
     locally strongly convex there, so the dominance order is 2; the constant
     can be estimated with check_gradient_dominance.
+
+    An ndarray point is unpacked by one ``tolist()``, which gives the floats
+    ``float(x[0])`` and ``float(x[1])`` of a float array.
     """
     if b < 0:
         raise ValueError(f"b must be non-negative, got {b}")
@@ -141,17 +145,17 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
     b = float(b)
 
     def value(x: Vector) -> float:
-        x1, x2 = float(x[0]), float(x[1])
+        x1, x2 = x.tolist() if isinstance(x, np.ndarray) else (float(x[0]), float(x[1]))
         return (a - x1) ** 2 + b * (x2 - x1 ** 2) ** 2
 
     def gradient(x: Vector) -> Vector:
-        x1, x2 = float(x[0]), float(x[1])
+        x1, x2 = x.tolist() if isinstance(x, np.ndarray) else (float(x[0]), float(x[1]))
         g1 = -2.0 * (a - x1) - 4.0 * b * x1 * (x2 - x1 ** 2)
         g2 = 2.0 * b * (x2 - x1 ** 2)
         return np.array([g1, g2])
 
     def value_and_grad(x: Vector) -> tuple[float, Vector]:
-        x1, x2 = float(x[0]), float(x[1])
+        x1, x2 = x.tolist() if isinstance(x, np.ndarray) else (float(x[0]), float(x[1]))
         r = x2 - x1 ** 2
         return ((a - x1) ** 2 + b * r ** 2,
                 np.array([-2.0 * (a - x1) - 4.0 * b * x1 * r, 2.0 * b * r]))
@@ -171,7 +175,7 @@ def make_pth_power(p: float, dimension: int) -> Objective:
 
     def value(x: Vector) -> float:
         x = np.asarray(x, dtype=float)
-        return float((np.abs(x) ** p).sum()) / p
+        return float(np.add.reduce(np.abs(x) ** p)) / p
 
     def gradient(x: Vector) -> Vector:
         x = np.asarray(x, dtype=float)
@@ -180,7 +184,7 @@ def make_pth_power(p: float, dimension: int) -> Objective:
     def value_and_grad(x: Vector) -> tuple[float, Vector]:
         x = np.asarray(x, dtype=float)
         a = np.abs(x)
-        return float((a ** p).sum()) / p, np.sign(x) * a ** (p - 1.0)
+        return float(np.add.reduce(a ** p)) / p, np.sign(x) * a ** (p - 1.0)
 
     meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,

@@ -1,5 +1,6 @@
 """The probes, the alternation, the summary and the output of tools/bench_inproc.py."""
 
+import dataclasses
 import importlib.util
 import json
 import types
@@ -20,7 +21,9 @@ PROBE_NAMES = [
     "integrators.run_row_us.euler", "integrators.run_row_us.rk",
     "integrators.run_row_us.nesterov", "integrators.run_row_us.gd",
     "integrators.run_row_us.nagd", "integrators.run_row_us.adam",
-    "bench.emit_csv_us_per_row.same_eta", "bench.run_experiment_s.banana_sweep",
+    "integrators.reference_step_us.d1", "integrators.reference_step_us.d2",
+    "bench.emit_csv_us_per_row.same_eta", "bench.run_experiment_s.bounds_analysis",
+    "bench.run_experiment_s.banana_sweep",
 ]
 
 
@@ -39,6 +42,22 @@ def test_every_probe_builds_and_measures_on_this_checkout(tmp_path):
     # run probes check that their runs do not cycle
     for name in PROBE_NAMES[:-1]:
         assert measures[name]() > 0, name
+
+
+@pytest.mark.parametrize("dim", ["d1", "d2"])
+@pytest.mark.parametrize("defect", ["frozen", "short"])
+def test_reference_probe_refuses_a_stretch_it_does_not_step(tmp_path, dim, defect):
+    def integrate_reference(*args):
+        traj = finiteflow.integrate_reference(*args)
+        return (dataclasses.replace(traj, cycle_start=5, cycle_period=1) if defect == "frozen"
+                else traj.head(10))
+
+    broken = types.SimpleNamespace(**{n: getattr(finiteflow, n) for n in finiteflow.__all__})
+    broken.integrate_reference = integrate_reference
+    name = f"integrators.reference_step_us.{dim}"
+    assert bench_inproc.PROBES[name][0] == "us/step"
+    with pytest.raises(AssertionError, match=f"the {dim} reference probe"):
+        bench_inproc.PROBES[name][1](broken, tmp_path)()
 
 
 def only_probes(monkeypatch, names):

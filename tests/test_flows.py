@@ -1,11 +1,14 @@
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finiteflow import FlowSpec, flow_eval
-from finiteflow.flows import _velocity, norm2
+from finiteflow.flows import NumericalFailure, _speed_bound, _velocity, norm2
 
 finite_grads = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
@@ -202,3 +205,87 @@ class TestFlowErrors:
         spec = FlowSpec("rgf", q=math.inf)
         assert spec.rgf_exponent() == 1.0
         assert spec.sgf_exponent() == 0.0
+
+
+# the resolved field over q in (1.01, 20] and inf, c in [0.1, 10] with c = 1
+# often, and 1 to 8 components; gf takes neither q nor c
+resolved_specs = st.one_of(
+    st.builds(FlowSpec, kind=st.just("gf"),
+              grad_threshold=st.sampled_from([0.0, 1e-12, 1e-3])),
+    st.builds(FlowSpec, kind=st.sampled_from(["rgf", "sgf"]),
+              q=st.one_of(st.floats(min_value=1.01, max_value=20.0, exclude_min=True),
+                          st.just(math.inf)),
+              c=st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=10.0)),
+              grad_threshold=st.sampled_from([0.0, 1e-12, 1e-3])),
+)
+resolved_grads = st.lists(_component, min_size=1, max_size=8)
+
+
+def py_velocity(spec, g, n2, l1):
+    """The velocity of ``_velocity`` as Python floats, component by
+    component, from the Euclidean norm ``n2`` and the l1 norm ``l1``."""
+    if not math.isfinite(n2):
+        raise NumericalFailure(f"non-finite gradient passed to {spec.kind} flow: {np.array(g)!r}")
+    if n2 <= spec.grad_threshold:
+        return [0.0] * len(g)
+    if spec.kind == "gf":
+        return [-gi for gi in g]
+    if spec.kind == "rgf":
+        s = n2 ** -(1.0 if math.isinf(spec.q) else (spec.q - 2.0) / (spec.q - 1.0))
+        return [gi * s * -spec.c for gi in g]
+    pwc = l1 ** (0.0 if math.isinf(spec.q) else 1.0 / (spec.q - 1.0)) * spec.c
+    return [(1.0 if gi > 0 else -1.0 if gi < 0 else 0.0) * -pwc for gi in g]
+
+
+class TestResolvedField:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(spec=resolved_specs, g=resolved_grads)
+    def test_velocity_and_bound(self, spec, g):
+        arr = np.array(g)
+        n2, l1 = norm2(arr), float(np.abs(arr).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = py_velocity(spec, g, n2, l1)
+            except OverflowError:
+                # the power of the norm overflows, before any product
+                with pytest.raises(OverflowError):
+                    _velocity(spec, arr, n2)
+                return
+            got = _velocity(spec, arr, n2)
+            # with and without the norm passed in, through flow_eval too
+            for v in (got, spec._velocity_and_bound(arr)[0], flow_eval(spec, g)):
+                assert v.tobytes() == np.array(want).tobytes()
+            bound = _speed_bound(spec, arr, n2)
+            assert bound >= norm2(got) / (1.0 + 1e-6)
+            if n2 <= spec.grad_threshold:
+                assert bound == 0.0 and got.tobytes() == np.zeros(len(g)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["gf", "rgf", "sgf"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_norm_raises_the_same_message(self, kind, bad):
+        spec = FlowSpec(kind) if kind == "gf" else FlowSpec(kind, q=3.0, c=2.0)
+        g = np.array([1.0, bad])
+        message = f"non-finite gradient passed to {kind} flow: {g!r}"
+        for call in (lambda: _velocity(spec, g, norm2(g)), lambda: flow_eval(spec, g),
+                     lambda: _speed_bound(spec, g, norm2(g))):
+            with pytest.raises(NumericalFailure) as err:
+                call()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", ["gf", "rgf", "sgf"])
+    def test_norm_at_or_below_cutoff_gives_exact_zeros(self, kind):
+        g = np.array([-3e-4, 4e-4])
+        for threshold in (5e-4, 1e-3):  # at, then above, ||g|| = 5e-4
+            spec = (FlowSpec(kind, grad_threshold=threshold) if kind == "gf"
+                    else FlowSpec(kind, q=2.5, c=3.0, grad_threshold=threshold))
+            v, bound = spec._velocity_and_bound(g, norm2(g))
+            assert v.tobytes() == np.zeros(2).tobytes() and bound == 0.0
+
+    def test_copies_rebuild_the_field(self):
+        spec = FlowSpec("sgf", q=4.0, c=0.5, grad_threshold=1e-9)
+        g = np.array([0.3, -1.2, 0.0])
+        want = flow_eval(spec, g).tobytes()
+        for other in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+            assert other == spec and flow_eval(other, g).tobytes() == want
+        moved = replace(spec, c=1.0)
+        assert flow_eval(moved, g).tobytes() == (2.0 * flow_eval(spec, g)).tobytes()

@@ -13,13 +13,18 @@ sides alternate probe by probe in that order). The probes:
 - ``integrators.run_row_us.<scheme>``: one recorded row of ``run`` on the
   banana valley (a = 1, b = 0.2) from (-1, 2), where no scheme cycles
   within the probe (checked on every run);
+- ``integrators.reference_step_us.d1`` and ``.d2``: one live step of
+  ``integrate_reference`` on the ``bounds_analysis`` setups, ``rgf`` with
+  q = 3 on the unit quadratic, in 1-D from 1.0 with h = 1e-4 and in 2-D
+  from (1, 1) with h = 2.5e-4; every run is checked to step each row,
+  neither freezing nor cycling;
 - ``bench.emit_csv_us_per_row.same_eta``: writing ten ``gd`` trajectories of
   one step size, the way ``run_experiment`` writes the seeds of one
   optimizer;
-- ``bench.run_experiment_s.banana_sweep``: one repetition of the
-  ``banana_sweep`` benchmark workload (input set 0).
+- ``bench.run_experiment_s.bounds_analysis`` and ``.banana_sweep``: one
+  repetition of that benchmark workload (input set 0).
 
-The timers and the workload config come from this checkout's
+The timers and the workload configs come from this checkout's
 ``perfbench/probes.py`` and ``perfbench/workloads.py``, so both sides are
 timed alike.
 
@@ -57,11 +62,17 @@ from probes import _median_s, per_call_us  # noqa: E402
 SIDES = ("parent", "change")
 _RUN_ROWS = 1000  # rows of a recorded-run probe
 _BANANA_X0 = (-1.0, 2.0)
+# (x0, h) of the bounds_analysis references; none arrives within _RUN_ROWS steps
+_REFERENCES = {"d1": ((1.0,), 1e-4), "d2": ((1.0, 1.0), 2.5e-4)}
 
 
 def load_package(checkout: Path, name: str) -> ModuleType:
     """The ``src/finiteflow`` package of ``checkout``, imported as ``name``;
-    its relative imports resolve inside the same checkout."""
+    its relative imports resolve inside the same checkout. A package loaded
+    before under ``name`` is dropped with its submodules, which would
+    otherwise be reused."""
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
     src = Path(checkout) / "src" / "finiteflow"
     spec = importlib.util.spec_from_file_location(
         name, src / "__init__.py", submodule_search_locations=[str(src)])
@@ -117,6 +128,20 @@ def _run_row(scheme: str) -> Callable:
     return build
 
 
+def _reference_step(dim: str) -> Callable:
+    def build(ff, _work):
+        x0, h = _REFERENCES[dim]
+        flow, obj = ff.FlowSpec("rgf", q=3.0), ff.make_quadratic(1.0, len(x0))
+        x0, stop = np.array(x0), ff.StopCriteria(max_iters=_RUN_ROWS)
+
+        def one_run():
+            traj = ff.integrate_reference(flow, obj, x0, h, stop)
+            if traj.cycle_period is not None or len(traj) != _RUN_ROWS + 1:
+                raise AssertionError(f"the {dim} reference probe froze, cycled or stopped early")
+        return lambda: _median_s(one_run)[0] / _RUN_ROWS * 1e6
+    return build
+
+
 def _same_eta_csv(ff, work: Path):
     obj, cfg = ff.make_rosenbrock(1.0, 0.2), ff.DiscretizerConfig(scheme="gd", eta=1e-3)
     starts = np.random.default_rng(1).uniform(0.0, 2.0, (10, 2))
@@ -129,20 +154,24 @@ def _same_eta_csv(ff, work: Path):
     return lambda: _median_s(write_all)[0] / rows * 1e6
 
 
-def _banana_sweep(ff, work: Path):
-    (name, text), = workloads.build("banana_sweep", 0).yaml_texts()
-    config_path = work / f"{name}.yaml"
-    config_path.write_text(text)
-    cfg = ff.load_config(config_path)
+def _sweep(workload: str) -> Callable:
+    def build(ff, work: Path):
+        configs = []
+        for name, text in workloads.build(workload, 0).yaml_texts():
+            config_path = work / f"{name}.yaml"
+            config_path.write_text(text)
+            configs.append((name, ff.load_config(config_path)))
 
-    def repetition():
-        out = work / "out"
-        t0 = time.perf_counter()
-        ff.run_experiment(cfg, out)
-        elapsed = time.perf_counter() - t0
-        shutil.rmtree(out)
-        return elapsed
-    return repetition
+        def repetition():
+            out = work / "out"
+            t0 = time.perf_counter()
+            for name, cfg in configs:
+                ff.run_experiment(cfg, out / name)
+            elapsed = time.perf_counter() - t0
+            shutil.rmtree(out)
+            return elapsed
+        return repetition
+    return build
 
 
 # name -> (unit, build), where build(package, work_dir) returns the measure
@@ -151,8 +180,11 @@ PROBES: dict[str, tuple[str, Callable]] = {
        for m in ("quadratic", "rosenbrock", "pth_power", "mlp")},
     **{f"integrators.run_row_us.{s}": ("us/row", _run_row(s))
        for s in ("euler", "rk", "nesterov", "gd", "nagd", "adam")},
+    **{f"integrators.reference_step_us.{d}": ("us/step", _reference_step(d))
+       for d in _REFERENCES},
     "bench.emit_csv_us_per_row.same_eta": ("us/row", _same_eta_csv),
-    "bench.run_experiment_s.banana_sweep": ("s", _banana_sweep),
+    **{f"bench.run_experiment_s.{w}": ("s", _sweep(w))
+       for w in ("bounds_analysis", "banana_sweep")},
 }
 
 
