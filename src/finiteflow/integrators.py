@@ -10,11 +10,9 @@ gradient flow). Adam is the third. The reference integrator is the
 classical RK4, written out.
 
 Each step builder and each reference run binds its flow's resolved field
-(``FlowSpec._velocity_and_bound``) once. A stage calls it on the
-gradient, which takes the norm from one ``dot``; the first stage of a
-Runge-Kutta step or of the reference passes the norm the record pass
-has taken. An iterate's finiteness is read from its squared norm, and
-its components are checked only when that square is not finite.
+(``FlowSpec._velocity_and_bound``) once; a first stage passes it the norm
+the record pass took. A step checks its iterate's components only when
+the iterate's squared norm is not finite.
 """
 
 from __future__ import annotations

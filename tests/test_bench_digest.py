@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+import finiteflow as ff
+
 _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("bench_digest", _ROOT / "tools" / "bench_digest.py")
 bench_digest = importlib.util.module_from_spec(_SPEC)
@@ -45,7 +47,6 @@ def test_one_ulp_in_the_change_is_caught_and_named(monkeypatch, capsys):
 
 
 def test_digest_covers_every_column_but_wall_s():
-    ff = bench_digest.load_package(_ROOT, "finiteflow_digest")
     traj = ff.run(ff.DiscretizerConfig(scheme="gd", eta=1e-2), ff.make_rosenbrock(1.0, 0.2),
                   np.array([0.5, 1.5]), ff.StopCriteria(max_iters=5))
     base = bench_digest.trajectory_digest(traj)

@@ -29,9 +29,7 @@ import numpy as np
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "tools"), str(_ROOT / "perfbench")]
 import workloads  # noqa: E402
-from bench_inproc import load_package  # noqa: E402
-
-SIDES = ("parent", "change")
+from bench_inproc import SIDES, load_package  # noqa: E402
 
 
 def gated_workloads() -> list[str]:
