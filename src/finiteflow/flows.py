@@ -99,12 +99,6 @@ def _velocity(spec: FlowSpec, g: np.ndarray, n2: float) -> np.ndarray:
     return spec._velocity_and_bound(g, n2)[0]
 
 
-def _speed_bound(spec: FlowSpec, g: np.ndarray, n2: float) -> float:
-    """The scalar bound on ``norm2(_velocity(spec, g, n2))`` that the
-    resolved field returns with the velocity."""
-    return spec._velocity_and_bound(g, n2)[1]
-
-
 def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
     """The field of ``spec`` as ``(g, n2=None) -> (v, bound)`` for a float64
     gradient ``g``; without ``n2`` the norm is taken from one ``dot``, and

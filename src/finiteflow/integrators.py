@@ -149,11 +149,9 @@ def init_state(x0: np.ndarray) -> StepperState:
     return StepperState(x=x0, y=zeros.copy(), m=zeros.copy(), v=zeros.copy(), k=0)
 
 
-def _check_components(x: np.ndarray, scheme: str) -> None:
-    """Raise NumericalFailure unless every component of ``x`` is finite.
-    A step calls this only when the squared norm of its iterate is not
-    finite, since a finite one proves every component finite."""
-    if not np.all(np.isfinite(x)):
+def _ensure_finite(x: np.ndarray, scheme: str) -> None:
+    # a finite squared norm proves every component finite
+    if not math.isfinite(float(x.dot(x))) and not np.all(np.isfinite(x)):
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
 
 
@@ -180,8 +178,7 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
             if grad is None:
                 grad = np.asarray(obj.gradient(x), dtype=float)
             x_next = x + flow_field(grad, grad_norm)[0] * h
-            if not math.isfinite(x_next.dot(x_next)):
-                _check_components(x_next, scheme)
+            _ensure_finite(x_next, scheme)
             return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
 
         return step
@@ -209,8 +206,7 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
                 z = x if offset is None else x + offset * h
                 v = flow_field(np.asarray(obj.gradient(z), dtype=float))[0]
         x_next = x + total * h
-        if not math.isfinite(x_next.dot(x_next)):
-            _check_components(x_next, scheme)
+        _ensure_finite(x_next, scheme)
         return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
 
     return step
@@ -231,8 +227,7 @@ def _look_ahead_step(cfg: DiscretizerConfig) -> Step:
         look_ahead = state.x + beta * state.y
         v = flow_field(np.asarray(obj.gradient(look_ahead), dtype=float))[0]
         x_next = look_ahead + eta * v
-        if not math.isfinite(x_next.dot(x_next)):
-            _check_components(x_next, scheme)
+        _ensure_finite(x_next, scheme)
         return StepperState(x_next, x_next - state.x, state.m, state.v, state.k + 1)
 
     return step
@@ -250,8 +245,7 @@ def _adam_step(cfg: DiscretizerConfig) -> Step:
         m_hat = m / (1.0 - beta1 ** k_next)
         v_hat = v / (1.0 - beta2 ** k_next)
         x_next = state.x - eta * m_hat / (np.sqrt(v_hat) + epsilon)
-        if not math.isfinite(x_next.dot(x_next)):
-            _check_components(x_next, "adam")
+        _ensure_finite(x_next, "adam")
         return StepperState(x_next, state.y, m, v, k_next)
 
     return step
@@ -549,8 +543,7 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         v3 = stage(x + v2 * half * h)
         v4 = stage(x + v3 * h)
         x_next = x + (v1 * sixth + v2 * third + v3 * third + v4 * sixth) * h
-        if not math.isfinite(x_next.dot(x_next)):
-            _check_components(x_next, "reference")
+        _ensure_finite(x_next, "reference")
         prev_x = x
         return x_next
 

@@ -135,9 +135,6 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
     The unique stationary point sits at (a, a^2) for b >= 0. The function is
     locally strongly convex there, so the dominance order is 2; the constant
     can be estimated with check_gradient_dominance.
-
-    An ndarray point is unpacked by one ``tolist()``, which gives the floats
-    ``float(x[0])`` and ``float(x[1])`` of a float array.
     """
     if b < 0:
         raise ValueError(f"b must be non-negative, got {b}")
@@ -145,17 +142,17 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
     b = float(b)
 
     def value(x: Vector) -> float:
-        x1, x2 = x.tolist() if isinstance(x, np.ndarray) else (float(x[0]), float(x[1]))
+        x1, x2 = float(x[0]), float(x[1])
         return (a - x1) ** 2 + b * (x2 - x1 ** 2) ** 2
 
     def gradient(x: Vector) -> Vector:
-        x1, x2 = x.tolist() if isinstance(x, np.ndarray) else (float(x[0]), float(x[1]))
+        x1, x2 = float(x[0]), float(x[1])
         g1 = -2.0 * (a - x1) - 4.0 * b * x1 * (x2 - x1 ** 2)
         g2 = 2.0 * b * (x2 - x1 ** 2)
         return np.array([g1, g2])
 
     def value_and_grad(x: Vector) -> tuple[float, Vector]:
-        x1, x2 = x.tolist() if isinstance(x, np.ndarray) else (float(x[0]), float(x[1]))
+        x1, x2 = float(x[0]), float(x[1])
         r = x2 - x1 ** 2
         return ((a - x1) ** 2 + b * r ** 2,
                 np.array([-2.0 * (a - x1) - 4.0 * b * x1 * r, 2.0 * b * r]))

@@ -13,10 +13,12 @@ _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("bench_digest", _ROOT / "tools" / "bench_digest.py")
 bench_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_digest)
+SMOKE = bench_digest.workloads.SCALES["smoke"]
 
 
-def test_a_checkout_equals_itself(capsys):
-    assert bench_digest.main([str(_ROOT), str(_ROOT), "--scale", "smoke"]) == 0
+def test_a_checkout_equals_itself(monkeypatch, capsys):
+    monkeypatch.setattr(bench_digest, "SCALE", SMOKE)
+    assert bench_digest.main([str(_ROOT), str(_ROOT)]) == 0
     err = capsys.readouterr().err
     assert "equal: banana_sweep input set 13, config banana_sweep" in err
     assert "equal: bounds_analysis input set 0, config closeness_sweep" in err
@@ -38,8 +40,9 @@ def test_one_ulp_in_the_change_is_caught_and_named(monkeypatch, capsys):
         return ff
 
     monkeypatch.setattr(bench_digest, "load_package", load_nudged)
-    assert bench_digest.main([str(_ROOT), str(_ROOT), "--input-sets", "0",
-                              "--scale", "smoke"]) == 1
+    monkeypatch.setattr(bench_digest, "INPUT_SETS", (0,))
+    monkeypatch.setattr(bench_digest, "SCALE", SMOKE)
+    assert bench_digest.main([str(_ROOT), str(_ROOT)]) == 1
     err = capsys.readouterr().err
     # the sweep's first cell is gd from the first seed's start
     assert "differs: banana_sweep input set 0, config banana_sweep: trajectory 0, run(gd" in err

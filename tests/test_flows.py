@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finiteflow import FlowSpec, flow_eval
-from finiteflow.flows import NumericalFailure, _speed_bound, _velocity, norm2
+from finiteflow.flows import NumericalFailure, _velocity, norm2
 
 finite_grads = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
@@ -255,7 +255,7 @@ class TestResolvedField:
             # with and without the norm passed in, through flow_eval too
             for v in (got, spec._velocity_and_bound(arr)[0], flow_eval(spec, g)):
                 assert v.tobytes() == np.array(want).tobytes()
-            bound = _speed_bound(spec, arr, n2)
+            bound = spec._velocity_and_bound(arr, n2)[1]
             assert bound >= norm2(got) / (1.0 + 1e-6)
             if n2 <= spec.grad_threshold:
                 assert bound == 0.0 and got.tobytes() == np.zeros(len(g)).tobytes()
@@ -267,7 +267,7 @@ class TestResolvedField:
         g = np.array([1.0, bad])
         message = f"non-finite gradient passed to {kind} flow: {g!r}"
         for call in (lambda: _velocity(spec, g, norm2(g)), lambda: flow_eval(spec, g),
-                     lambda: _speed_bound(spec, g, norm2(g))):
+                     lambda: spec._velocity_and_bound(g, norm2(g))):
             with pytest.raises(NumericalFailure) as err:
                 call()
             assert str(err.value) == message

@@ -9,9 +9,10 @@ every ``Trajectory`` that the package's ``bench.run`` and
 norms, k and t, the terminal reason and the cycle start and period, but
 not ``wall_s``. It names the first trajectory whose digest differs, or a
 config whose count of trajectories differs or is zero, and exits 1; it
-exits 0 when every digest is equal::
+exits 0 when every digest is equal. It runs input sets 0 and 13 at full
+scale::
 
-    python3 tools/bench_digest.py PARENT CHANGE --input-sets 0,13 --scale full
+    python3 tools/bench_digest.py PARENT CHANGE
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "tools"), str(_ROOT / "perfbench")]
 import workloads  # noqa: E402
 from bench_inproc import SIDES, load_package  # noqa: E402
+
+INPUT_SETS = (0, 13)
+SCALE = workloads.SCALES["full"]
 
 
 def gated_workloads() -> list[str]:
@@ -104,19 +108,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--input-sets", default="0,13",
-                        help="comma-separated workload input sets (default 0,13)")
-    parser.add_argument("--scale", choices=sorted(workloads.SCALES), default="full")
     args = parser.parse_args(argv)
-    input_sets = [int(s) for s in args.input_sets.split(",")]
     packages = {side: load_package(getattr(args, side).resolve(), f"finiteflow_{side}")
                 for side in SIDES}
     total = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in gated_workloads():
-            for input_set in input_sets:
-                load = workloads.build(name, input_set, workloads.SCALES[args.scale])
+            for input_set in INPUT_SETS:
+                load = workloads.build(name, input_set, SCALE)
                 for config_name, text in load.yaml_texts():
                     config_path = work / f"{config_name}.yaml"
                     config_path.write_text(text)
