@@ -50,8 +50,8 @@ class FlowSpec:
             raise ValueError(f"unknown flow kind {self.kind!r}, expected one of {FLOW_KINDS}")
         if self.kind != "gf" and not (self.q > 1):
             raise ValueError(f"q must lie in (1, inf], got {self.q}")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.kind == "gf" and (self.q != math.inf or self.c != 1.0):
             raise ValueError(f"plain gradient flow takes no q or c, got q={self.q}, c={self.c}")
         if not self.grad_threshold >= 0:
@@ -88,15 +88,7 @@ def norm2(v: np.ndarray) -> float:
 
 def flow_eval(spec: FlowSpec, grad: np.ndarray) -> np.ndarray:
     """Velocity of the configured flow at a point with gradient ``grad``."""
-    g = grad if isinstance(grad, np.ndarray) and grad.dtype == np.float64 \
-        else np.asarray(grad, dtype=float)
-    return spec._velocity_and_bound(g)[0]
-
-
-def _velocity(spec: FlowSpec, g: np.ndarray, n2: float) -> np.ndarray:
-    """``flow_eval`` for a float64 gradient ``g`` whose Euclidean norm ``n2``
-    the caller has already computed."""
-    return spec._velocity_and_bound(g, n2)[0]
+    return spec._velocity_and_bound(np.asarray(grad, dtype=float))[0]
 
 
 def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:

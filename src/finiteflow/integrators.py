@@ -4,7 +4,8 @@ Every scheme is one of three steps. The Runge-Kutta step runs the paper's
 multi-stage family ``rk``, whose stage i sits at
 ``x + h * sum_{j<i} betas[j] * v_j`` and whose step is
 ``x + h * sum_i alphas[i] * v_i``; forward Euler and ``gd`` (Euler on the
-plain gradient flow) are its one-stage member ``x + h * v_1``. The
+plain gradient flow) are its one-stage member ``x + h * v_1``, stepped by
+the same loop over the stages after the first. The
 look-ahead step covers ``nesterov`` and ``nagd`` (the same step on the plain
 gradient flow). Adam is the third. The reference integrator is the
 classical RK4, written out.
@@ -60,6 +61,7 @@ class DiscretizerConfig:
     Besides ``eta``, a scheme takes only the fields ``_SCHEME_TABLE`` lists
     for it, and a flow scheme needs its ``flow``. ``stages`` defaults to
     ``len(alphas)``, and the weights must sum to 1 (consistency condition).
+    ``eta``, ``epsilon``, the weights and the offsets must be finite.
     Violations are rejected here, never at step time.
     """
 
@@ -79,6 +81,8 @@ class DiscretizerConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not self.eta >= 0:
             raise ValueError(f"step size eta must be non-negative, got {self.eta}")
+        if math.isinf(self.eta):
+            raise ValueError(f"step size eta must be finite, got {self.eta}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         takes = ("scheme", "eta") + _SCHEME_TABLE[self.scheme][1]
@@ -96,13 +100,17 @@ class DiscretizerConfig:
         if not 1 <= self.stages == len(self.alphas) == len(self.betas) + 1:
             raise ValueError(f"expected stages >= 1 weights and stages - 1 offsets, got stages = "
                              f"{self.stages}, {len(self.alphas)} weights, {len(self.betas)} offsets")
+        for what, coefs in (("stage weights alphas", self.alphas),
+                            ("stage offsets betas", self.betas)):
+            if not all(map(math.isfinite, coefs)):
+                raise ValueError(f"{what} must be finite, got {coefs}")
         if abs(math.fsum(self.alphas) - 1.0) > 1e-12:
             raise ValueError(
                 f"stage weights must sum to 1 (consistency condition), got {math.fsum(self.alphas)!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("adam moment coefficients must lie in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("adam epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"adam epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -156,55 +164,45 @@ def _ensure_finite(x: np.ndarray, scheme: str) -> None:
 
 
 def _tableau_step(cfg: DiscretizerConfig) -> Step:
-    """Runge-Kutta step of the configured flow: the one-stage update
-    ``x + v1 * h`` for euler, gd and an rk of the single weight 1, else the
-    paper's family in ``cfg.betas`` and ``cfg.alphas``.
+    """Runge-Kutta step of the configured flow in the paper's family
+    ``cfg.betas`` and ``cfg.alphas``, for every stage count.
 
-    With stage velocities v_0, v_1, ..., v_{i+1} is taken at
-    x + offset_i * h, where offset_i = offset_{i-1} + betas[i] * v_i, and
-    the step adds h times the running sum of alphas[i] * v_i, so each sum
-    runs left to right. A zero
+    Stage 0 takes v_0 from the gradient and norm at x. Then, for each pair
+    (betas[i], alphas[i + 1]), v_{i+1} is taken at x + offset_i * h, where
+    offset_i = offset_{i-1} + betas[i] * v_i, and the step adds h times the
+    running sum of alphas[i] * v_i, so each sum runs left to right. A zero
     coefficient drops out and a unit one adds its velocity unscaled; every
     other coefficient, like every per-run constant of a per-step array
     product in this module, is a float64 0-d array made once here: numpy
     multiplies by one without converting a Python float again at every
-    call, and rounds as it would with that float."""
+    call, and rounds as it would with that float. Euler and gd have one
+    stage of weight 1 and no pair, so their step is ``x + v_0 * h``."""
     flow_field = (_GRADIENT_FLOW if cfg.flow is None else cfg.flow)._velocity_and_bound
     h, scheme = np.array(cfg.eta, dtype=float), cfg.scheme
 
-    if cfg.alphas == (1.0,):
-        def step(_cfg, obj, state, grad=None, grad_norm=None):
-            x = state.x
-            if grad is None:
-                grad = np.asarray(obj.gradient(x), dtype=float)
-            x_next = x + flow_field(grad, grad_norm)[0] * h
-            _ensure_finite(x_next, scheme)
-            return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
+    def factor(c: float) -> np.ndarray | None:
+        return None if c == 1.0 else np.array(c, dtype=float)
 
-        return step
-
-    # each coefficient with its factor, None for a unit coefficient
-    alphas, betas = (tuple((c, None if c == 1.0 else np.array(c, dtype=float)) for c in coefs)
-                     for coefs in (cfg.alphas, cfg.betas))
-    last = len(betas)
+    alpha0, a0 = cfg.alphas[0], factor(cfg.alphas[0])
+    pairs = tuple((beta, factor(beta), alpha, factor(alpha))
+                  for beta, alpha in zip(cfg.betas, cfg.alphas[1:]))
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         x = state.x
         if grad is None:
             grad = np.asarray(obj.gradient(x), dtype=float)
         v = flow_field(grad, grad_norm)[0]
-        offset = total = None
-        for i, (alpha, a) in enumerate(alphas):
+        offset = None
+        total = (v if a0 is None else v * a0) if alpha0 else None
+        for beta, b, alpha, a in pairs:
+            if beta:
+                term = v if b is None else v * b
+                offset = term if offset is None else offset + term
+            z = x if offset is None else x + offset * h
+            v = flow_field(np.asarray(obj.gradient(z), dtype=float))[0]
             if alpha:
                 term = v if a is None else v * a
                 total = term if total is None else total + term
-            if i < last:
-                beta, b = betas[i]
-                if beta:
-                    term = v if b is None else v * b
-                    offset = term if offset is None else offset + term
-                z = x if offset is None else x + offset * h
-                v = flow_field(np.asarray(obj.gradient(z), dtype=float))[0]
         x_next = x + total * h
         _ensure_finite(x_next, scheme)
         return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
@@ -238,7 +236,7 @@ def _adam_step(cfg: DiscretizerConfig) -> Step:
     eta, beta1, beta2, epsilon = cfg.eta, cfg.beta1, cfg.beta2, cfg.epsilon
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
-        g = obj.gradient(state.x) if grad is None else grad
+        g = np.asarray(obj.gradient(state.x), dtype=float) if grad is None else grad
         k_next = state.k + 1
         m = beta1 * state.m + (1.0 - beta1) * g
         v = beta2 * state.v + (1.0 - beta2) * g * g

@@ -169,6 +169,22 @@ class TestLoadConfig:
          r"^optimizers\[0\]\.flow: grad_threshold must be non-negative$"),
         ({"stop": {"grad_tol": math.nan}}, r"^stop: tolerances must be non-negative$"),
         ({"stop": {"f_tol": math.nan}}, r"^stop: tolerances must be non-negative$"),
+        ({"optimizers": [{"name": "rk", "scheme": "rk", "eta": 0.1, "alphas": [math.nan],
+                          "flow": {"kind": "rgf", "q": 3.0}}]},
+         r"^optimizers\[0\]: stage weights alphas must be finite, got \(nan,\)$"),
+        ({"optimizers": [{"name": "rk", "scheme": "rk", "eta": 0.1, "alphas": [0.5, 0.5],
+                          "betas": [math.nan], "flow": {"kind": "rgf", "q": 3.0}}]},
+         r"^optimizers\[0\]: stage offsets betas must be finite, got \(nan,\)$"),
+        ({"optimizers": [{"name": "rk", "scheme": "rk", "eta": 0.1, "alphas": [0.5, 0.5],
+                          "betas": [math.inf], "flow": {"kind": "rgf", "q": 3.0}}]},
+         r"^optimizers\[0\]: stage offsets betas must be finite, got \(inf,\)$"),
+        ({"optimizers": [{"name": "gd", "scheme": "gd", "eta": math.inf}]},
+         r"^optimizers\[0\]: step size eta must be finite, got inf$"),
+        ({"optimizers": [{"name": "adam", "scheme": "adam", "eta": 0.1, "epsilon": math.inf}]},
+         r"^optimizers\[0\]: adam epsilon must be positive and finite, got inf$"),
+        ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "rgf", "q": 3.0, "c": math.inf}}]},
+         r"^optimizers\[0\]\.flow: c must be positive and finite, got inf$"),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
@@ -178,7 +194,8 @@ class TestLoadConfig:
             "q-not-above-p", "bounds-no-optimum", "dominance-p-1",
             "dominance-mu-negative", "name-null", "objective-name-list",
             "euler-rk-fields", "gf-q", "eta-nan", "grad_threshold-nan", "grad_tol-nan",
-            "f_tol-nan"])
+            "f_tol-nan", "alphas-nan", "betas-nan", "betas-inf", "eta-inf", "epsilon-inf",
+            "c-inf"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))

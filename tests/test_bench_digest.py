@@ -3,6 +3,7 @@ trajectory a one-ulp change moves."""
 
 import dataclasses
 import importlib.util
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,25 @@ SMOKE = bench_digest.workloads.SCALES["smoke"]
 
 def test_a_checkout_equals_itself(monkeypatch, capsys):
     monkeypatch.setattr(bench_digest, "SCALE", SMOKE)
+    monkeypatch.setattr(bench_digest, "PRESETS", ("quadratic_bounds",))
     assert bench_digest.main([str(_ROOT), str(_ROOT)]) == 0
     err = capsys.readouterr().err
     assert "equal: banana_sweep input set 13, config banana_sweep" in err
     assert "equal: bounds_analysis input set 0, config closeness_sweep" in err
+    assert "equal: preset quadratic_bounds: " in err
+
+
+def test_each_side_reads_its_own_preset(monkeypatch, capsys, tmp_path):
+    shutil.copytree(_ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    preset = tmp_path / "src" / "finiteflow" / "configs" / "quadratic_bounds.yaml"
+    preset.write_text(preset.read_text().replace("eta: 1.0e-3", "eta: 2.0e-3"))
+    monkeypatch.setattr(bench_digest, "INPUT_SETS", ())
+    monkeypatch.setattr(bench_digest, "PRESETS", ("quadratic_bounds",))
+    assert bench_digest.main([str(_ROOT), str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    # the label is the parent's call
+    assert "differs: preset quadratic_bounds: trajectory 0, run(euler, eta=0.001" in err
 
 
 def test_one_ulp_in_the_change_is_caught_and_named(monkeypatch, capsys):

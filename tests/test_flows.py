@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finiteflow import FlowSpec, flow_eval
-from finiteflow.flows import NumericalFailure, _velocity, norm2
+from finiteflow.flows import NumericalFailure, norm2
 
 finite_grads = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
@@ -167,9 +167,9 @@ class TestVelocityProducts:
             except OverflowError:
                 # the scale itself overflows, before any product
                 with pytest.raises(OverflowError):
-                    _velocity(spec, g, n2)
+                    spec._velocity_and_bound(g, n2)[0]
                 return
-            got = _velocity(spec, g, n2)
+            got = spec._velocity_and_bound(g, n2)[0]
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["rgf", "sgf"])
@@ -179,7 +179,8 @@ class TestVelocityProducts:
         for c in (1.0, 2.5e-3):
             spec = FlowSpec(kind, q=3.0, c=c, grad_threshold=0.0 if g[0] < 1e-100 else 1e-12)
             n2 = norm2(g)
-            assert _velocity(spec, g, n2).tobytes() == two_product_velocity(spec, g, n2).tobytes()
+            want = two_product_velocity(spec, g, n2)
+            assert spec._velocity_and_bound(g, n2)[0].tobytes() == want.tobytes()
 
 
 class TestFlowErrors:
@@ -222,7 +223,7 @@ resolved_grads = st.lists(_component, min_size=1, max_size=8)
 
 
 def py_velocity(spec, g, n2, l1):
-    """The velocity of ``_velocity`` as Python floats, component by
+    """The velocity of the resolved field as Python floats, component by
     component, from the Euclidean norm ``n2`` and the l1 norm ``l1``."""
     if not math.isfinite(n2):
         raise NumericalFailure(f"non-finite gradient passed to {spec.kind} flow: {np.array(g)!r}")
@@ -249,9 +250,9 @@ class TestResolvedField:
             except OverflowError:
                 # the power of the norm overflows, before any product
                 with pytest.raises(OverflowError):
-                    _velocity(spec, arr, n2)
+                    spec._velocity_and_bound(arr, n2)[0]
                 return
-            got = _velocity(spec, arr, n2)
+            got = spec._velocity_and_bound(arr, n2)[0]
             # with and without the norm passed in, through flow_eval too
             for v in (got, spec._velocity_and_bound(arr)[0], flow_eval(spec, g)):
                 assert v.tobytes() == np.array(want).tobytes()
@@ -266,8 +267,7 @@ class TestResolvedField:
         spec = FlowSpec(kind) if kind == "gf" else FlowSpec(kind, q=3.0, c=2.0)
         g = np.array([1.0, bad])
         message = f"non-finite gradient passed to {kind} flow: {g!r}"
-        for call in (lambda: _velocity(spec, g, norm2(g)), lambda: flow_eval(spec, g),
-                     lambda: spec._velocity_and_bound(g, norm2(g))):
+        for call in (lambda: flow_eval(spec, g), lambda: spec._velocity_and_bound(g, norm2(g))):
             with pytest.raises(NumericalFailure) as err:
                 call()
             assert str(err.value) == message

@@ -203,6 +203,20 @@ class TestAdam:
         # bias-corrected moments both equal the raw gradient on step one
         assert got.x[0] == pytest.approx(5.0 - 0.1 / (1.0 + 1e-8), abs=1e-12)
 
+    def test_minibatch_run_takes_a_list_gradient(self):
+        # a hand-built objective may return its gradients as lists, as gd and
+        # nagd accept; Adam steps on them as on the same arrays
+        def objective(as_list):
+            grad = (lambda x: [2.0 * c for c in x]) if as_list else (lambda x: 2.0 * x)
+            return Objective(dimension=2, value=lambda x: float(x.dot(x)), gradient=grad,
+                             batch_gradient=lambda x, idx: grad(x))
+
+        cfg, batch = DiscretizerConfig(scheme="adam", eta=0.1), BatchContext(0, 1, 4)
+        got, want = (run(cfg, objective(as_list), np.array([1.0, -2.0]),
+                         StopCriteria(max_iters=5), batch) for as_list in (True, False))
+        assert got.terminal_reason == "max_iters" and len(got) == 6
+        assert got.x.tobytes() == want.x.tobytes()
+
 
 class TestFixedPoints:
     @pytest.mark.parametrize("cfg", [
@@ -302,22 +316,26 @@ class TestUpdateBits:
            alphas=st.sampled_from(CONSISTENT_WEIGHTS))
     def test_run_steps(self, data, d, h, alphas):
         # gd is Euler on the plain gradient flow, and rk takes the paper's
-        # tableau a[i][j] = betas[j], b = alphas
+        # tableau a[i][j] = betas[j], b = alphas; euler and rk also run on the
+        # rescaled and signed flows of the banana sweep
         stages = len(alphas)
         x, g = (data.draw(st.lists(COMPONENT, min_size=d, max_size=d)) for _ in range(2))
         betas = tuple(data.draw(st.lists(COEFFICIENT, min_size=stages - 1,
                                          max_size=stages - 1)))
+        q = data.draw(st.sampled_from([2.2, 3.0, 6.0, 10.0]))
         obj, g = replace(SWAP, dimension=d), np.array(g)
-        flow = integrators._GRADIENT_FLOW
-        for cfg, tableau in (
-                (DiscretizerConfig(scheme="gd", eta=h), EULER),
-                (DiscretizerConfig(scheme="rk", eta=h, flow=flow, stages=stages,
-                                   alphas=alphas, betas=betas),
-                 (tuple(betas[:i] for i in range(stages)), alphas))):
+        rk = (tuple(betas[:i] for i in range(stages)), alphas)
+        cases = [(DiscretizerConfig(scheme="gd", eta=h), integrators._GRADIENT_FLOW, EULER)]
+        for flow in (integrators._GRADIENT_FLOW, FlowSpec("rgf", q=q), FlowSpec("sgf", q=q)):
+            if flow.kind != "gf":
+                cases.append((DiscretizerConfig(scheme="euler", eta=h, flow=flow), flow, EULER))
+            cases.append((DiscretizerConfig(scheme="rk", eta=h, flow=flow, stages=stages,
+                                            alphas=alphas, betas=betas), flow, rk))
+        for cfg, flow, tableau in cases:
             want = py_tableau(*tableau, h, x, flow_eval(flow, g).tolist(),
                               lambda z: flow_eval(flow, obj.gradient(z)))
             got = make_step(cfg)(cfg, obj, init_state(np.array(x)), g, norm2(g))
-            assert same_as_floats(got.x, want), cfg.scheme
+            assert same_as_floats(got.x, want), (cfg.scheme, flow)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), d=st.integers(min_value=1, max_value=8), eta=STEP_SIZE,

@@ -1,16 +1,18 @@
-"""Bit-for-bit gate: every trajectory of the gated workloads, parent against change.
+"""Bit-for-bit gate: every trajectory of the gated workloads and of the
+shipped presets, parent against change.
 
 Imports the ``src/finiteflow`` of a parent checkout and of a change checkout
 into one process (``bench_inproc.load_package``), runs each config of every
 gated workload of ``BENCHMARK.json`` from this checkout's
-``perfbench/workloads.py`` through ``run_experiment`` on both, and hashes
-every ``Trajectory`` that the package's ``bench.run`` and
+``perfbench/workloads.py``, then each shipped preset, read from each
+checkout's own ``src/finiteflow/configs/``, through ``run_experiment`` on
+both, and hashes every ``Trajectory`` that the package's ``bench.run`` and
 ``bench.integrate_reference`` return: the bytes of x, f, both gradient
 norms, k and t, the terminal reason and the cycle start and period, but
 not ``wall_s``. It names the first trajectory whose digest differs, or a
 config whose count of trajectories differs or is zero, and exits 1; it
-exits 0 when every digest is equal. It runs input sets 0 and 13 at full
-scale::
+exits 0 when every digest is equal. It runs the workloads' input sets 0
+and 13 at full scale::
 
     python3 tools/bench_digest.py PARENT CHANGE
 """
@@ -34,6 +36,8 @@ from bench_inproc import SIDES, load_package  # noqa: E402
 
 INPUT_SETS = (0, 13)
 SCALE = workloads.SCALES["full"]
+PRESETS = tuple(sorted(path.stem for path in
+                       (_ROOT / "src" / "finiteflow" / "configs").glob("*.yaml")))
 
 
 def gated_workloads() -> list[str]:
@@ -104,33 +108,43 @@ def first_difference(parent: list[tuple[str, str]],
     return None
 
 
+def configs(work: Path, checkouts: dict[str, Path]):
+    """(where, {side: config path}) of each config to compare: the gated
+    workloads' configs, written to ``work``, then each preset of
+    ``PRESETS`` from each side's own checkout."""
+    for name in gated_workloads():
+        for input_set in INPUT_SETS:
+            load = workloads.build(name, input_set, SCALE)
+            for config_name, text in load.yaml_texts():
+                path = work / f"{config_name}.yaml"
+                path.write_text(text)
+                yield (f"{name} input set {input_set}, config {config_name}",
+                       dict.fromkeys(SIDES, path))
+    for preset in PRESETS:
+        yield f"preset {preset}", {side: checkouts[side] / "src" / "finiteflow" / "configs"
+                                   / f"{preset}.yaml" for side in SIDES}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
-    packages = {side: load_package(getattr(args, side).resolve(), f"finiteflow_{side}")
-                for side in SIDES}
+    checkouts = {side: getattr(args, side).resolve() for side in SIDES}
+    packages = {side: load_package(checkouts[side], f"finiteflow_{side}") for side in SIDES}
     total = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name in gated_workloads():
-            for input_set in INPUT_SETS:
-                load = workloads.build(name, input_set, SCALE)
-                for config_name, text in load.yaml_texts():
-                    config_path = work / f"{config_name}.yaml"
-                    config_path.write_text(text)
-                    digests = {side: config_digests(packages[side], config_path,
-                                                    work / side / config_name)
-                               for side in SIDES}
-                    where = f"{name} input set {input_set}, config {config_name}"
-                    diff = first_difference(digests["parent"], digests["change"])
-                    if diff is not None:
-                        print(f"differs: {where}: {diff}", file=sys.stderr)
-                        return 1
-                    total += len(digests["parent"])
-                    print(f"equal: {where}: {len(digests['parent'])} trajectories",
-                          file=sys.stderr)
+        for where, paths in configs(work, checkouts):
+            digests = {side: config_digests(packages[side], paths[side],
+                                            work / side / paths[side].stem)
+                       for side in SIDES}
+            diff = first_difference(digests["parent"], digests["change"])
+            if diff is not None:
+                print(f"differs: {where}: {diff}", file=sys.stderr)
+                return 1
+            total += len(digests["parent"])
+            print(f"equal: {where}: {len(digests['parent'])} trajectories", file=sys.stderr)
     print(f"all {total} trajectories equal", file=sys.stderr)
     return 0
 
