@@ -41,13 +41,13 @@ class DominanceParams:
     def __post_init__(self) -> None:
         if not self.p > 1:
             raise ValueError(f"order p must exceed 1, got {self.p}")
-        if not self.mu > 0:
-            raise ValueError(f"constant mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"constant mu must be positive and finite, got {self.mu}")
         if not self.q > self.p:
             raise ValueError(
                 f"finite-time regime requires q in (p, inf]; got q={self.q} <= p={self.p}")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         theta = (self.p - 1.0) / self.p
         theta_prime = 1.0 if math.isinf(self.q) else (self.q - 1.0) / self.q
         big_c = (self.p / (self.p - 1.0)) ** theta * self.mu ** (1.0 / self.p)

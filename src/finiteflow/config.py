@@ -138,12 +138,12 @@ class DominanceCheckConfig:
     n_samples: int = 200
 
     def __post_init__(self) -> None:
-        if not self.p > 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 1 < self.p < math.inf:
+            raise ValueError(f"p must exceed 1 and be finite, got {self.p}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
 

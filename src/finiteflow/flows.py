@@ -56,6 +56,8 @@ class FlowSpec:
             raise ValueError(f"plain gradient flow takes no q or c, got q={self.q}, c={self.c}")
         if not self.grad_threshold >= 0:
             raise ValueError("grad_threshold must be non-negative")
+        if math.isinf(self.grad_threshold):
+            raise ValueError(f"grad_threshold must be finite, got {self.grad_threshold}")
         object.__setattr__(self, "_velocity_and_bound", _resolve(self))
 
     def __reduce__(self):
@@ -94,22 +96,34 @@ def flow_eval(spec: FlowSpec, grad: np.ndarray) -> np.ndarray:
 def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
     """The field of ``spec`` as ``(g, n2=None) -> (v, bound)`` for a float64
     gradient ``g``; without ``n2`` the norm is taken from one ``dot``, and
-    from ``norm2`` only when that square overflows.
+    from ``norm2`` only when that square overflows. sgf skips the ``dot``
+    when its l1 norm settles both tests below, as ||g||_2 >= ||g||_1 / sqrt(d).
 
     A non-finite norm raises NumericalFailure, and a norm at or below the
     cutoff gives exact zeros with bound 0. Each velocity is one array
     product, with the bits of (g * s) * -c and (sign(g) * pw) * -c: negation
     is exact, and so is sign(g) * pw, as sign(g) is +-1 or 0; rgf with
-    c != 1 keeps its two products. The bound is made of scalars: ``n2`` for
-    gf (equal to the bit), ``n2 * s * c`` for rgf, and ``sqrt(d) * pw * c``
-    for sgf, whose every component is 0 or +-(pw * c). It can fall short of
-    ``norm2(v)`` only by rounding, under a relative 1e-6 for any dimension
-    below about 1e9."""
+    c != 1 keeps its two products. The factor is written into the field's
+    float64 0-d ``scale`` (so a field serves one thread at a time), which
+    numpy multiplies by without converting a Python float, to the same bits.
+    The bound is made of scalars: ``n2`` for gf (equal to the bit),
+    ``n2 * s * c`` for rgf, and ``sqrt(d) * pw * c`` for sgf, whose every
+    component is 0 or +-(pw * c). It can fall short of ``norm2(v)`` only by
+    rounding, under a relative 1e-6 for any dimension below about 1e9."""
     kind, c, threshold = spec.kind, spec.c, spec.grad_threshold
-    gf, rgf, unit = kind == "gf", kind == "rgf", c == 1.0
+    gf, rgf, sgf, unit = kind == "gf", kind == "rgf", kind == "sgf", c == 1.0
     neg_exponent, exponent = -spec.rgf_exponent(), spec.sgf_exponent()
+    scale, neg_c = np.array(0.0), np.array(-c)
+    # above sqrt(d) times this, the 2-norm exceeds the cutoff with a factor 2
+    # for rounding, and its square is a normal float that the dot keeps
+    l1_floor = 2.0 * max(threshold, 1e-150)
 
     def velocity_and_bound(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
+        if sgf:
+            # np.add.reduce is ndarray.sum without its Python wrapper, to the bit
+            l1, root_d = float(np.add.reduce(np.abs(g))), math.sqrt(g.size)
+            if n2 is None and l1_floor * root_d < l1 < math.inf:
+                n2 = l1  # passes the two tests below, as the norm would
         if n2 is None:
             sq = float(g.dot(g))
             n2 = math.sqrt(sq) if math.isfinite(sq) else norm2(g)
@@ -120,11 +134,12 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
             return np.zeros_like(g), 0.0
         if rgf:
             s = n2 ** neg_exponent
-            return (g * -s, n2 * s) if unit else (g * s * -c, n2 * s * c)
+            scale[()] = -s if unit else s
+            return (g * scale, n2 * s) if unit else (g * scale * neg_c, n2 * s * c)
         if gf:
             return -g, n2
-        # np.add.reduce is ndarray.sum without its Python wrapper, to the bit
-        pwc = float(np.add.reduce(np.abs(g))) ** exponent * c
-        return np.sign(g) * -pwc, math.sqrt(g.size) * pwc
+        pwc = l1 ** exponent * c
+        scale[()] = -pwc
+        return np.sign(g) * scale, root_d * pwc
 
     return velocity_and_bound

@@ -363,10 +363,14 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     xs = np.empty((rows, obj.dimension))
     fs, gn2s, gn1s, walls = (np.empty(rows) for _ in range(4))
     grads = np.empty((min(rows, _GRADIENT_CHUNK), obj.dimension))
-    chunk = len(grads)
+    chunk, capacity = len(grads), rows
     grad_tol, max_iters, wall_limit = stop.grad_tol, stop.max_iters, stop.wall_limit
     f_tol = stop.f_tol if obj.metadata is not None else 0.0
     f_star = obj.metadata.f_star if f_tol > 0 else 0.0
+    # a row within these open bounds meets no stop rule; a nan is within none
+    inf = math.inf
+    gn2_lo, gap_lo = (tol if tol > 0 else -inf for tol in (grad_tol, f_tol))
+    wall_hi = inf if wall_limit is None else wall_limit
     n = 0  # rows recorded; the next row is iterate k = n
     period = None
     # the anchor's gradient norm stays nan, which equals no norm, until row
@@ -380,8 +384,10 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             f, g = value_and_grad(x)
             gn2 = norm2(g)
             wall = clock() - t_start
-            if n == len(xs):
-                xs, fs, gn2s, gn1s, walls = (_grown(a, 2 * n) for a in (xs, fs, gn2s, gn1s, walls))
+            if n == capacity:
+                capacity = 2 * n
+                xs, fs, gn2s, gn1s, walls = (_grown(a, capacity)
+                                             for a in (xs, fs, gn2s, gn1s, walls))
             xs[n] = x
             fs[n] = f
             gn2s[n] = gn2
@@ -390,15 +396,18 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             n += 1
             if n % chunk == 0:
                 gn1s[n - chunk:n] = np.abs(grads).sum(axis=1)
-            # the stop rules, in the order StopCriteria documents
-            reason = (TERMINAL_NUMERICAL_FAILURE if not (math.isfinite(f) and math.isfinite(gn2))
-                      else TERMINAL_GRAD_TOL if grad_tol > 0 and gn2 <= grad_tol
-                      else TERMINAL_F_TOL if f_tol > 0 and f - f_star <= f_tol
-                      else TERMINAL_MAX_ITERS if n > max_iters
-                      else TERMINAL_WALL_LIMIT if wall_limit is not None and wall >= wall_limit
-                      else None)
-            if reason is not None:
-                break
+            if not (gn2_lo < gn2 < inf and gap_lo < f - f_star and f < inf
+                    and n <= max_iters and wall < wall_hi):
+                # the stop rules, in the order StopCriteria documents
+                reason = (TERMINAL_NUMERICAL_FAILURE
+                          if not (math.isfinite(f) and math.isfinite(gn2))
+                          else TERMINAL_GRAD_TOL if grad_tol > 0 and gn2 <= grad_tol
+                          else TERMINAL_F_TOL if f_tol > 0 and f - f_star <= f_tol
+                          else TERMINAL_MAX_ITERS if n > max_iters
+                          else TERMINAL_WALL_LIMIT if wall_limit is not None and wall >= wall_limit
+                          else None)
+                if reason is not None:
+                    break
             if (gn2 == anchor_gn2 and xs[n - 1].tobytes() == xs[anchor].tobytes()
                     and xs[n - 2].tobytes() == xs[anchor - 1].tobytes()):
                 period = n - 1 - anchor

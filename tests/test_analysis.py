@@ -69,6 +69,14 @@ class TestDominanceParams:
         with pytest.raises(ValueError):
             dominance_params(2.0, 1.0, 3.0, 0.0)
 
+    @pytest.mark.parametrize("field,bad", [("mu", math.inf), ("mu", math.nan),
+                                           ("c", math.inf), ("c", math.nan)])
+    def test_rejects_nonfinite_constants(self, field, bad):
+        # q = inf is the normalized limit and stays valid; mu and c are constants
+        values = {"p": 2.0, "mu": 1.0, "q": math.inf, "c": 1.0}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {bad}"):
+            DominanceParams(**{**values, field: bad})
+
     def test_rejects_q_not_exceeding_p(self):
         with pytest.raises(ValueError, match="finite-time"):
             dominance_params(3.0, 1.0, 2.5, 1.0)

@@ -185,6 +185,15 @@ class TestLoadConfig:
         ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
                           "flow": {"kind": "rgf", "q": 3.0, "c": math.inf}}]},
          r"^optimizers\[0\]\.flow: c must be positive and finite, got inf$"),
+        ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
+                          "flow": {"kind": "rgf", "q": 3.0, "grad_threshold": math.inf}}]},
+         r"^optimizers\[0\]\.flow: grad_threshold must be finite, got inf$"),
+        ({"analysis": {"dominance": {"p": math.inf, "mu": 1.0}}},
+         r"^analysis\.dominance: p must exceed 1 and be finite, got inf$"),
+        ({"analysis": {"dominance": {"p": 2.0, "mu": math.inf}}},
+         r"^analysis\.dominance: mu must be positive and finite, got inf$"),
+        ({"analysis": {"dominance": {"p": 2.0, "mu": 1.0, "radius": math.inf}}},
+         r"^analysis\.dominance: radius must be positive and finite, got inf$"),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
@@ -195,7 +204,8 @@ class TestLoadConfig:
             "dominance-mu-negative", "name-null", "objective-name-list",
             "euler-rk-fields", "gf-q", "eta-nan", "grad_threshold-nan", "grad_tol-nan",
             "f_tol-nan", "alphas-nan", "betas-nan", "betas-inf", "eta-inf", "epsilon-inf",
-            "c-inf"])
+            "c-inf", "grad_threshold-inf", "dominance-p-inf", "dominance-mu-inf",
+            "dominance-radius-inf"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))

@@ -18,6 +18,8 @@ _SPEC.loader.exec_module(bench_inproc)
 PROBE_NAMES = [
     "objectives.row_calls_us.quadratic", "objectives.row_calls_us.rosenbrock",
     "objectives.row_calls_us.pth_power", "objectives.row_calls_us.mlp",
+    "flows.flow_eval_us.gf", "flows.flow_eval_us.rgf", "flows.flow_eval_us.rgf_c",
+    "flows.flow_eval_us.sgf",
     "integrators.run_row_us.euler", "integrators.run_row_us.rk",
     "integrators.run_row_us.nesterov", "integrators.run_row_us.gd",
     "integrators.run_row_us.nagd", "integrators.run_row_us.adam",

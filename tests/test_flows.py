@@ -289,3 +289,86 @@ class TestResolvedField:
             assert other == spec and flow_eval(other, g).tobytes() == want
         moved = replace(spec, c=1.0)
         assert flow_eval(moved, g).tobytes() == (2.0 * flow_eval(spec, g)).tobytes()
+
+
+# components from every range a step can meet, as tests/test_integrators.py
+# draws them: signed zeros, subnormals, 1e300 entries whose squares
+# overflow, and ordinary values
+STEP_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                     1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+
+class DotCounted(np.ndarray):
+    """A gradient that counts the calls of its ``dot``."""
+
+    calls = 0
+
+    def dot(self, *args, **kwargs):
+        DotCounted.calls += 1
+        return super().dot(*args, **kwargs)
+
+
+def outcome(spec, g, *n2):
+    """What the field returns for ``g``, or the exception it raises."""
+    try:
+        v, bound = spec._velocity_and_bound(g, *n2)
+    except (NumericalFailure, OverflowError) as exc:
+        return type(exc), str(exc)
+    return v.tobytes(), bound
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestSignedFieldShortcut:
+    """Without a norm, ``sgf`` settles its cutoff and finiteness tests from
+    the l1 norm when it can; the velocity, the bound and every NumericalFailure
+    are those of the field given the Euclidean norm."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=8),
+           q=st.sampled_from([1.5, 2.2, 3.0, 6.0, 10.0, math.inf]),
+           c=st.sampled_from([1.0, 2.5e-3, 7.0]),
+           threshold=st.sampled_from([0.0, 1e-300, 1e-12, 1e-3]))
+    def test_either_path_gives_the_same_bits(self, data, d, q, c, threshold):
+        spec = FlowSpec("sgf", q=q, c=c, grad_threshold=threshold)
+        g = np.array(data.draw(st.lists(STEP_COMPONENT, min_size=d, max_size=d)))
+        assert outcome(spec, g) == outcome(spec, g, norm2(g))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("threshold", [1e-12, 1e-3, 0.25])
+    @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+    def test_l1_beside_the_bound(self, d, threshold, ulps):
+        # l1 a few ulps beside 2 sqrt(d) threshold: above it the dot is
+        # skipped, below it taken; ||g||_2 is about 2 threshold either way
+        bound = 2.0 * math.sqrt(d) * threshold
+        l1 = bound
+        for _ in range(abs(ulps)):
+            l1 = math.nextafter(l1, math.inf if ulps > 0 else 0.0)
+        g = np.full(d, l1 / d) * np.resize([1.0, -1.0], d)
+        l1 = float(np.abs(g).sum())
+        spec = FlowSpec("sgf", q=3.0, c=0.5, grad_threshold=threshold)
+        DotCounted.calls = 0
+        got = outcome(spec, g.view(DotCounted))
+        assert DotCounted.calls == (0 if l1 > bound else 1)
+        assert got == outcome(spec, g, norm2(g)) and got[1] > 0.0
+
+    @pytest.mark.parametrize("g", [[1e-310], [5e-324, -5e-324], [1e-170, -1e-170]])
+    def test_squares_that_underflow_take_the_dot(self, g):
+        # without a cutoff the dot rounds these norms to zero, which gives
+        # zero velocity; the l1 norm alone would not
+        spec = FlowSpec("sgf", q=3.0, grad_threshold=0.0)
+        g = np.array(g)
+        assert outcome(spec, g) == outcome(spec, g, norm2(g)) == (np.zeros_like(g).tobytes(), 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=8),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_nonfinite_component_raises_the_same_failure(self, data, d, bad):
+        g = data.draw(st.lists(STEP_COMPONENT, min_size=d, max_size=d))
+        g[data.draw(st.integers(min_value=0, max_value=d - 1))] = bad
+        g = np.array(g)
+        spec = FlowSpec("sgf", q=3.0, c=2.0)
+        want = (NumericalFailure, f"non-finite gradient passed to sgf flow: {g!r}")
+        assert outcome(spec, g) == outcome(spec, g, norm2(g)) == want

@@ -1,4 +1,5 @@
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finiteflow import (BatchContext, DiscretizerConfig, FlowSpec,
-                        NumericalFailure, Objective, StopCriteria, flow_eval,
+                        NumericalFailure, Objective, OptimumInfo, StopCriteria, flow_eval,
                         init_state, integrate_reference, make_mlp,
                         make_quadratic, make_rosenbrock, run)
 from finiteflow import flows, integrators
@@ -592,6 +593,80 @@ PROBE_SCHEMES = [
     DiscretizerConfig(scheme="nagd", eta=1e-3, beta=0.9),
     DiscretizerConfig(scheme="adam", eta=1e-3),
 ]
+
+
+def table_objective(fs, gn2s, f_star=None):
+    """A 1-D objective on which ``SIGN_STEPS`` moves from x = 0 to 1, 2, ...
+    exactly; at x = k its value is fs[k] and its gradient -gn2s[k], so row k
+    records fs[k] and the gradient norm |gn2s[k]|."""
+    return Objective(dimension=1, value=lambda x: fs[int(x[0])],
+                     gradient=lambda x: np.array([-gn2s[int(x[0])]]),
+                     metadata=None if f_star is None else OptimumInfo(np.zeros(1), f_star))
+
+
+# Euler with unit steps on the pure sign flow, without a cutoff: x + 1 for
+# every gradient below zero, whatever its size
+SIGN_STEPS = DiscretizerConfig(scheme="euler", eta=1.0, flow=FlowSpec("sgf", grad_threshold=0.0))
+ROWS = 8
+JUST_ABOVE_HALF = math.nextafter(0.5, 1.0)
+# (stop, fs, gn2s, f_star, rows recorded, reason): each rule fires on the
+# row where its quantity first reaches its bound, after a row just above it
+STOP_RULES = {
+    "grad_tol": (StopCriteria(max_iters=ROWS, grad_tol=0.5), [1.0] * ROWS,
+                 [2.0, 1.0, JUST_ABOVE_HALF, 0.5, 0.25, 0.1, 0.1, 0.1], None, 4, "grad_tol"),
+    "f_tol": (StopCriteria(max_iters=ROWS, f_tol=0.25), [2.0, 1.0, math.nextafter(0.75, 1.0),
+                                                         0.75, 0.6, 0.5, 0.5, 0.5],
+              [1.0] * ROWS, 0.5, 4, "f_tol"),
+    # no optimum is known, so f_tol is not active
+    "f_tol-no-optimum": (StopCriteria(max_iters=5, f_tol=0.25), [0.0] * ROWS, [1.0] * ROWS,
+                         None, 6, "max_iters"),
+    "max_iters": (StopCriteria(max_iters=3), [1.0] * ROWS, [1.0] * ROWS, None, 4, "max_iters"),
+    "max_iters-0": (StopCriteria(max_iters=0), [1.0] * ROWS, [1.0] * ROWS, None, 1, "max_iters"),
+    # on one row, grad_tol comes before f_tol, and f_tol before max_iters
+    "grad_tol-first": (StopCriteria(max_iters=3, grad_tol=0.5, f_tol=0.25),
+                       [1.0, 1.0, 1.0, 0.75, 0.5], [1.0, 1.0, 1.0, 0.5, 0.1], 0.5, 4, "grad_tol"),
+    "f_tol-before-max_iters": (StopCriteria(max_iters=3, grad_tol=0.5, f_tol=0.25),
+                               [1.0, 1.0, 1.0, 0.75, 0.5], [1.0] * 5, 0.5, 4, "f_tol"),
+}
+
+
+class TestStopRuleBoundaries:
+    """Each stop rule fires on the row where its quantity reaches its bound,
+    with the reason and in the order that ``StopCriteria`` documents."""
+
+    @pytest.mark.parametrize("case", STOP_RULES.values(), ids=list(STOP_RULES))
+    def test_rule_fires_at_its_bound(self, case):
+        stop, fs, gn2s, f_star, rows, reason = case
+        traj = run(SIGN_STEPS, table_objective(fs, gn2s, f_star), np.zeros(1), stop)
+        assert (len(traj), traj.terminal_reason) == (rows, reason)
+        assert traj.x[:, 0].tolist() == list(range(rows))
+        assert traj.f.tolist() == fs[:rows] and traj.grad_norm2.tolist() == gn2s[:rows]
+
+    @pytest.mark.parametrize("column", ["f", "gn2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("others", ["pass", "fire"])
+    def test_nonfinite_row_fails_before_every_other_rule(self, column, bad, others):
+        # row 2 passes every other rule, or meets grad_tol, f_tol (which
+        # f - f_star = -inf meets too) and max_iters, all checked after it
+        fs, gn2s = ([1.0, 1.0, 0.5, 0.5], [1.0, 1.0, 0.1, 0.1]) if others == "fire" else (
+            [1.0] * ROWS, [1.0] * ROWS)
+        (fs if column == "f" else gn2s)[2] = bad
+        stop = (StopCriteria(max_iters=2, grad_tol=0.5, f_tol=0.25) if others == "fire"
+                else StopCriteria(max_iters=ROWS))
+        traj = run(SIGN_STEPS, table_objective(fs, gn2s, 0.5), np.zeros(1), stop)
+        assert (len(traj), traj.terminal_reason) == (3, "numerical_failure")
+
+    @pytest.mark.parametrize("max_iters,rows,reason", [(ROWS, 4, "wall_limit"),
+                                                        (3, 4, "max_iters")])
+    def test_wall_limit_fires_at_its_bound_after_max_iters(self, monkeypatch, max_iters,
+                                                           rows, reason):
+        # a clock that reads 0 at the start and k when row k is recorded
+        ticks = iter([0.0] + [float(k) for k in range(ROWS)])
+        monkeypatch.setattr(integrators, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        stop = StopCriteria(max_iters=max_iters, wall_limit=3.0)
+        traj = run(SIGN_STEPS, table_objective([1.0] * ROWS, [1.0] * ROWS), np.zeros(1), stop)
+        assert (len(traj), traj.terminal_reason) == (rows, reason)
+        assert traj.wall_s.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 class TestStepIsTheRunStep:

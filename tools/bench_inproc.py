@@ -10,6 +10,9 @@ sides alternate probe by probe in that order). The probes:
   checkout's record pass makes for one row: ``value_and_grad(x)`` where the
   objective has it, else ``gradient(x)`` then ``value(x)`` with their
   ``asarray`` and ``float`` conversions;
+- ``flows.flow_eval_us.<kind>``: one ``flow_eval`` call, with no norm given,
+  on the banana's gradient at (-1, 2), for ``gf``, ``rgf`` with q = 3,
+  ``rgf_c`` (q = 3, c = 1.5) and ``sgf`` with q = 3;
 - ``integrators.run_row_us.<scheme>``: one recorded row of ``run`` on the
   banana valley (a = 1, b = 0.2) from (-1, 2), where no scheme cycles
   within the probe (checked on every run);
@@ -64,6 +67,9 @@ _RUN_ROWS = 1000  # rows of a recorded-run probe
 _BANANA_X0 = (-1.0, 2.0)
 # (x0, h) of the bounds_analysis references; none arrives within _RUN_ROWS steps
 _REFERENCES = {"d1": ((1.0,), 1e-4), "d2": ((1.0, 1.0), 2.5e-4)}
+# the FlowSpec of each flow_eval probe, as (kind, q and c)
+_FLOWS = {"gf": ("gf", {}), "rgf": ("rgf", {"q": 3.0}),
+          "rgf_c": ("rgf", {"q": 3.0, "c": 1.5}), "sgf": ("sgf", {"q": 3.0})}
 
 
 def load_package(checkout: Path, name: str) -> ModuleType:
@@ -112,6 +118,15 @@ def _row_calls(maker: str) -> Callable:
             np.asarray(obj.gradient(x), dtype=float)
             float(obj.value(x))
         return lambda: per_call_us(row)
+    return build
+
+
+def _flow_eval(name: str) -> Callable:
+    def build(ff, _work):
+        kind, params = _FLOWS[name]
+        spec = ff.FlowSpec(kind, **params)
+        grad = ff.make_rosenbrock(1.0, 0.2).gradient(np.array(_BANANA_X0))
+        return lambda: per_call_us(lambda: ff.flow_eval(spec, grad))
     return build
 
 
@@ -178,6 +193,7 @@ def _sweep(workload: str) -> Callable:
 PROBES: dict[str, tuple[str, Callable]] = {
     **{f"objectives.row_calls_us.{m}": ("us", _row_calls(m))
        for m in ("quadratic", "rosenbrock", "pth_power", "mlp")},
+    **{f"flows.flow_eval_us.{k}": ("us", _flow_eval(k)) for k in _FLOWS},
     **{f"integrators.run_row_us.{s}": ("us/row", _run_row(s))
        for s in ("euler", "rk", "nesterov", "gd", "nagd", "adam")},
     **{f"integrators.reference_step_us.{d}": ("us/step", _reference_step(d))
