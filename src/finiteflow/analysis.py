@@ -91,6 +91,11 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
 
     at each, and also inverts the inequality pointwise to estimate the
     largest constant that would still hold on the sampled set.
+
+    The costs and gradients come from one ``obj.value_and_grad_rows`` call
+    over the sample, and the squared norms from one ``np.vecdot``, which
+    equals each row's ``dot``; a square that overflows takes ``norm2``'s
+    rescaled path for its row, and every power is Python's, per point.
     """
     if obj.metadata is None:
         raise ValueError("gradient-dominance check requires optimum metadata")
@@ -111,12 +116,13 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
 
     lhs_exp = p / (p - 1.0)
     rhs_coeff = mu ** (1.0 / (p - 1.0))
+    values, grads = obj.value_and_grad_rows(points)
     margins = []
     mu_points = []
     rhs_scale = 0.0
-    for x in points:
-        g_norm = norm2(obj.gradient(x))
-        gap = float(obj.value(x)) - f_star
+    for i, (f, sq) in enumerate(zip(values.tolist(), np.vecdot(grads, grads).tolist())):
+        g_norm = math.sqrt(sq) if math.isfinite(sq) else norm2(grads[i])
+        gap = f - f_star
         lhs = (p - 1.0) / p * g_norm ** lhs_exp
         rhs = rhs_coeff * gap
         margins.append(lhs - rhs)

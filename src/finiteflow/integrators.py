@@ -33,10 +33,12 @@ from .objectives import BatchContext, Objective
 # velocity -grad f everywhere
 _GRADIENT_FLOW = FlowSpec("gf", grad_threshold=0.0)
 
-# rows of the record columns before their first doubling, and gradient
-# rows held before their l1 norms are taken
+# rows of the record columns before their first doubling, gradient rows
+# held before their l1 norms are taken, and the most elements of the rows
+# one batched objective call takes after a run
 _RECORD_BLOCK = 1024
 _GRADIENT_CHUNK = 64
+_ROWS_CALL_ELEMENTS = 1 << 16
 
 # the record loop keeps row 1 and every _ANCHOR_EVERY-th row after it as the
 # anchor that later rows are compared with, so it finds any cycle of at most
@@ -328,6 +330,40 @@ def _cycle_start(xs: np.ndarray, period: int) -> int:
     return int(moved[-1]) + 1 if len(moved) else 0
 
 
+def _costs_of_rows(obj: Objective, xs: np.ndarray, fs: np.ndarray, gn1s: np.ndarray,
+                   n: int) -> int | None:
+    """Fill ``fs[:n]`` and ``gn1s[:n]`` from ``obj.value_and_grad_rows`` on
+    ``xs[:n]``, in blocks of at most ``_ROWS_CALL_ELEMENTS`` elements, and
+    return None, or the rows that a run calling ``value_and_grad`` per row
+    keeps when it ends as numerical_failure within them: up to the first
+    row whose cost is not finite, or before the first row whose call raises
+    an ArithmeticError. A block whose batched call raises is taken again
+    one row at a time, to find that row."""
+    block = max(1, _ROWS_CALL_ELEMENTS // obj.dimension)
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        try:
+            f, g = obj.value_and_grad_rows(xs[lo:hi])
+        except ArithmeticError:
+            for i in range(lo, hi):
+                try:
+                    fs[i], g = obj.value_and_grad(xs[i])
+                except ArithmeticError:
+                    return i
+                # np.add.reduce is ndarray.sum without its Python wrapper
+                gn1s[i] = np.add.reduce(np.abs(g))
+                if not math.isfinite(fs[i]):
+                    return i + 1
+            raise
+        fs[lo:hi] = f
+        # each row's reduction along the last axis is that row's l1 norm
+        gn1s[lo:hi] = np.add.reduce(np.abs(g), axis=1)
+        bad = np.flatnonzero(~np.isfinite(f))
+        if len(bad):
+            return lo + int(bad[0]) + 1
+    return None
+
+
 def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCriteria,
                        advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
                        repeats: bool) -> Trajectory:
@@ -354,19 +390,31 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     measured ``wall_s``, so ``wall_s`` never goes down.
 
     The record columns start at ``_RECORD_BLOCK`` rows and double when full,
-    since a run under a wall limit may have a huge ``max_iters``; gradient
-    rows are reduced to their l1 norms ``_GRADIENT_CHUNK`` rows at a time.
+    since a run under a wall limit may have a huge ``max_iters``.
 
-    Each row makes one objective call, ``obj.value_and_grad``.
+    Each row makes one objective call, ``obj.value_and_grad``, and gradient
+    rows are reduced to their l1 norms ``_GRADIENT_CHUNK`` rows at a time;
+    except where no stop rule reads the cost (``f_tol`` is 0 or the
+    objective has no optimum metadata) and ``obj.closed_rows`` holds. Then
+    each row calls ``obj.gradient`` alone, and after the loop
+    ``obj.value_and_grad_rows`` fills the cost and l1 columns, in calls of
+    at most ``_ROWS_CALL_ELEMENTS`` elements, with the same bits. The run is
+    then cut where the row-by-row run would have ended, before any cycle
+    fill: after the first row whose cost is not finite, or before the
+    first row whose ``value_and_grad`` raises an ArithmeticError.
     """
     rows = min(stop.max_iters + 1, _RECORD_BLOCK)
     xs = np.empty((rows, obj.dimension))
     fs, gn2s, gn1s, walls = (np.empty(rows) for _ in range(4))
     grads = np.empty((min(rows, _GRADIENT_CHUNK), obj.dimension))
     chunk, capacity = len(grads), rows
+    last = chunk - 1  # a chunk's last row
     grad_tol, max_iters, wall_limit = stop.grad_tol, stop.max_iters, stop.wall_limit
     f_tol = stop.f_tol if obj.metadata is not None else 0.0
     f_star = obj.metadata.f_star if f_tol > 0 else 0.0
+    # per_row: each row's cost is taken in the loop; otherwise f stays 0.0,
+    # which passes the tests on f, until the rows' costs are taken after it
+    per_row, f = f_tol > 0 or not obj.closed_rows, 0.0
     # a row within these open bounds meets no stop rule; a nan is within none
     inf = math.inf
     gn2_lo, gap_lo = (tol if tol > 0 else -inf for tol in (grad_tol, f_tol))
@@ -377,25 +425,27 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     # next_anchor is recorded, and for good when rows may not repeat
     anchor, anchor_gn2 = 0, math.nan
     next_anchor = 1 if repeats and wall_limit is None else -1
-    value_and_grad, clock = obj.value_and_grad, time.perf_counter
+    value_and_grad, gradient, clock = obj.value_and_grad, obj.gradient, time.perf_counter
     t_start = clock()
     try:
         while True:
-            f, g = value_and_grad(x)
-            gn2 = norm2(g)
-            wall = clock() - t_start
             if n == capacity:
                 capacity = 2 * n
                 xs, fs, gn2s, gn1s, walls = (_grown(a, capacity)
                                              for a in (xs, fs, gn2s, gn1s, walls))
+            if per_row:
+                f, g = value_and_grad(x)
+                fs[n] = f
+                grads[n % chunk] = g
+                if n % chunk == last:
+                    gn1s[n - last:n + 1] = np.add.reduce(np.abs(grads), axis=1)
+            else:
+                g = gradient(x)
+            gn2 = norm2(g)
             xs[n] = x
-            fs[n] = f
             gn2s[n] = gn2
-            walls[n] = wall
-            grads[n % chunk] = g
+            walls[n] = wall = clock() - t_start
             n += 1
-            if n % chunk == 0:
-                gn1s[n - chunk:n] = np.abs(grads).sum(axis=1)
             if not (gn2_lo < gn2 < inf and gap_lo < f - f_star and f < inf
                     and n <= max_iters and wall < wall_hi):
                 # the stop rules, in the order StopCriteria documents
@@ -417,8 +467,14 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             x = advance(x, g, gn2)
     except (NumericalFailure, ArithmeticError):
         reason = TERMINAL_NUMERICAL_FAILURE
-    # row by row this is np.abs(g).sum() of each gradient, to the bit
-    gn1s[n - n % chunk:n] = np.abs(grads[:n % chunk]).sum(axis=1)
+    if per_row:
+        # row by row this is np.abs(g).sum() of each gradient, to the bit;
+        # np.add.reduce is ndarray.sum without its Python wrapper
+        gn1s[n - n % chunk:n] = np.add.reduce(np.abs(grads[:n % chunk]), axis=1)
+    else:
+        kept = _costs_of_rows(obj, xs, fs, gn1s, n)
+        if kept is not None:
+            n, reason, period = kept, TERMINAL_NUMERICAL_FAILURE, None
     start = None
     if period is not None:
         start = _cycle_start(xs[:n], period)

@@ -68,13 +68,25 @@ class Objective:
     objectives with mini-batch support.
 
     ``value_and_grad(x)`` returns ``(float(value(x)), gradient(x))`` as a
-    float and a float64 array, in one call; each recorded row of a run
-    makes this one call. A maker passes a closed form of it as ``fused``,
-    which must agree with ``value`` and ``gradient`` to the bit. Without
-    ``fused`` it is composed from the objective's own ``value`` and
-    ``gradient``, gradient first; so an objective built by hand, and every
-    ``dataclasses.replace`` of one, which does not pass ``fused`` on, never
-    runs a fused form that its callables have outgrown.
+    float and a float64 array, in one call. A maker passes a closed form of
+    it as ``fused``, which must agree with ``value`` and ``gradient`` to the
+    bit. Without ``fused`` it is composed from the objective's own ``value``
+    and ``gradient``, gradient first.
+
+    ``value_and_grad_rows(X)`` is the same on the rows of a ``(B, d)``
+    array: the B costs as a float64 array and the ``(B, d)`` gradients,
+    each row equal to ``value_and_grad`` of that row to the bit. A maker
+    whose batched expressions keep every row's bits, and whose ``gradient``
+    returns a float64 array, passes them as ``fused_rows``, and
+    ``closed_rows`` is then True; without it the rows are taken one
+    ``value_and_grad`` call at a time. Each recorded row of a run makes one
+    ``value_and_grad`` call, except where ``closed_rows`` is True and no
+    stop rule reads the cost: then a row calls ``gradient`` alone, and the
+    run takes its costs from ``value_and_grad_rows`` after its loop.
+
+    An objective built by hand, and every ``dataclasses.replace`` of one,
+    which passes on neither ``fused`` nor ``fused_rows``, never runs a
+    closed form that its callables have outgrown.
     """
 
     dimension: int
@@ -85,10 +97,14 @@ class Objective:
     name: str = ""
     aux: dict = field(default_factory=dict, repr=False)
     fused: InitVar[Callable[[Vector], tuple[float, Vector]] | None] = None
+    fused_rows: InitVar[Callable[[np.ndarray], tuple[Vector, np.ndarray]] | None] = None
     value_and_grad: Callable[[Vector], tuple[float, Vector]] = field(
         init=False, repr=False, compare=False)
+    value_and_grad_rows: Callable[[np.ndarray], tuple[Vector, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
+    closed_rows: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, fused) -> None:
+    def __post_init__(self, fused, fused_rows) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
         if fused is None:
@@ -99,6 +115,16 @@ class Objective:
                 return float(value(x)), g
 
         object.__setattr__(self, "value_and_grad", fused)
+        object.__setattr__(self, "closed_rows", fused_rows is not None)
+        if fused_rows is None:
+            def fused_rows(xs: np.ndarray) -> tuple[Vector, np.ndarray]:
+                xs = np.asarray(xs, dtype=float)
+                fs, gs = np.empty(len(xs)), np.empty(xs.shape)
+                for i, x in enumerate(xs):
+                    fs[i], gs[i] = fused(x)
+                return fs, gs
+
+        object.__setattr__(self, "value_and_grad_rows", fused_rows)
 
 
 def make_quadratic(mu: float, dimension: int) -> Objective:
@@ -124,9 +150,16 @@ def make_quadratic(mu: float, dimension: int) -> Objective:
         x = np.asarray(x, dtype=float)
         return 0.5 * mu * float(np.add.reduce(x * x)), mu_factor * x
 
+    def value_and_grad_rows(xs: np.ndarray) -> tuple[Vector, np.ndarray]:
+        # 0.5 * mu * s is (0.5 * mu) * s, and each row's reduction along the
+        # last axis is the one-row np.add.reduce
+        xs = np.asarray(xs, dtype=float)
+        return 0.5 * mu * np.add.reduce(xs * xs, axis=1), mu_factor * xs
+
     meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,
-                     metadata=meta, name="quadratic", fused=value_and_grad)
+                     metadata=meta, name="quadratic", fused=value_and_grad,
+                     fused_rows=value_and_grad_rows)
 
 
 def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
@@ -183,9 +216,15 @@ def make_pth_power(p: float, dimension: int) -> Objective:
         a = np.abs(x)
         return float(np.add.reduce(a ** p)) / p, np.sign(x) * a ** (p - 1.0)
 
+    def value_and_grad_rows(xs: np.ndarray) -> tuple[Vector, np.ndarray]:
+        xs = np.asarray(xs, dtype=float)
+        a = np.abs(xs)
+        return np.add.reduce(a ** p, axis=1) / p, np.sign(xs) * a ** (p - 1.0)
+
     meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
     return Objective(dimension=dimension, value=value, gradient=gradient,
-                     metadata=meta, name="pth_power", fused=value_and_grad)
+                     metadata=meta, name="pth_power", fused=value_and_grad,
+                     fused_rows=value_and_grad_rows)
 
 
 def _mlp_shapes(widths: list[int]) -> list[tuple[int, int]]:

@@ -2,20 +2,52 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import finiteflow
-from finiteflow import (DominanceParams, FlowSpec, StopCriteria, Trajectory,
-                        check_gradient_dominance, closeness_epsilon,
+from finiteflow import (DominanceParams, FlowSpec, Objective, OptimumInfo, StopCriteria,
+                        Trajectory, check_gradient_dominance, closeness_epsilon,
                         dominance_params, energy_decay_envelope,
                         integrate_reference, k_star, make_mlp, make_pth_power,
-                        make_quadratic, settling_time_bound, verify_envelope,
-                        weak_bound)
+                        make_quadratic, make_rosenbrock, settling_time_bound,
+                        verify_envelope, weak_bound)
+from finiteflow.flows import norm2
 
 P23 = dominance_params(2.0, 1.0, 3.0, 1.0)
+
+
+def dominance_one_point_at_a_time(obj, p, mu, region_radius, n_samples, seed):
+    """check_gradient_dominance as a loop of one value and one gradient
+    call per sampled point: (holds, worst margin, mu estimate)."""
+    x_star, f_star, dim = obj.metadata.x_star, obj.metadata.f_star, obj.dimension
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((n_samples, dim))
+    directions /= np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-300)
+    radii = region_radius * rng.random(n_samples) ** (1.0 / dim)
+    margins, mu_points, rhs_scale = [], [], 0.0
+    for x in x_star + directions * radii[:, None]:
+        g_norm = norm2(obj.gradient(x))
+        gap = float(obj.value(x)) - f_star
+        lhs = (p - 1.0) / p * g_norm ** (p / (p - 1.0))
+        rhs = mu ** (1.0 / (p - 1.0)) * gap
+        margins.append(lhs - rhs)
+        rhs_scale = max(rhs_scale, abs(rhs))
+        if gap > 1e-300:
+            mu_points.append((lhs / gap) ** (p - 1.0))
+    worst = min(margins)
+    return (worst >= -1e-12 * (1.0 + rhs_scale), worst,
+            min(mu_points) if mu_points else math.inf)
+
+
+def rep_bits(rep):
+    """A dominance report as its verdict and the bits of its two numbers."""
+    holds, worst, mu_max = rep if isinstance(rep, tuple) else (
+        rep.holds, rep.worst_margin, rep.mu_max_estimate)
+    return holds, float(worst).hex(), float(mu_max).hex()
 
 
 def pth_power_mu(p, dimension):
@@ -156,6 +188,33 @@ class TestGradientDominance:
         assert rep.holds
         assert rep.mu_max_estimate >= mu * (1 - 1e-12)
         assert rep.n_evaluated == 200
+
+    @pytest.mark.parametrize("name, maker, p, mu", [
+        ("quadratic_d1", lambda: make_quadratic(1.0, 1), 2.0, 1.0),
+        ("quadratic_d2", lambda: make_quadratic(1.0, 2), 2.0, 1.0),
+        ("quadratic_d7", lambda: make_quadratic(2.5, 7), 2.0, 2.0),
+        ("pth_power_p1.5", lambda: make_pth_power(1.5, 3), 1.5, 0.5),
+        ("pth_power_p4", lambda: make_pth_power(4.0, 5), 4.0, 0.3),
+        ("rosenbrock", lambda: make_rosenbrock(1.0, 0.2), 2.0, 0.1),
+        ("replaced_quadratic", lambda: replace(make_quadratic(1.0, 3)), 2.0, 1.0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bits_as_one_point_at_a_time(self, name, maker, p, mu, seed):
+        obj = maker()
+        rep = check_gradient_dominance(obj, p, mu, 1.3, 300, seed)
+        assert rep_bits(rep) == rep_bits(dominance_one_point_at_a_time(obj, p, mu, 1.3, 300, seed))
+
+    def test_overflowing_square_takes_the_rescaled_norm(self):
+        # every gradient is (1e155, 1e155): its squared norm overflows, and
+        # norm2 rescales it to 1e155 * sqrt(2)
+        steep = Objective(dimension=2, value=lambda x: 1e200,
+                          gradient=lambda x: np.array([1e155, 1e155]),
+                          metadata=OptimumInfo(x_star=np.zeros(2), f_star=0.0))
+        with np.errstate(over="ignore"):
+            rep = check_gradient_dominance(steep, 4.0, 1.0, 1.0, 20, 0)
+            oracle = dominance_one_point_at_a_time(steep, 4.0, 1.0, 1.0, 20, 0)
+        assert rep_bits(rep) == rep_bits(oracle)
+        assert rep.worst_margin == 0.75 * (1e155 * math.sqrt(2.0)) ** (4.0 / 3.0) - 1e200
 
     def test_runs_without_scipy(self):
         code = ("import sys, finiteflow\n"

@@ -3,6 +3,7 @@ trajectory a one-ulp change moves."""
 
 import dataclasses
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -63,6 +64,60 @@ def test_one_ulp_in_the_change_is_caught_and_named(monkeypatch, capsys):
     # the sweep's first cell is gd from the first seed's start
     assert "differs: banana_sweep input set 0, config banana_sweep: trajectory 0, run(gd" in err
     assert "all" not in err
+
+
+def test_one_ulp_in_an_analysis_number_is_caught_and_named(monkeypatch, capsys):
+    load_package = bench_digest.load_package
+
+    def load_nudged(checkout, name):
+        ff = load_package(checkout, name)
+        if name.endswith("change"):
+            check = ff.bench.check_gradient_dominance
+
+            def nudged(*args, **kwargs):
+                rep = check(*args, **kwargs)
+                return dataclasses.replace(
+                    rep, worst_margin=float(np.nextafter(rep.worst_margin, np.inf)))
+            monkeypatch.setattr(ff.bench, "check_gradient_dominance", nudged)
+        return ff
+
+    monkeypatch.setattr(bench_digest, "load_package", load_nudged)
+    monkeypatch.setattr(bench_digest, "INPUT_SETS", ())
+    monkeypatch.setattr(bench_digest, "PRESETS", ("quadratic_bounds",))
+    monkeypatch.setattr(bench_digest, "SCALE", SMOKE)
+    assert bench_digest.main([str(_ROOT), str(_ROOT)]) == 1
+    # every trajectory is equal; the dominance section is not
+    assert "differs: preset quadratic_bounds: analysis.json dominance" in capsys.readouterr().err
+
+
+def test_analysis_digests_cover_every_section(tmp_path):
+    reports = {"dominance": {"holds": True, "worst_margin": 0.1},
+               "bounds": {"opt": {"eps_measured": 1e-3}},
+               "closeness": {"opt": [{"eta": 0.01, "eps": 2e-3}]}}
+    assert bench_digest.analysis_digests(tmp_path) == []
+    (tmp_path / "analysis.json").write_text(json.dumps(reports))
+    base = bench_digest.analysis_digests(tmp_path)
+    assert [label for label, _ in base] == [
+        "analysis.json dominance", "analysis.json bounds", "analysis.json closeness"]
+    for i, (section, moved) in enumerate([
+            ("dominance", {"holds": True, "worst_margin": 0.1 + 2 ** -56}),
+            ("bounds", {"opt": {"eps_measured": 1e-3 * (1 + 2 ** -52)}}),
+            ("closeness", {"opt": [{"eta": 0.01, "eps": 2e-3 * (1 + 2 ** -52)}]})]):
+        (tmp_path / "analysis.json").write_text(json.dumps({**reports, section: moved}))
+        digests = bench_digest.analysis_digests(tmp_path)
+        assert [d != b for d, b in zip(digests, base)] == [j == i for j in range(3)], section
+
+
+def test_counts_and_differences_of_digest_lists():
+    trajs = [("run(gd, eta=0.1, x0=[0.0])", "a"), ("run(gd, eta=0.1, x0=[1.0])", "b")]
+    sections = [("analysis.json dominance", "c")]
+    assert bench_digest.counts(trajs + sections) == (2, 1)
+    assert bench_digest.first_difference(trajs + sections, trajs + sections) is None
+    assert bench_digest.first_difference(sections, sections) == "no trajectory was recorded"
+    assert (bench_digest.first_difference(trajs + sections, trajs)
+            == "2 trajectories and 1 analysis sections at the parent, 2 and 0 at the change")
+    assert (bench_digest.first_difference(trajs + sections, trajs + [(sections[0][0], "d")])
+            == "analysis.json dominance")
 
 
 def test_digest_covers_every_column_but_wall_s():

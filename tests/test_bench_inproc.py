@@ -6,6 +6,7 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import finiteflow
@@ -24,6 +25,7 @@ PROBE_NAMES = [
     "integrators.run_row_us.nesterov", "integrators.run_row_us.gd",
     "integrators.run_row_us.nagd", "integrators.run_row_us.adam",
     "integrators.reference_step_us.d1", "integrators.reference_step_us.d2",
+    "analysis.closeness_epsilon_us", "analysis.dominance_us_per_point",
     "bench.emit_csv_us_per_row.same_eta", "bench.run_experiment_s.bounds_analysis",
     "bench.run_experiment_s.banana_sweep",
 ]
@@ -60,6 +62,31 @@ def test_reference_probe_refuses_a_stretch_it_does_not_step(tmp_path, dim, defec
     assert bench_inproc.PROBES[name][0] == "us/step"
     with pytest.raises(AssertionError, match=f"the {dim} reference probe"):
         bench_inproc.PROBES[name][1](broken, tmp_path)()
+
+
+@pytest.mark.parametrize("name,fn,unit", [
+    ("analysis.closeness_epsilon_us", "closeness_epsilon", "us"),
+    ("analysis.dominance_us_per_point", "check_gradient_dominance", "us/point")])
+def test_analysis_probes_time_their_call(tmp_path, name, fn, unit):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return getattr(finiteflow, fn)(*args, **kwargs)
+
+    package = types.SimpleNamespace(**{n: getattr(finiteflow, n) for n in finiteflow.__all__})
+    setattr(package, fn, counted)
+    assert bench_inproc.PROBES[name][0] == unit
+    assert bench_inproc.PROBES[name][1](package, tmp_path)() > 0
+    assert calls
+    if fn == "closeness_epsilon":
+        # the reference covers the horizon at a tenth of eta or finer
+        ref, disc, horizon, eta = calls[0]
+        assert ref.t[-1] >= horizon and np.diff(ref.t).max() <= eta / 10
+        assert len(disc) - 1 == int(horizon / eta)
+    else:
+        # 200 points of the 2-D unit quadratic per call
+        assert all(args[0].dimension == 2 and args[4] == 200 for args in calls)
 
 
 def only_probes(monkeypatch, names):

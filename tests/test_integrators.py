@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from finiteflow import (BatchContext, DiscretizerConfig, FlowSpec,
                         NumericalFailure, Objective, OptimumInfo, StopCriteria, flow_eval,
                         init_state, integrate_reference, make_mlp,
-                        make_quadratic, make_rosenbrock, run)
+                        make_pth_power, make_quadratic, make_rosenbrock, run)
 from finiteflow import flows, integrators
 from finiteflow.flows import norm2
 from finiteflow.integrators import _ANCHOR_EVERY, _RECORD_BLOCK, make_step
@@ -1174,3 +1174,180 @@ class TestConfigValidation:
         with pytest.raises(NumericalFailure):
             one_step(DiscretizerConfig(scheme="gd", eta=0.1), bad,
                     init_state(np.array([1.0])))
+
+
+def closed_rows_counted(obj, metadata="same"):
+    """A hand-built copy of a maker's objective that passes on its closed
+    forms, with every objective call counted."""
+    calls = dict.fromkeys(("value", "gradient", "value_and_grad", "value_and_grad_rows"), 0)
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+        return call
+
+    copy = Objective(dimension=obj.dimension, value=counted("value", obj.value),
+                     gradient=counted("gradient", obj.gradient),
+                     metadata=obj.metadata if metadata == "same" else metadata,
+                     fused=counted("value_and_grad", obj.value_and_grad),
+                     fused_rows=counted("value_and_grad_rows", obj.value_and_grad_rows))
+    assert copy.closed_rows
+    return copy, calls
+
+
+# runs whose objective has a closed batched form and whose stop rules do not
+# read the cost: (run on an objective, objective, x0, stop)
+def _scheme(cfg):
+    return lambda obj, x0, stop: run(cfg, obj, x0, stop)
+
+
+def _reference(flow, h):
+    return lambda obj, x0, stop: integrate_reference(flow, obj, x0, h, stop)
+
+
+DEFERRED_RUNS = {
+    "gd": (_scheme(DiscretizerConfig(scheme="gd", eta=0.1)), make_quadratic(1.0, 3),
+           [0.6, -0.8, 0.3], StopCriteria(max_iters=300)),
+    "euler_rgf_cycle": (_scheme(DiscretizerConfig(scheme="euler", eta=1e-2,
+                                                  flow=FlowSpec("rgf", q=3.0))),
+                        QUAD2, [0.6, -0.8], StopCriteria(max_iters=2000)),
+    "rk_pth_power": (_scheme(DiscretizerConfig(scheme="rk", eta=1e-2, alphas=(0.5, 0.5),
+                                               betas=(0.09,), flow=FlowSpec("rgf", q=6.0))),
+                     make_pth_power(4.0, 5), [0.5, -0.4, 0.3, 0.2, -0.1],
+                     StopCriteria(max_iters=1500)),
+    "nesterov_sgf": (_scheme(DiscretizerConfig(scheme="nesterov", eta=1e-3, beta=0.9,
+                                               flow=FlowSpec("sgf", q=3.0))),
+                     make_pth_power(1.5, 2), [0.7, -0.2], StopCriteria(max_iters=1200)),
+    "adam": (_scheme(DiscretizerConfig(scheme="adam", eta=1e-2)), QUAD2, [0.6, -0.8],
+             StopCriteria(max_iters=500)),
+    "grad_tol": (_scheme(DiscretizerConfig(scheme="gd", eta=0.1)), QUAD2, [0.6, -0.8],
+                 StopCriteria(max_iters=1000, grad_tol=1e-3)),
+    "wall_limit": (_scheme(DiscretizerConfig(scheme="euler", eta=1e-2,
+                                             flow=FlowSpec("rgf", q=3.0))),
+                   QUAD2, [0.6, -0.8], StopCriteria(max_iters=1500, wall_limit=1e9)),
+    "reference_freeze": (_reference(FlowSpec("rgf", q=3.0), 1e-4), make_quadratic(1.0, 1),
+                         [1.0], StopCriteria(max_iters=21_000)),
+    "reference_sgf": (_reference(FlowSpec("sgf", q=3.0), 1e-3), QUAD2, [0.6, -0.8],
+                      StopCriteria(max_iters=3000)),
+}
+
+# gd with eta = 3 on the unit quadratic doubles |x| every step, so the
+# cost x.x overflows about 510 rows before the gradient x does, and with it
+# the squared norm x.x of that gradient
+DIVERGING = (DiscretizerConfig(scheme="gd", eta=3.0), QUAD2, np.array([1.0, 0.5]))
+# a unit-speed step of 1e206 on |x|^1.5 / 1.5 lands on x = -1e206, whose
+# cost overflows while its gradient's squared norm, 1e206, does not; the
+# next step returns to 0 and stays there
+LEAP = (DiscretizerConfig(scheme="euler", eta=1e206, flow=FlowSpec("rgf")),
+        make_pth_power(1.5, 2), np.array([1.0, 0.0]))
+
+
+class TestCostsAfterTheLoop:
+    """Where no stop rule reads the cost and the objective has a closed
+    batched form, each row calls ``gradient`` alone and the costs and l1
+    norms come from ``value_and_grad_rows`` after the loop; the run is the
+    one that calls ``value_and_grad`` per row, to the bit."""
+
+    @staticmethod
+    def assert_same_run(a, b):
+        assert_same_rows(a, b)
+        assert (a.cycle_start, a.cycle_period) == (b.cycle_start, b.cycle_period)
+
+    @pytest.mark.parametrize("elements", [None, 6])
+    @pytest.mark.parametrize("case", DEFERRED_RUNS.values(), ids=list(DEFERRED_RUNS))
+    def test_same_run_as_one_value_and_grad_per_row(self, monkeypatch, case, elements):
+        # a replace of the objective has no closed batched form; 6 elements
+        # make blocks of one to six rows
+        if elements is not None:
+            monkeypatch.setattr(integrators, "_ROWS_CALL_ELEMENTS", elements)
+        go, obj, x0, stop = case
+        assert obj.closed_rows and not replace(obj).closed_rows
+        self.assert_same_run(go(obj, np.array(x0), stop), go(replace(obj), np.array(x0), stop))
+
+    @pytest.mark.parametrize("elements", [None, 6])
+    def test_nonfinite_cost_with_finite_gradient_ends_on_its_row(self, monkeypatch, elements):
+        if elements is not None:
+            monkeypatch.setattr(integrators, "_ROWS_CALL_ELEMENTS", elements)
+        cfg, obj, x0 = DIVERGING
+        stop = StopCriteria(max_iters=2000)
+        with np.errstate(over="ignore"):
+            closed, per_row = run(cfg, obj, x0, stop), run(cfg, replace(obj), x0, stop)
+        self.assert_same_run(closed, per_row)
+        assert closed.terminal_reason == "numerical_failure"
+        # the last row's cost overflowed, its gradient did not
+        assert closed.f[-1] == math.inf and all(np.isfinite(closed.f[:-1]))
+        assert math.isfinite(closed.grad_norm2[-1]) and 500 < len(closed) < 1000
+
+    def test_nonfinite_cost_cuts_the_run_before_its_cycle_fill(self):
+        # eta = 0 repeats x0 from row 0, whose cost overflows
+        cfg, obj = DiscretizerConfig(scheme="gd", eta=0.0), QUAD2
+        x0, stop = np.array([1e155, 1.0]), StopCriteria(max_iters=100)
+        with np.errstate(over="ignore"):
+            closed, per_row = run(cfg, obj, x0, stop), run(cfg, replace(obj), x0, stop)
+        self.assert_same_run(closed, per_row)
+        assert len(closed) == 1 and closed.terminal_reason == "numerical_failure"
+        assert closed.cycle_period is None
+
+    def test_cost_that_fails_on_a_later_cycling_run(self):
+        cfg, obj, x0 = LEAP
+        counted, calls = closed_rows_counted(obj)
+        stop = StopCriteria(max_iters=100)
+        with np.errstate(over="ignore"):
+            closed, per_row = run(cfg, counted, x0, stop), run(cfg, replace(obj), x0, stop)
+        # the loop stepped on to the cycle at 0, and one batched call found row 1
+        assert calls["gradient"] > 2 and calls["value_and_grad_rows"] == 1
+        self.assert_same_run(closed, per_row)
+        assert len(closed) == 2 and closed.terminal_reason == "numerical_failure"
+        assert closed.x[-1].tolist() == [-1e206, 0.0] and closed.f[-1] == math.inf
+
+    @pytest.mark.parametrize("elements", [None, 2])
+    def test_raising_cost_keeps_the_rows_before_it(self, monkeypatch, elements):
+        # gd moves x by +1 per row up to a pole at x = 3, where the cost
+        # raises; the batched form raises when any of its rows does
+        if elements is not None:
+            monkeypatch.setattr(integrators, "_ROWS_CALL_ELEMENTS", elements)
+
+        def cost(x):
+            if x[0] >= 3.0:
+                raise ZeroDivisionError("the cost has a pole at 3")
+            return float(x[0])
+
+        pole = Objective(dimension=1, value=cost, gradient=lambda x: np.array([-1.0]),
+                         fused_rows=lambda xs: (np.array([cost(x) for x in xs]),
+                                                np.full(xs.shape, -1.0)))
+        cfg, stop = DiscretizerConfig(scheme="gd", eta=1.0), StopCriteria(max_iters=10)
+        closed, per_row = run(cfg, pole, np.zeros(1), stop), run(cfg, replace(pole),
+                                                                 np.zeros(1), stop)
+        self.assert_same_run(closed, per_row)
+        assert closed.x[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert closed.terminal_reason == "numerical_failure"
+
+    @pytest.mark.parametrize("case", ["diverging", "x0"])
+    def test_overflow_raise_keeps_the_same_rows(self, case):
+        # from x0, the cost's square raises and the gradient's, with mu =
+        # 1e-10, does not; the step's finiteness check then raises too
+        cfg, obj, x0 = DIVERGING if case == "diverging" else (
+            DiscretizerConfig(scheme="gd", eta=0.1), make_quadratic(1e-10, 2),
+            np.array([1e155, 1.0]))
+        stop = StopCriteria(max_iters=2000)
+        with np.errstate(over="raise"):
+            closed, per_row = run(cfg, obj, x0, stop), run(cfg, replace(obj), x0, stop)
+        self.assert_same_run(closed, per_row)
+        assert closed.terminal_reason == "numerical_failure" and all(np.isfinite(closed.f))
+        assert 500 < len(closed) < 1000 if case == "diverging" else len(closed) == 0
+
+    @pytest.mark.parametrize("f_tol,metadata,per_row", [
+        (1e-300, "same", True), (0.0, "same", False), (1e-300, None, False)])
+    def test_row_calls(self, f_tol, metadata, per_row):
+        obj, calls = closed_rows_counted(QUAD2, metadata)
+        traj = run(DiscretizerConfig(scheme="gd", eta=0.1), obj, np.array([0.6, -0.8]),
+                   StopCriteria(max_iters=40, f_tol=f_tol))
+        assert len(traj) == 41 and traj.terminal_reason == "max_iters"
+        assert calls == ({"value": 0, "gradient": 0, "value_and_grad": 41,
+                          "value_and_grad_rows": 0} if per_row else
+                         {"value": 0, "gradient": 41, "value_and_grad": 0,
+                          "value_and_grad_rows": 1})
+        plain = run(DiscretizerConfig(scheme="gd", eta=0.1), replace(QUAD2),
+                    np.array([0.6, -0.8]), StopCriteria(max_iters=40))
+        self.assert_same_run(traj, plain)

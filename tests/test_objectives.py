@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from finiteflow import (BatchContext, Objective, finite_difference_check, make_mlp,
                         make_pth_power, make_quadratic, make_rosenbrock)
@@ -271,3 +272,67 @@ class TestValueAndGrad:
         both = replace(obj, value=other, gradient=other_gradient)
         assert both.value_and_grad(x)[0] == 2.5
         assert calls == ["value", "gradient", "gradient", "value"]
+
+
+# makers with a closed batched form, and a draw of rows for each
+CLOSED_ROWS = [
+    ("quadratic", lambda d: make_quadratic(0.7, d)),
+    ("pth_power_p1.5", lambda d: make_pth_power(1.5, d)),
+    ("pth_power_p4", lambda d: make_pth_power(4.0, d)),
+]
+
+
+def draw_rows(data, dimension):
+    return data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), dimension),
+                            elements=COMPONENT))
+
+
+def same_row_bits(obj, xs, fs, gs):
+    assert fs.dtype == gs.dtype == np.float64
+    assert fs.shape == (len(xs),) and gs.shape == xs.shape
+    for x, f, g in zip(xs, fs, gs):
+        one_f, one_g = obj.value_and_grad(x)
+        assert np.float64(one_f).tobytes() == f.tobytes()
+        assert one_g.tobytes() == g.tobytes()
+
+
+class TestValueAndGradRows:
+    @pytest.mark.parametrize("name, maker", CLOSED_ROWS, ids=[n for n, _ in CLOSED_ROWS])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_closed_rows_equal_one_row_calls_bitwise(self, name, maker, data):
+        obj = maker(data.draw(st.integers(1, 200)))
+        assert obj.closed_rows
+        xs = draw_rows(data, obj.dimension)
+        same_row_bits(obj, xs, *obj.value_and_grad_rows(xs))
+
+    @pytest.mark.parametrize("name, maker", FUSED_MAKERS, ids=[n for n, _ in FUSED_MAKERS])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_maker_has_rows_equal_to_one_row_calls(self, name, maker, data):
+        obj = maker()
+        assert obj.closed_rows == name.startswith(("quadratic", "pth_power"))
+        xs = draw_rows(data, obj.dimension)
+        same_row_bits(obj, xs, *obj.value_and_grad_rows(xs))
+
+    def test_no_rows_give_empty_columns(self):
+        for obj in (make_quadratic(1.0, 3), make_rosenbrock()):
+            fs, gs = obj.value_and_grad_rows(np.empty((0, obj.dimension)))
+            assert fs.shape == (0,) and gs.shape == (0, obj.dimension)
+
+    @pytest.mark.parametrize("name, maker", FUSED_MAKERS, ids=[n for n, _ in FUSED_MAKERS])
+    def test_replace_has_no_closed_rows_and_runs_the_new_callables(self, name, maker):
+        obj = maker()
+        doubled = replace(obj, value=lambda x: 2.0 * obj.value(x))
+        assert not doubled.closed_rows
+        xs = np.full((3, obj.dimension), 0.25)
+        fs, gs = doubled.value_and_grad_rows(xs)
+        assert fs.tolist() == [2.0 * obj.value(xs[0])] * 3
+        assert gs.tobytes() == obj.value_and_grad_rows(xs)[1].tobytes()
+
+    def test_hand_built_objective_has_no_closed_rows(self):
+        obj = Objective(dimension=2, value=lambda x: float(x.sum()),
+                        gradient=lambda x: [1, 2])
+        assert not obj.closed_rows
+        fs, gs = obj.value_and_grad_rows([[1.0, 2.0], [3.0, 4.0]])
+        assert fs.tolist() == [3.0, 7.0] and gs.tolist() == [[1.0, 2.0], [1.0, 2.0]]

@@ -9,10 +9,13 @@ checkout's own ``src/finiteflow/configs/``, through ``run_experiment`` on
 both, and hashes every ``Trajectory`` that the package's ``bench.run`` and
 ``bench.integrate_reference`` return: the bytes of x, f, both gradient
 norms, k and t, the terminal reason and the cycle start and period, but
-not ``wall_s``. It names the first trajectory whose digest differs, or a
-config whose count of trajectories differs or is zero, and exits 1; it
-exits 0 when every digest is equal. It runs the workloads' input sets 0
-and 13 at full scale::
+not ``wall_s``. After them it hashes each section of the config's
+``analysis.json`` (dominance, bounds, closeness) where the config writes
+one: every number in it, which JSON writes in the shortest form that reads
+back to the same bits. It names the first trajectory or analysis section
+whose digest differs, or a config whose count of either differs or that
+records no trajectory, and exits 1; it exits 0 when every digest is equal.
+It runs the workloads' input sets 0 and 13 at full scale::
 
     python3 tools/bench_digest.py PARENT CHANGE
 """
@@ -57,6 +60,21 @@ def trajectory_digest(traj) -> str:
     return h.hexdigest()
 
 
+ANALYSIS_SECTIONS = ("dominance", "bounds", "closeness")
+
+
+def analysis_digests(out: Path) -> list[tuple[str, str]]:
+    """(label, digest) of each section of ``out/analysis.json``, or none
+    when the config writes no such file."""
+    path = out / "analysis.json"
+    if not path.exists():
+        return []
+    reports = json.loads(path.read_text())
+    return [(f"analysis.json {section}", hashlib.sha256(
+        json.dumps(reports[section], sort_keys=True).encode()).hexdigest())
+        for section in ANALYSIS_SECTIONS]
+
+
 def _label(fn: str, args: tuple) -> str:
     """A short name of one call: run's scheme and step size, or the
     reference's flow and step, with the start point."""
@@ -72,7 +90,8 @@ def _label(fn: str, args: tuple) -> str:
 def config_digests(ff: ModuleType, config_path: Path, out: Path) -> list[tuple[str, str]]:
     """(label, digest) of each trajectory that ``run_experiment`` on the
     config gets from the package's ``bench.run`` and
-    ``bench.integrate_reference``, in call order."""
+    ``bench.integrate_reference``, in call order, then of each section of
+    the ``analysis.json`` it writes to ``out``."""
     bench, seen = ff.bench, []
     originals = {fn: getattr(bench, fn) for fn in ("run", "integrate_reference")}
 
@@ -90,7 +109,7 @@ def config_digests(ff: ModuleType, config_path: Path, out: Path) -> list[tuple[s
     finally:
         for fn, original in originals.items():
             setattr(bench, fn, original)
-    return seen
+    return seen + analysis_digests(out)
 
 
 def first_difference(parent: list[tuple[str, str]],
@@ -98,14 +117,21 @@ def first_difference(parent: list[tuple[str, str]],
     """What first differs between two configs' digest lists, or None; a
     config that records no trajectory on either side proves nothing, and
     counts as a difference."""
-    if not parent and not change:
+    if not counts(parent)[0] and not counts(change)[0]:
         return "no trajectory was recorded"
     for i, ((label, a), (_, b)) in enumerate(zip(parent, change)):
         if a != b:
-            return f"trajectory {i}, {label}"
-    if len(parent) != len(change):
-        return f"{len(parent)} trajectories at the parent, {len(change)} at the change"
+            return label if label.startswith("analysis.json ") else f"trajectory {i}, {label}"
+    if counts(parent) != counts(change):
+        return ("{} trajectories and {} analysis sections at the parent, "
+                "{} and {} at the change".format(*counts(parent), *counts(change)))
     return None
+
+
+def counts(digests: list[tuple[str, str]]) -> tuple[int, int]:
+    """The trajectories and the analysis sections in one digest list."""
+    sections = sum(label.startswith("analysis.json ") for label, _ in digests)
+    return len(digests) - sections, sections
 
 
 def configs(work: Path, checkouts: dict[str, Path]):
@@ -132,7 +158,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
     packages = {side: load_package(checkouts[side], f"finiteflow_{side}") for side in SIDES}
-    total = 0
+    total = sections = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for where, paths in configs(work, checkouts):
@@ -143,9 +169,11 @@ def main(argv=None) -> int:
             if diff is not None:
                 print(f"differs: {where}: {diff}", file=sys.stderr)
                 return 1
-            total += len(digests["parent"])
-            print(f"equal: {where}: {len(digests['parent'])} trajectories", file=sys.stderr)
-    print(f"all {total} trajectories equal", file=sys.stderr)
+            found = counts(digests["parent"])
+            total, sections = total + found[0], sections + found[1]
+            print(f"equal: {where}: {found[0]} trajectories, {found[1]} analysis sections",
+                  file=sys.stderr)
+    print(f"all {total} trajectories and {sections} analysis sections equal", file=sys.stderr)
     return 0
 
 

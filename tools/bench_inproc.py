@@ -21,6 +21,13 @@ sides alternate probe by probe in that order). The probes:
   q = 3 on the unit quadratic, in 1-D from 1.0 with h = 1e-4 and in 2-D
   from (1, 1) with h = 2.5e-4; every run is checked to step each row,
   neither freezing nor cycling;
+- ``analysis.closeness_epsilon_us``: one ``closeness_epsilon`` call on the
+  first entry of the ``closeness_sweep`` table: ``rgf`` with q = 3 on the
+  unit quadratic in 2-D from (1, 1), its reference at h = 2.5e-4 against
+  the Euler run at eta = 1e-2, over 1.2 times the settling-time bound;
+- ``analysis.dominance_us_per_point``: ``check_gradient_dominance`` on the
+  unit quadratic in 2-D, p = 2, mu = 1, radius 1, 200 points from seed 0,
+  per point;
 - ``bench.emit_csv_us_per_row.same_eta``: writing ten ``gd`` trajectories of
   one step size, the way ``run_experiment`` writes the seeds of one
   optimizer;
@@ -46,6 +53,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -157,6 +165,24 @@ def _reference_step(dim: str) -> Callable:
     return build
 
 
+def _closeness_epsilon(ff, _work):
+    obj, flow, eta = ff.make_quadratic(1.0, 2), ff.FlowSpec("rgf", q=3.0), 1e-2
+    x0, h = np.array([1.0, 1.0]), eta / 40.0
+    params = ff.dominance_params(2.0, 1.0, flow.q, flow.c)
+    horizon = 1.2 * ff.settling_time_bound(params, float(np.linalg.norm(obj.gradient(x0))))
+    ref = ff.integrate_reference(flow, obj, x0, h, ff.StopCriteria(
+        max_iters=int(math.ceil(horizon / h)) + 1))
+    disc = ff.run(ff.DiscretizerConfig(scheme="euler", eta=eta, flow=flow), obj, x0,
+                  ff.StopCriteria(max_iters=int(math.floor(horizon / eta + 1e-9))))
+    return lambda: per_call_us(lambda: ff.closeness_epsilon(ref, disc, horizon, eta))
+
+
+def _dominance(ff, _work):
+    obj = ff.make_quadratic(1.0, 2)
+    return lambda: _median_s(lambda: ff.check_gradient_dominance(
+        obj, 2.0, 1.0, 1.0, 200, seed=0))[0] / 200 * 1e6
+
+
 def _same_eta_csv(ff, work: Path):
     obj, cfg = ff.make_rosenbrock(1.0, 0.2), ff.DiscretizerConfig(scheme="gd", eta=1e-3)
     starts = np.random.default_rng(1).uniform(0.0, 2.0, (10, 2))
@@ -198,6 +224,8 @@ PROBES: dict[str, tuple[str, Callable]] = {
        for s in ("euler", "rk", "nesterov", "gd", "nagd", "adam")},
     **{f"integrators.reference_step_us.{d}": ("us/step", _reference_step(d))
        for d in _REFERENCES},
+    "analysis.closeness_epsilon_us": ("us", _closeness_epsilon),
+    "analysis.dominance_us_per_point": ("us/point", _dominance),
     "bench.emit_csv_us_per_row.same_eta": ("us/row", _same_eta_csv),
     **{f"bench.run_experiment_s.{w}": ("s", _sweep(w))
        for w in ("bounds_analysis", "banana_sweep")},
