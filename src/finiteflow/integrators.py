@@ -333,12 +333,12 @@ def _cycle_start(xs: np.ndarray, period: int) -> int:
 def _costs_of_rows(obj: Objective, xs: np.ndarray, fs: np.ndarray, gn1s: np.ndarray,
                    n: int) -> int | None:
     """Fill ``fs[:n]`` and ``gn1s[:n]`` from ``obj.value_and_grad_rows`` on
-    ``xs[:n]``, in blocks of at most ``_ROWS_CALL_ELEMENTS`` elements, and
-    return None, or the rows that a run calling ``value_and_grad`` per row
-    keeps when it ends as numerical_failure within them: up to the first
-    row whose cost is not finite, or before the first row whose call raises
-    an ArithmeticError. A block whose batched call raises is taken again
-    one row at a time, to find that row."""
+    ``xs[:n]``, in blocks of at most ``_ROWS_CALL_ELEMENTS`` elements or one
+    row, and return None, or the rows that a run calling ``value_and_grad``
+    per row keeps when it ends as numerical_failure within them: up to the
+    first row whose cost is not finite, or before the first row whose call
+    raises an ArithmeticError. A block whose batched call raises is taken
+    again one row at a time, to find that row."""
     block = max(1, _ROWS_CALL_ELEMENTS // obj.dimension)
     for lo in range(0, n, block):
         hi = min(n, lo + block)
@@ -398,10 +398,11 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     objective has no optimum metadata) and ``obj.closed_rows`` holds. Then
     each row calls ``obj.gradient`` alone, and after the loop
     ``obj.value_and_grad_rows`` fills the cost and l1 columns, in calls of
-    at most ``_ROWS_CALL_ELEMENTS`` elements, with the same bits. The run is
-    then cut where the row-by-row run would have ended, before any cycle
-    fill: after the first row whose cost is not finite, or before the
-    first row whose ``value_and_grad`` raises an ArithmeticError.
+    at most ``_ROWS_CALL_ELEMENTS`` elements or one row, with the same
+    bits. The run is then cut where the row-by-row run would have ended,
+    before any cycle fill: after the first row whose cost is not finite,
+    or before the first row whose ``value_and_grad`` raises an
+    ArithmeticError.
     """
     rows = min(stop.max_iters + 1, _RECORD_BLOCK)
     xs = np.empty((rows, obj.dimension))
