@@ -95,7 +95,8 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
     The costs and gradients come from one ``obj.value_and_grad_rows`` call
     over the sample, and the squared norms from one ``np.vecdot``, which
     equals each row's ``dot``; a square that overflows takes ``norm2``'s
-    rescaled path for its row, and every power is Python's, per point.
+    rescaled path for its row, and every power is Python's, per point; a
+    power that overflows counts as +inf.
     """
     if obj.metadata is None:
         raise ValueError("gradient-dominance check requires optimum metadata")
@@ -123,12 +124,18 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
     for i, (f, sq) in enumerate(zip(values.tolist(), np.vecdot(grads, grads).tolist())):
         g_norm = math.sqrt(sq) if math.isfinite(sq) else norm2(grads[i])
         gap = f - f_star
-        lhs = (p - 1.0) / p * g_norm ** lhs_exp
+        try:
+            lhs = (p - 1.0) / p * g_norm ** lhs_exp
+        except OverflowError:
+            lhs = math.inf
         rhs = rhs_coeff * gap
         margins.append(lhs - rhs)
         rhs_scale = max(rhs_scale, abs(rhs))
         if gap > 1e-300:
-            mu_points.append((lhs / gap) ** (p - 1.0))
+            try:
+                mu_points.append((lhs / gap) ** (p - 1.0))
+            except OverflowError:
+                mu_points.append(math.inf)
 
     worst = float(min(margins))
     holds = worst >= -1e-12 * (1.0 + rhs_scale)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,8 +242,8 @@ def bound_report(obj: Objective, opt: DiscretizerConfig, x0: np.ndarray,
     f_star = obj.metadata.f_star
     params = dominance_params(p, mu, flow.q, flow.c)
 
-    grad0 = norm2(obj.gradient(x0))
-    f_gap0 = float(obj.value(x0)) - f_star
+    f0, g0 = obj.value_and_grad(x0)
+    grad0, f_gap0 = norm2(g0), f0 - f_star
     t_bound = settling_time_bound(params, grad0)
     ks = k_star(params, opt.eta, f_gap0)
     k_max = int(math.ceil(1.1 * ks))
@@ -317,14 +317,8 @@ def dominance_summary(cfg: ExperimentConfig, obj: Objective) -> dict | None:
     dom = cfg.analysis.dominance
     if dom is None or obj.metadata is None:
         return None
-    rep = check_gradient_dominance(obj, dom.p, dom.mu, dom.radius,
-                                   dom.n_samples, seed=cfg.init.base_seed)
-    return {
-        "holds": rep.holds,
-        "worst_margin": rep.worst_margin,
-        "mu_max_estimate": rep.mu_max_estimate,
-        "n_evaluated": rep.n_evaluated,
-    }
+    return asdict(check_gradient_dominance(obj, dom.p, dom.mu, dom.radius,
+                                           dom.n_samples, seed=cfg.init.base_seed))
 
 
 def bound_reports(cfg: ExperimentConfig, obj: Objective) -> dict[str, dict]:
@@ -366,10 +360,6 @@ def analysis_reports(cfg: ExperimentConfig, obj: Objective | None = None) -> dic
 
 
 def _write_reports(reports: dict, out: Path) -> None:
-    payload = {
-        "dominance": reports["dominance"],
-        "bounds": reports["bounds"],
-        "closeness": {name: [{"eta": e, "eps": v} for e, v in rows]
-                      for name, rows in reports["closeness"].items()},
-    }
-    (out / "analysis.json").write_text(json.dumps(payload, indent=2))
+    closeness = {name: [{"eta": e, "eps": v} for e, v in rows]
+                 for name, rows in reports["closeness"].items()}
+    (out / "analysis.json").write_text(json.dumps({**reports, "closeness": closeness}, indent=2))

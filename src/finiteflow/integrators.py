@@ -449,16 +449,15 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             n += 1
             if not (gn2_lo < gn2 < inf and gap_lo < f - f_star and f < inf
                     and n <= max_iters and wall < wall_hi):
-                # the stop rules, in the order StopCriteria documents
+                # the stop rules, in the order StopCriteria documents, test the
+                # bounds above; f_star is finite, so a finite row fails one
                 reason = (TERMINAL_NUMERICAL_FAILURE
                           if not (math.isfinite(f) and math.isfinite(gn2))
-                          else TERMINAL_GRAD_TOL if grad_tol > 0 and gn2 <= grad_tol
-                          else TERMINAL_F_TOL if f_tol > 0 and f - f_star <= f_tol
+                          else TERMINAL_GRAD_TOL if gn2 <= gn2_lo
+                          else TERMINAL_F_TOL if f - f_star <= gap_lo
                           else TERMINAL_MAX_ITERS if n > max_iters
-                          else TERMINAL_WALL_LIMIT if wall_limit is not None and wall >= wall_limit
-                          else None)
-                if reason is not None:
-                    break
+                          else TERMINAL_WALL_LIMIT)
+                break
             if (gn2 == anchor_gn2 and xs[n - 1].tobytes() == xs[anchor].tobytes()
                     and xs[n - 2].tobytes() == xs[anchor - 1].tobytes()):
                 period = n - 1 - anchor
@@ -493,6 +492,16 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
                       cycle_period=period)
 
 
+def _checked_start(obj: Objective, x0: np.ndarray) -> np.ndarray:
+    """x0 as a float64 array, checked to be one finite point of ``obj``."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (obj.dimension,):
+        raise ValueError(f"x0 must have shape ({obj.dimension},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    return x0
+
+
 def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriteria,
         batch: BatchContext | None = None) -> Trajectory:
     """Iterate the configured stepper from x0 until a stop criterion fires.
@@ -509,11 +518,7 @@ def run(cfg: DiscretizerConfig, obj: Objective, x0: np.ndarray, stop: StopCriter
     fills the rows of a repeating run by its periodic rule. Adam, whose bias
     correction reads the step index, and mini-batch runs step every row.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (obj.dimension,):
-        raise ValueError(f"x0 must have shape ({obj.dimension},), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+    x0 = _checked_start(obj, x0)
     if batch is not None and obj.batch_gradient is None:
         raise ValueError(f"objective {obj.name!r} does not support mini-batch gradients")
 
@@ -575,9 +580,7 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
     """
     if not h_ref > 0:
         raise ValueError("h_ref must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (obj.dimension,):
-        raise ValueError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
+    x = _checked_start(obj, x0)
     prev_x: np.ndarray | None = None
     speed_cap: float | None = None
     h = np.array(h_ref, dtype=float)

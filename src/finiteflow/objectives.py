@@ -13,7 +13,7 @@ Vector = np.ndarray
 
 @dataclass(frozen=True)
 class OptimumInfo:
-    """Known minimizer ``x_star`` and minimum value ``f_star`` of an objective.
+    """Known finite minimizer ``x_star`` and minimum value ``f_star``.
 
     The dominance order p and constant mu that the bounds need are not
     stored here; they come from the config's ``analysis.dominance`` section
@@ -24,9 +24,11 @@ class OptimumInfo:
     f_star: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "x_star", np.atleast_1d(np.asarray(self.x_star, dtype=float))
-        )
+        object.__setattr__(self, "x_star", np.atleast_1d(np.asarray(self.x_star, dtype=float)))
+        if not np.all(np.isfinite(self.x_star)):
+            raise ValueError(f"x_star must be finite, got {self.x_star}")
+        if not math.isfinite(self.f_star):
+            raise ValueError(f"f_star must be finite, got {self.f_star}")
 
 
 @dataclass(frozen=True)
@@ -127,39 +129,44 @@ class Objective:
         object.__setattr__(self, "value_and_grad_rows", fused_rows)
 
 
+def _closed_rows(name: str, dimension: int, gradient: Callable[[Vector], Vector],
+                 value_and_grad: Callable[[np.ndarray], tuple[Vector, np.ndarray]]
+                 ) -> Objective:
+    """The objective, with minimum 0 at the origin, of a maker whose
+    ``value_and_grad`` takes one row ``(d,)`` or the rows of a ``(B, d)``
+    array; the one-row ``fused`` and ``value`` are that form on one row."""
+    if dimension < 1:
+        raise ValueError("dimension must be a positive integer")
+
+    def fused(x: Vector) -> tuple[float, Vector]:
+        f, g = value_and_grad(x)
+        return float(f), g
+
+    def value(x: Vector) -> float:
+        return float(value_and_grad(x)[0])
+
+    meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
+    return Objective(dimension=dimension, value=value, gradient=gradient,
+                     metadata=meta, name=name, fused=fused, fused_rows=value_and_grad)
+
+
 def make_quadratic(mu: float, dimension: int) -> Objective:
     """Isotropic quadratic bowl f(x) = (mu/2) * ||x||^2 with minimum at 0."""
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if dimension < 1:
-        raise ValueError("dimension must be a positive integer")
     mu = float(mu)
-    # mu as a float64 0-d array: the same product, without converting the
-    # Python float again at every gradient call; np.add.reduce is
-    # ndarray.sum without its Python wrapper, to the bit
+    # mu as a 0-d array: numpy does not convert it again at every product;
+    # np.add.reduce is ndarray.sum without its Python wrapper, to the bit
     mu_factor = np.array(mu, dtype=float)
-
-    def value(x: Vector) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.5 * mu * float(np.add.reduce(x * x))
 
     def gradient(x: Vector) -> Vector:
         return mu_factor * np.asarray(x, dtype=float)
 
-    def value_and_grad(x: Vector) -> tuple[float, Vector]:
-        x = np.asarray(x, dtype=float)
-        return 0.5 * mu * float(np.add.reduce(x * x)), mu_factor * x
-
-    def value_and_grad_rows(xs: np.ndarray) -> tuple[Vector, np.ndarray]:
-        # 0.5 * mu * s is (0.5 * mu) * s, and each row's reduction along the
-        # last axis is the one-row np.add.reduce
+    def value_and_grad(xs: np.ndarray) -> tuple[Vector, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
-        return 0.5 * mu * np.add.reduce(xs * xs, axis=1), mu_factor * xs
+        return 0.5 * mu * np.add.reduce(xs * xs, axis=-1), mu_factor * xs
 
-    meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
-    return Objective(dimension=dimension, value=value, gradient=gradient,
-                     metadata=meta, name="quadratic", fused=value_and_grad,
-                     fused_rows=value_and_grad_rows)
+    return _closed_rows("quadratic", dimension, gradient, value_and_grad)
 
 
 def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
@@ -174,10 +181,6 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
     a = float(a)
     b = float(b)
 
-    def value(x: Vector) -> float:
-        x1, x2 = float(x[0]), float(x[1])
-        return (a - x1) ** 2 + b * (x2 - x1 ** 2) ** 2
-
     def gradient(x: Vector) -> Vector:
         x1, x2 = float(x[0]), float(x[1])
         g1 = -2.0 * (a - x1) - 4.0 * b * x1 * (x2 - x1 ** 2)
@@ -190,6 +193,9 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
         return ((a - x1) ** 2 + b * r ** 2,
                 np.array([-2.0 * (a - x1) - 4.0 * b * x1 * r, 2.0 * b * r]))
 
+    def value(x: Vector) -> float:
+        return value_and_grad(x)[0]
+
     meta = OptimumInfo(x_star=np.array([a, a ** 2]), f_star=0.0)
     return Objective(dimension=2, value=value, gradient=gradient,
                      metadata=meta, name="rosenbrock", fused=value_and_grad)
@@ -199,32 +205,18 @@ def make_pth_power(p: float, dimension: int) -> Objective:
     """Separable power cost f(x) = (1/p) * sum_i |x_i|^p with exact order p."""
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    if dimension < 1:
-        raise ValueError("dimension must be a positive integer")
     p = float(p)
-
-    def value(x: Vector) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.add.reduce(np.abs(x) ** p)) / p
 
     def gradient(x: Vector) -> Vector:
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.abs(x) ** (p - 1.0)
 
-    def value_and_grad(x: Vector) -> tuple[float, Vector]:
-        x = np.asarray(x, dtype=float)
-        a = np.abs(x)
-        return float(np.add.reduce(a ** p)) / p, np.sign(x) * a ** (p - 1.0)
-
-    def value_and_grad_rows(xs: np.ndarray) -> tuple[Vector, np.ndarray]:
+    def value_and_grad(xs: np.ndarray) -> tuple[Vector, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
         a = np.abs(xs)
-        return np.add.reduce(a ** p, axis=1) / p, np.sign(xs) * a ** (p - 1.0)
+        return np.add.reduce(a ** p, axis=-1) / p, np.sign(xs) * a ** (p - 1.0)
 
-    meta = OptimumInfo(x_star=np.zeros(dimension), f_star=0.0)
-    return Objective(dimension=dimension, value=value, gradient=gradient,
-                     metadata=meta, name="pth_power", fused=value_and_grad,
-                     fused_rows=value_and_grad_rows)
+    return _closed_rows("pth_power", dimension, gradient, value_and_grad)
 
 
 def _mlp_shapes(widths: list[int]) -> list[tuple[int, int]]:

@@ -216,6 +216,27 @@ class TestGradientDominance:
         assert rep_bits(rep) == rep_bits(oracle)
         assert rep.worst_margin == 0.75 * (1e155 * math.sqrt(2.0)) ** (4.0 / 3.0) - 1e200
 
+    def test_overflowing_power_counts_as_inf(self):
+        # ||g|| is 1e155 * sqrt(2), whose square lies past the float range:
+        # each point holds with margin +inf and estimates mu as +inf
+        steep = Objective(dimension=2, value=lambda x: 1.0,
+                          gradient=lambda x: np.array([1e155, 1e155]),
+                          metadata=OptimumInfo(x_star=np.zeros(2), f_star=0.0))
+        with np.errstate(over="ignore"):
+            rep = check_gradient_dominance(steep, 2.0, 1.0, 1.0, 20, 0)
+        assert rep.holds and rep.n_evaluated == 20
+        assert rep.worst_margin == rep.mu_max_estimate == math.inf
+
+    def test_overflowing_mu_estimate_counts_as_inf(self):
+        # the margin 0.75 * 1e200 - 1e-100 is finite, but the estimate
+        # (0.75e200 / 1e-100) ** 3 lies past the float range
+        flat = Objective(dimension=1, value=lambda x: 1e-100,
+                         gradient=lambda x: np.array([1e150]),
+                         metadata=OptimumInfo(x_star=np.zeros(1), f_star=0.0))
+        rep = check_gradient_dominance(flat, 4.0, 1.0, 1.0, 5, 0)
+        assert rep.holds and 0 < rep.worst_margin < math.inf
+        assert rep.mu_max_estimate == math.inf
+
     def test_runs_without_scipy(self):
         code = ("import sys, finiteflow\n"
                 "finiteflow.check_gradient_dominance(finiteflow.make_quadratic(1.0, 2),"

@@ -194,6 +194,16 @@ class TestLoadConfig:
          r"^analysis\.dominance: mu must be positive and finite, got inf$"),
         ({"analysis": {"dominance": {"p": 2.0, "mu": 1.0, "radius": math.inf}}},
          r"^analysis\.dominance: radius must be positive and finite, got inf$"),
+        ({"init": {"mode": "fixed", "x0": [math.nan, 1.0]}},
+         r"^init: x0 must be finite, got \[nan, 1\.0\]$"),
+        ({"init": {"mode": "fixed", "x0": [1.0, -math.inf]}},
+         r"^init: x0 must be finite, got \[1\.0, -inf\]$"),
+        ({"init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": math.inf}},
+         r"^init: box_lo and box_hi must be finite, got \[-1\.0, inf\]$"),
+        ({"init": {"mode": "uniform_box", "box_lo": -math.inf, "box_hi": 1.0}},
+         r"^init: box_lo and box_hi must be finite, got \[-inf, 1\.0\]$"),
+        ({"objective": {"name": "rosenbrock", "params": {"a": math.inf}}},
+         r"^objective\.params: x_star must be finite, got \[inf inf\]$"),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
@@ -205,7 +215,8 @@ class TestLoadConfig:
             "euler-rk-fields", "gf-q", "eta-nan", "grad_threshold-nan", "grad_tol-nan",
             "f_tol-nan", "alphas-nan", "betas-nan", "betas-inf", "eta-inf", "epsilon-inf",
             "c-inf", "grad_threshold-inf", "dominance-p-inf", "dominance-mu-inf",
-            "dominance-radius-inf"])
+            "dominance-radius-inf", "x0-nan", "x0-inf", "box_hi-inf", "box_lo-inf",
+            "x_star-inf"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))

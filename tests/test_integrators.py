@@ -396,6 +396,21 @@ class TestMonotoneDescent:
         assert checked >= 5
 
 
+@pytest.mark.parametrize("x0, message", [
+    ([math.nan, 0.0], r"^x0 must be finite$"),
+    ([1.0, -math.inf], r"^x0 must be finite$"),
+    ([1.0], r"^x0 must have shape \(2,\), got \(1,\)$"),
+], ids=["nan", "inf", "shape"])
+@pytest.mark.parametrize("driver", [
+    lambda x0: run(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2, x0, StopCriteria(max_iters=3)),
+    lambda x0: integrate_reference(FlowSpec("rgf", q=3.0), QUAD2, x0, 1e-3,
+                                   StopCriteria(max_iters=3)),
+], ids=["run", "integrate_reference"])
+def test_both_drivers_check_their_start_alike(driver, x0, message):
+    with pytest.raises(ValueError, match=message):
+        driver(np.array(x0))
+
+
 class TestRun:
     def test_zero_iteration_budget_keeps_initial_record(self):
         traj = run(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2,

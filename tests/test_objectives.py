@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from finiteflow import (BatchContext, Objective, finite_difference_check, make_mlp,
-                        make_pth_power, make_quadratic, make_rosenbrock)
+from finiteflow import (BatchContext, Objective, OptimumInfo, finite_difference_check,
+                        make_mlp, make_pth_power, make_quadratic, make_rosenbrock)
 
 FD_CASES = [
     # objective factory, sampling box, fd step, tolerance
@@ -38,6 +38,18 @@ class TestQuadratic:
             make_quadratic(-1.0, 2)
         with pytest.raises(ValueError):
             make_quadratic(1.0, 0)
+
+
+class TestOptimumInfo:
+    @pytest.mark.parametrize("x_star, f_star, message", [
+        ([0.0, math.nan], 0.0, r"^x_star must be finite"),
+        ([math.inf], 0.0, r"^x_star must be finite"),
+        ([0.0], math.nan, r"^f_star must be finite, got nan$"),
+        ([0.0], -math.inf, r"^f_star must be finite, got -inf$"),
+    ], ids=["x_star-nan", "x_star-inf", "f_star-nan", "f_star-inf"])
+    def test_rejects_non_finite_optimum(self, x_star, f_star, message):
+        with pytest.raises(ValueError, match=message):
+            OptimumInfo(x_star=x_star, f_star=f_star)
 
 
 class TestRosenbrock:
@@ -336,3 +348,30 @@ class TestValueAndGradRows:
         assert not obj.closed_rows
         fs, gs = obj.value_and_grad_rows([[1.0, 2.0], [3.0, 4.0]])
         assert fs.tolist() == [3.0, 7.0] and gs.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+
+
+class TestDerivedForms:
+    """The quadratic and ``pth_power`` write a gradient and one
+    ``value_and_grad`` over the last axis; their one-row ``value_and_grad``
+    and ``value`` are taken from it, and Rosenbrock's ``value`` from its
+    one-row ``value_and_grad``."""
+
+    @pytest.mark.parametrize("name, maker", CLOSED_ROWS, ids=[n for n, _ in CLOSED_ROWS])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_value_one_row_and_row_zero_are_the_same_bits(self, name, maker, data):
+        obj = maker(data.draw(st.integers(1, 64)))
+        x = data.draw(arrays(np.float64, obj.dimension, elements=COMPONENT))
+        f, g = obj.value_and_grad(x)
+        assert type(f) is float
+        fs, gs = obj.value_and_grad_rows(x[None])
+        assert np.float64(f).tobytes() == np.float64(obj.value(x)).tobytes() == fs[0].tobytes()
+        assert g.tobytes() == gs[0].tobytes() == obj.gradient(x).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, 2, elements=COMPONENT))
+    def test_rosenbrock_value_is_its_fused_cost(self, x):
+        obj = make_rosenbrock(1.0, 0.2)
+        f = obj.value_and_grad(x)[0]
+        assert type(f) is float
+        assert np.float64(obj.value(x)).tobytes() == np.float64(f).tobytes()
