@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_presets() -> int:
+def _cmd_presets(_args) -> int:
     for name in preset_names():
         print(name)
     return 0
@@ -135,6 +135,10 @@ def _cmd_bounds(args) -> int:
     return 0 if all_pass else 2
 
 
+_COMMANDS = {"run": _cmd_run, "presets": _cmd_presets, "check-gradients": _cmd_check_gradients,
+             "closeness": _cmd_closeness, "bounds": _cmd_bounds}
+
+
 def cli_main(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -146,23 +150,13 @@ def cli_main(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "presets":
-            return _cmd_presets()
-        if args.command == "check-gradients":
-            return _cmd_check_gradients(args)
-        if args.command == "closeness":
-            return _cmd_closeness(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

@@ -94,8 +94,8 @@ def _value(tp, val, where: str):
 @dataclass(frozen=True)
 class InitConfig:
     """Initial points: ``x0`` for every seed (mode fixed), or one uniform
-    draw from [box_lo, box_hi]^d per seed (mode uniform_box), all finite. The
-    fields a mode does not use are cleared: x0 to None, the box to [0, 0]."""
+    draw from [box_lo, box_hi]^d per seed (mode uniform_box), all finite. A
+    mode refuses the fields it does not read, which stay None."""
 
     mode: str = "fixed"
     x0: tuple[float, ...] | None = None
@@ -105,13 +105,15 @@ class InitConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        unread = {"fixed": ("box_lo", "box_hi"), "uniform_box": ("x0",)}.get(self.mode, ())
+        off = [name for name in unread if getattr(self, name) is not None]
+        if off:
+            raise ValueError(f"{self.mode} init does not take {', '.join(off)}")
         if self.mode == "fixed":
             if not self.x0:
                 raise ValueError("fixed init requires a coordinate list x0")
             if not all(map(math.isfinite, self.x0)):
                 raise ValueError(f"x0 must be finite, got {list(self.x0)}")
-            object.__setattr__(self, "box_lo", 0.0)
-            object.__setattr__(self, "box_hi", 0.0)
         elif self.mode == "uniform_box":
             if self.box_lo is None or self.box_hi is None:
                 raise ValueError("uniform_box init requires box_lo and box_hi")
@@ -120,7 +122,6 @@ class InitConfig:
                     f"box_lo and box_hi must be finite, got [{self.box_lo}, {self.box_hi}]")
             if not self.box_hi > self.box_lo:
                 raise ValueError("box_hi must exceed box_lo")
-            object.__setattr__(self, "x0", None)
         else:
             raise ValueError(f"mode must be fixed or uniform_box, got {self.mode!r}")
         if self.n_seeds < 1:

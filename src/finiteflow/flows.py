@@ -8,9 +8,10 @@ Three velocity fields over a gradient g = grad f(x):
 
 For q in (1, inf) both rescaled fields are continuous but not Lipschitz at
 stationary points; q = inf gives the unit-speed normalized field (rgf) and
-the pure sign field (sgf). Below ``grad_threshold`` the velocity is defined
-as exactly zero, which keeps trajectories stationary at minimizers instead
-of dividing by a vanishing norm or chattering on the sign field.
+the pure sign field (sgf). Below ``grad_threshold`` a rescaled velocity is
+exactly zero, which keeps trajectories stationary at minimizers instead of
+dividing by a vanishing norm or chattering on the sign field. ``gf`` does
+neither, so it takes no cutoff, q or c: its velocity is -g everywhere.
 
 Each ``FlowSpec`` resolves its field once, when it is built, into one
 function of the gradient (and its Euclidean norm, when the caller has it)
@@ -52,8 +53,10 @@ class FlowSpec:
             raise ValueError(f"q must lie in (1, inf], got {self.q}")
         if not 0 < self.c < math.inf:
             raise ValueError(f"c must be positive and finite, got {self.c}")
-        if self.kind == "gf" and (self.q != math.inf or self.c != 1.0):
-            raise ValueError(f"plain gradient flow takes no q or c, got q={self.q}, c={self.c}")
+        off = [name for name in ("q", "c", "grad_threshold")
+               if self.kind == "gf" and getattr(self, name) != getattr(FlowSpec, name)]
+        if off:
+            raise ValueError(f"plain gradient flow does not take {', '.join(off)}")
         if not self.grad_threshold >= 0:
             raise ValueError("grad_threshold must be non-negative")
         if math.isinf(self.grad_threshold):
@@ -99,14 +102,14 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
     from ``norm2`` only when that square overflows. sgf skips the ``dot``
     when its l1 norm settles both tests below, as ||g||_2 >= ||g||_1 / sqrt(d).
 
-    A non-finite norm raises NumericalFailure, and a norm at or below the
-    cutoff gives exact zeros with bound 0. Each velocity is one array
-    product, with the bits of (g * s) * -c and (sign(g) * pw) * -c: negation
-    is exact, and so is sign(g) * pw, as sign(g) is +-1 or 0; rgf with
-    c != 1 keeps its two products. The factor is written into the field's
-    float64 0-d ``scale`` (so a field serves one thread at a time), which
-    numpy multiplies by without converting a Python float, to the same bits.
-    The bound is made of scalars: ``n2`` for gf (equal to the bit),
+    A non-finite norm raises NumericalFailure. gf gives -g at every finite
+    norm; rgf and sgf give exact zeros with bound 0 at or below the cutoff.
+    Each velocity is one array product, with the bits of (g * s) * -c and
+    (sign(g) * pw) * -c: negation is exact, and so is sign(g) * pw, as sign(g)
+    is +-1 or 0; rgf with c != 1 keeps its two products. The factor is written
+    into the field's float64 0-d ``scale`` (so a field serves one thread at a
+    time), which numpy multiplies by without converting a Python float, to the
+    same bits. The bound is made of scalars: ``n2`` for gf (equal to the bit),
     ``n2 * s * c`` for rgf, and ``sqrt(d) * pw * c`` for sgf, whose every
     component is 0 or +-(pw * c). It can fall short of ``norm2(v)`` only by
     rounding, under a relative 1e-6 for any dimension below about 1e9."""
@@ -129,6 +132,8 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
             n2 = math.sqrt(sq) if math.isfinite(sq) else norm2(g)
         if not math.isfinite(n2):
             raise NumericalFailure(f"non-finite gradient passed to {kind} flow: {g!r}")
+        if gf:
+            return -g, n2
         if n2 <= threshold:
             # stationary point: zero velocity is an admissible solution there
             return np.zeros_like(g), 0.0
@@ -136,8 +141,6 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
             s = n2 ** neg_exponent
             scale[()] = -s if unit else s
             return (g * scale, n2 * s) if unit else (g * scale * neg_c, n2 * s * c)
-        if gf:
-            return -g, n2
         pwc = l1 ** exponent * c
         scale[()] = -pwc
         return np.sign(g) * scale, root_d * pwc

@@ -29,9 +29,8 @@ import numpy as np
 from .flows import FlowSpec, NumericalFailure, flow_eval, norm2  # noqa: F401
 from .objectives import BatchContext, Objective
 
-# gd and nagd are euler and nesterov on this flow: a zero cutoff makes the
-# velocity -grad f everywhere
-_GRADIENT_FLOW = FlowSpec("gf", grad_threshold=0.0)
+# gd and nagd are euler and nesterov on the flow a config names as gf
+_GRADIENT_FLOW = FlowSpec("gf")
 
 # rows of the record columns before their first doubling, gradient rows
 # held before their l1 norms are taken, and the most elements of the rows

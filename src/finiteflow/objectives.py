@@ -196,7 +196,10 @@ def make_rosenbrock(a: float = 1.0, b: float = 100.0) -> Objective:
     def value(x: Vector) -> float:
         return value_and_grad(x)[0]
 
-    meta = OptimumInfo(x_star=np.array([a, a ** 2]), f_star=0.0)
+    try:
+        meta = OptimumInfo(x_star=np.array([a, a ** 2]), f_star=0.0)
+    except OverflowError:
+        raise ValueError(f"x_star = (a, a ** 2) overflows, got a = {a!r}") from None
     return Objective(dimension=2, value=value, gradient=gradient,
                      metadata=meta, name="rosenbrock", fused=value_and_grad)
 

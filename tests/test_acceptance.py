@@ -203,7 +203,7 @@ def test_criterion_6_reduction_identities():
             xs.append(state.x.copy())
         return np.array(xs)
 
-    worst = 0.0
+    mismatched = []
     for obj, x0, eta in objectives:
         gf = FlowSpec("gf")
         rgf = FlowSpec("rgf", q=3.0)
@@ -221,13 +221,13 @@ def test_criterion_6_reduction_identities():
              DiscretizerConfig(scheme="gd", eta=eta)),
         ]
         for cfg_a, cfg_b in pairs:
-            diff = np.max(np.abs(iterate(cfg_a, obj, x0) - iterate(cfg_b, obj, x0)))
-            worst = max(worst, float(diff))
+            if iterate(cfg_a, obj, x0).tobytes() != iterate(cfg_b, obj, x0).tobytes():
+                mismatched.append((obj.name, cfg_a.scheme, cfg_b.scheme))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and elapsed < 5.0
-    report(6, "scheme reduction identities agree componentwise", ok,
-           f"worst componentwise gap={worst:.2e} elapsed={elapsed:.2f}s")
-    assert worst <= 1e-12
+    ok = not mismatched and elapsed < 5.0
+    report(6, "scheme reduction identities agree to the bit", ok,
+           f"pairs that differ={mismatched} elapsed={elapsed:.2f}s")
+    assert not mismatched
     assert elapsed < 5.0
 
 

@@ -17,7 +17,7 @@ from finiteflow import bench, config
 from finiteflow.bench import read_csv
 from finiteflow.cli import cli_main
 from finiteflow.config import (AnalysisConfig, BatchConfig, DominanceCheckConfig,
-                               NamedOptimizer)
+                               InitConfig, NamedOptimizer)
 
 MINIMAL = {
     "name": "mini",
@@ -161,7 +161,7 @@ class TestLoadConfig:
          r"^optimizers\[0\]: scheme 'euler' does not take stages, alphas, betas$"),
         ({"optimizers": [{"name": "gf", "scheme": "euler", "eta": 0.1,
                           "flow": {"kind": "gf", "q": 3}}]},
-         r"^optimizers\[0\]\.flow: plain gradient flow takes no q or c, got q=3\.0, c=1\.0$"),
+         r"^optimizers\[0\]\.flow: plain gradient flow does not take q$"),
         ({"optimizers": [{"name": "gd", "scheme": "gd", "eta": math.nan}]},
          r"^optimizers\[0\]: step size eta must be non-negative, got nan$"),
         ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
@@ -204,6 +204,8 @@ class TestLoadConfig:
          r"^init: box_lo and box_hi must be finite, got \[-inf, 1\.0\]$"),
         ({"objective": {"name": "rosenbrock", "params": {"a": math.inf}}},
          r"^objective\.params: x_star must be finite, got \[inf inf\]$"),
+        ({"objective": {"name": "rosenbrock", "params": {"a": 1e200}}},
+         r"^objective\.params: x_star = \(a, a \*\* 2\) overflows, got a = 1e\+200$"),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
@@ -216,10 +218,29 @@ class TestLoadConfig:
             "f_tol-nan", "alphas-nan", "betas-nan", "betas-inf", "eta-inf", "epsilon-inf",
             "c-inf", "grad_threshold-inf", "dominance-p-inf", "dominance-mu-inf",
             "dominance-radius-inf", "x0-nan", "x0-inf", "box_hi-inf", "box_lo-inf",
-            "x_star-inf"])
+            "x_star-inf", "x_star-overflow"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
+
+    @pytest.mark.parametrize("init,message", [
+        ({"mode": "uniform_box", "x0": [3.0, 0.0], "box_lo": 0.0, "box_hi": 1.0},
+         r"^init: uniform_box init does not take x0$"),
+        ({"mode": "fixed", "x0": [1.0, 0.0], "box_lo": 5.0, "box_hi": -3.0},
+         r"^init: fixed init does not take box_lo, box_hi$"),
+        ({"mode": "fixed", "x0": [1.0, 0.0], "box_hi": 1.0},
+         r"^init: fixed init does not take box_hi$"),
+    ], ids=["uniform-x0", "fixed-box", "fixed-box_hi"])
+    def test_init_refuses_fields_its_mode_does_not_read(self, tmp_path, init, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, {**MINIMAL, "init": init}))
+        with pytest.raises(ValueError, match=message[len("^init: "):]):
+            InitConfig(**{key: tuple(v) if key == "x0" else v for key, v in init.items()})
+
+    def test_fields_a_mode_does_not_read_stay_none(self):
+        fixed = InitConfig(mode="fixed", x0=(1.0,))
+        assert (fixed.box_lo, fixed.box_hi) == (None, None)
+        assert InitConfig(mode="uniform_box", box_lo=0.0, box_hi=1.0).x0 is None
 
     @pytest.mark.parametrize("overrides,message", [
         ({"stop": {"max_iters": 10.7}}, r"^stop\.max_iters: "),
@@ -835,6 +856,11 @@ class TestCli:
                                "flow": {"kind": "rgf", "q": 3.0}}]
         path = write_config(tmp_path, data)
         assert cli_main(["run", str(path)]) == 1
+
+    def test_overflowing_rosenbrock_a_exits_1(self, tmp_path, capsys):
+        data = dict(MINIMAL, objective={"name": "rosenbrock", "params": {"a": 1e200}})
+        assert cli_main(["run", str(write_config(tmp_path, data))]) == 1
+        assert "config error: objective.params: x_star" in capsys.readouterr().err
 
     def test_list_valued_objective_name_exits_1(self, tmp_path, capsys):
         data = dict(MINIMAL, objective={"name": ["quadratic"],

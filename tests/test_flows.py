@@ -209,10 +209,9 @@ class TestFlowErrors:
 
 
 # the resolved field over q in (1.01, 20] and inf, c in [0.1, 10] with c = 1
-# often, and 1 to 8 components; gf takes neither q nor c
+# often, and 1 to 8 components; gf takes neither q, c nor a cutoff
 resolved_specs = st.one_of(
-    st.builds(FlowSpec, kind=st.just("gf"),
-              grad_threshold=st.sampled_from([0.0, 1e-12, 1e-3])),
+    st.just(FlowSpec("gf")),
     st.builds(FlowSpec, kind=st.sampled_from(["rgf", "sgf"]),
               q=st.one_of(st.floats(min_value=1.01, max_value=20.0, exclude_min=True),
                           st.just(math.inf)),
@@ -227,10 +226,10 @@ def py_velocity(spec, g, n2, l1):
     component, from the Euclidean norm ``n2`` and the l1 norm ``l1``."""
     if not math.isfinite(n2):
         raise NumericalFailure(f"non-finite gradient passed to {spec.kind} flow: {np.array(g)!r}")
-    if n2 <= spec.grad_threshold:
-        return [0.0] * len(g)
     if spec.kind == "gf":
         return [-gi for gi in g]
+    if n2 <= spec.grad_threshold:
+        return [0.0] * len(g)
     if spec.kind == "rgf":
         s = n2 ** -(1.0 if math.isinf(spec.q) else (spec.q - 2.0) / (spec.q - 1.0))
         return [gi * s * -spec.c for gi in g]
@@ -258,7 +257,9 @@ class TestResolvedField:
                 assert v.tobytes() == np.array(want).tobytes()
             bound = spec._velocity_and_bound(arr, n2)[1]
             assert bound >= norm2(got) / (1.0 + 1e-6)
-            if n2 <= spec.grad_threshold:
+            if spec.kind == "gf":
+                assert bound == n2
+            elif n2 <= spec.grad_threshold:
                 assert bound == 0.0 and got.tobytes() == np.zeros(len(g)).tobytes()
 
     @pytest.mark.parametrize("kind", ["gf", "rgf", "sgf"])
@@ -276,8 +277,17 @@ class TestResolvedField:
     def test_norm_at_or_below_cutoff_gives_exact_zeros(self, kind):
         g = np.array([-3e-4, 4e-4])
         for threshold in (5e-4, 1e-3):  # at, then above, ||g|| = 5e-4
-            spec = (FlowSpec(kind, grad_threshold=threshold) if kind == "gf"
-                    else FlowSpec(kind, q=2.5, c=3.0, grad_threshold=threshold))
+            if kind == "gf":
+                # gf has no cutoff: it refuses one and gives -g at every norm,
+                # here 5e-4, 5e-13 (below the default cutoff) and 0
+                with pytest.raises(ValueError, match="^plain gradient flow does not take "
+                                                     "grad_threshold$"):
+                    FlowSpec(kind, grad_threshold=threshold)
+                for tiny in (g, g * 1e-9, g * 0.0):
+                    v, bound = FlowSpec(kind)._velocity_and_bound(tiny, norm2(tiny))
+                    assert v.tobytes() == (-tiny).tobytes() and bound == norm2(tiny)
+                continue
+            spec = FlowSpec(kind, q=2.5, c=3.0, grad_threshold=threshold)
             v, bound = spec._velocity_and_bound(g, norm2(g))
             assert v.tobytes() == np.zeros(2).tobytes() and bound == 0.0
 

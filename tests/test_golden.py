@@ -173,9 +173,9 @@ GOLDEN_ANALYSIS = {
 
 # SHA-256 of repr(load_config(preset)): any change to how a preset parses
 GOLDEN_PRESET_CONFIGS = {
-    "closeness_sweep": "eb444a89980766656ba4b499bcc2b0c3a7b785dfeca2770488873f055f6169af",
+    "closeness_sweep": "0d22eafeb74c9b0c74c9a3ffff6357930a9754c81673562fdb94f709c0f3f7ac",
     "mlp_desk": "1a1469b1549c280f27ac6908ca0919e0e7cae761235d214f9e603d0d4f231c82",
-    "quadratic_bounds": "87e559bd928402c896cc4e7dcbfc746c6422c8cf340dc9909d9936c2bd0a9391",
+    "quadratic_bounds": "7ddac2941e4dcbf7a88ffb4d5a95fa2990882d9132a81238e6daa9d6994eb6ae",
     "rosenbrock_fig1": "a4790503674f1fad6f141383e49c87d7982f18c40830686a3fc5a1743cb5f377",
 }
 

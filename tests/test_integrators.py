@@ -177,6 +177,17 @@ class TestGd:
                       init_state(np.zeros(2)))
         assert np.array_equal(got.x, np.zeros(2))
 
+    def test_steps_where_the_squared_norm_underflows(self):
+        # ||g||^2 rounds to 0 here, but the plain gradient flow has no
+        # cutoff, so gd still steps by -eta * g
+        traj = run(DiscretizerConfig(scheme="gd", eta=0.1), QUAD2, np.array([1e-170, 0.0]),
+                   StopCriteria(max_iters=2))
+        want = [1e-170]
+        for _ in range(2):
+            want.append(want[-1] + -want[-1] * 0.1)
+        assert traj.grad_norm2.tolist() == [0.0, 0.0, 0.0]
+        assert traj.x[:, 0].tolist() == want and want[2] < want[1] < want[0]
+
 
 class TestAdam:
     def test_persistent_zero_gradient_leaves_iterate(self):
@@ -1366,3 +1377,49 @@ class TestCostsAfterTheLoop:
         plain = run(DiscretizerConfig(scheme="gd", eta=0.1), replace(QUAD2),
                     np.array([0.6, -0.8]), StopCriteria(max_iters=40))
         self.assert_same_run(traj, plain)
+
+
+# the three closed-form makers with their minimizers; a start offset of
+# 1e-14 or 1e-11 from the minimizer puts the gradient norm at or below the
+# rescaled flows' default cutoff 1e-12 on every maker, and 1e-6 does so on
+# the fourth power
+IDENTITY_MAKERS = [(make_quadratic(1.0, 2), (0.0, 0.0)),
+                   (make_rosenbrock(1.0, 0.2), (1.0, 1.0)),
+                   (make_pth_power(4.0, 3), (0.0, 0.0, 0.0))]
+IDENTITY_FLOWS = [FlowSpec("gf"), FlowSpec("rgf", q=3.0), FlowSpec("sgf", q=3.0)]
+
+
+def identity_pairs(eta, beta, flow):
+    """The paper's five scheme reductions as (scheme, the scheme it reduces to)."""
+    cfg, gf = DiscretizerConfig, FlowSpec("gf")
+    return {"gd, euler on gf": (cfg(scheme="gd", eta=eta),
+                                cfg(scheme="euler", eta=eta, flow=gf)),
+            "nagd, nesterov on gf": (cfg(scheme="nagd", eta=eta, beta=beta),
+                                     cfg(scheme="nesterov", eta=eta, beta=beta, flow=gf)),
+            "one-stage rk, euler": (cfg(scheme="rk", eta=eta, flow=flow, alphas=(1.0,)),
+                                    cfg(scheme="euler", eta=eta, flow=flow)),
+            "nesterov with beta 0, euler": (cfg(scheme="nesterov", eta=eta, flow=flow),
+                                            cfg(scheme="euler", eta=eta, flow=flow)),
+            "nagd with beta 0, gd": (cfg(scheme="nagd", eta=eta), cfg(scheme="gd", eta=eta))}
+
+
+class TestReductionIdentities:
+    """Each reduction identity holds to the bit over a whole run: x, f, both
+    gradient norms, the terminal reason and the cycle fields, from starts
+    both inside and outside the rescaled flows' cutoff."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(maker=st.sampled_from(IDENTITY_MAKERS),
+           scale=st.sampled_from([1e-14, 1e-11, 1e-6, 0.5]),
+           eta=st.sampled_from([1e-3, 0.1]), beta=st.sampled_from([0.0, 0.5, 0.9]),
+           flow=st.sampled_from(IDENTITY_FLOWS),
+           pair=st.sampled_from(sorted(identity_pairs(0.1, 0.0, FlowSpec("gf")))),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_whole_runs_are_equal_to_the_bit(self, maker, scale, eta, beta, flow, pair, seed):
+        obj, x_star = maker
+        offset = np.random.default_rng(seed).uniform(-1.0, 1.0, obj.dimension)
+        x0 = np.array(x_star) + scale * offset
+        a, b = (run(cfg, obj, x0, StopCriteria(max_iters=300))
+                for cfg in identity_pairs(eta, beta, flow)[pair])
+        assert_same_rows(a, b)
+        assert (a.cycle_start, a.cycle_period) == (b.cycle_start, b.cycle_period)

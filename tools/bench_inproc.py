@@ -6,10 +6,8 @@ probes on both, ``--rounds`` times, with the side that runs first
 alternating (the parent in even rounds, counting from 0; within a round the
 sides alternate probe by probe in that order). The probes:
 
-- ``objectives.row_calls_us.<maker>``: the objective calls that the
-  checkout's record pass makes for one row: ``value_and_grad(x)`` where the
-  objective has it, else ``gradient(x)`` then ``value(x)`` with their
-  ``asarray`` and ``float`` conversions;
+- ``objectives.row_calls_us.<maker>``: one ``value_and_grad(x)`` call, the
+  objective call of a recorded row whose cost a stop rule reads;
 - ``flows.flow_eval_us.<kind>``: one ``flow_eval`` call, with no norm given,
   on the banana's gradient at (-1, 2), for ``gf``, ``rgf`` with q = 3,
   ``rgf_c`` (q = 3, c = 1.5) and ``sgf`` with q = 3;
@@ -118,14 +116,8 @@ def _row_calls(maker: str) -> Callable:
     def build(ff, _work):
         obj = _makers(ff)[maker]()
         x = np.random.default_rng(0).uniform(-0.3, 0.3, obj.dimension)
-        fused = getattr(obj, "value_and_grad", None)
-        if fused is not None:
-            return lambda: per_call_us(lambda: fused(x))
-
-        def row():
-            np.asarray(obj.gradient(x), dtype=float)
-            float(obj.value(x))
-        return lambda: per_call_us(row)
+        fused = obj.value_and_grad
+        return lambda: per_call_us(lambda: fused(x))
     return build
 
 
