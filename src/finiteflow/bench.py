@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -33,6 +38,7 @@ _CSV_ROW_SAME_GAP = "%d,%.17g,%s,%s,%.17g,%.17g,%.17g\n".__mod__  # f's string t
 _CSV_TAIL_ROW = "%d,%.17g,%s,%s\n".__mod__  # k, t, then f to grad_norm1, then wall_s
 _CYCLE_ROW = "%.17g,%.17g,%.17g,%.17g".__mod__  # f, f_gap, grad_norm2, grad_norm1
 _MEAN_CURVE_ROW = "%d,%.17g,%.17g\n".__mod__
+_MEAN_CURVE_ROW_SAME_GAP = "%d,%s,%s\n".__mod__
 _fmt = "%.17g".__mod__  # one float
 
 
@@ -40,7 +46,8 @@ def _gap(f: np.ndarray, f_star: float | None) -> np.ndarray:
     return f - f_star if f_star is not None else np.full(len(f), math.nan)
 
 
-def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None) -> Path:
+def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None,
+             writer: CsvWriter | None = None) -> Path:
     """Write one trajectory as CSV with 17-significant-digit floats, LF newlines.
 
     Numbers that the columns repeat are formatted once. From one period into
@@ -48,16 +55,32 @@ def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None) ->
     of the cycle's row in the same phase, and its trailing rows that hold the
     last wall_s share one string. f_gap reuses f's strings when the two
     columns are equal to the bit, as they are when f_star = 0.
+
+    Without a ``writer`` the file is written when this returns. With one,
+    the columns the CSV needs (not ``x``) go to that forked process, which
+    writes them with the same code while this one runs on; the file is there
+    once ``writer.close()`` has returned.
     """
     path = Path(path)
+    job = (path, f_star, traj.k, traj.t, traj.f, traj.grad_norm2, traj.grad_norm1,
+           traj.wall_s, traj.cycle_start, traj.cycle_period)
+    if writer is None:
+        _write_csv(*job)
+    else:
+        writer.send(job)
+    return path
+
+
+def _write_csv(path: Path, f_star: float | None, k: np.ndarray, t: np.ndarray,
+               f: np.ndarray, grad_norm2: np.ndarray, grad_norm1: np.ndarray,
+               wall: np.ndarray, start: int | None, period: int | None) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(traj)
-    f, gap, wall = traj.f, _gap(traj.f, f_star), traj.wall_s
-    periodic = (f, gap, traj.grad_norm2, traj.grad_norm1)
+    n = len(k)
+    gap = _gap(f, f_star)
+    periodic = (f, gap, grad_norm2, grad_norm1)
     # rows from `tail` on repeat the row a period before them in `periodic`
-    start, period = traj.cycle_start, traj.cycle_period
     tail = n if period is None else min(n, start + period)
-    k, t = traj.k.tolist(), traj.t.tolist()
+    k, t = k.tolist(), t.tolist()
     cols = [k, t] + [c[:tail].tolist() for c in (*periodic, wall)]
     row = _CSV_ROW
     if gap.tobytes() == f.tobytes():
@@ -73,7 +96,129 @@ def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None) ->
         phases *= (n - tail) // period + 1
         text += map(_CSV_TAIL_ROW, zip(k[tail:], t[tail:], phases, walls))
     path.write_text("".join(text), newline="\n")
-    return path
+
+
+class CsvWriter:
+    """A forked child process that writes the cell CSVs sent to it, in order.
+
+    ``send`` pickles one ``_write_csv`` job into a pipe and returns; the
+    child formats and writes it while the parent runs the next cell.
+    ``close`` ends the pipe, waits for the child and raises the first error
+    it hit (a ``send`` that finds the child gone raises it at once).
+
+    The child runs on the CPUs other than one that the parent holds while
+    it forks: left to the scheduler, a forked child stayed on its parent's
+    CPU for 0.4 s of busy work, and the two ran no faster than one. It is
+    born with SIGINT blocked and then ignores it, so a Ctrl-C stops only
+    the parent, whose ``close`` lets the child finish what it was sent; it
+    leaves through ``os._exit``, running none of the parent's exit handlers.
+    """
+
+    def __init__(self) -> None:
+        jobs_r, jobs_w = os.pipe()
+        errors_r, errors_w = os.pipe()
+        cpus = os.sched_getaffinity(0)
+        home = min(cpus)
+        os.sched_setaffinity(0, {home})
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                _serve(jobs_r, errors_w, (jobs_w, errors_r), cpus - {home})
+        except BaseException:
+            for fd in (jobs_r, jobs_w, errors_r, errors_w):
+                os.close(fd)
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+            os.sched_setaffinity(0, cpus)
+        os.close(jobs_r)
+        os.close(errors_w)
+        self._jobs = open(jobs_w, "wb")
+        self._errors = errors_r
+
+    def send(self, job: tuple) -> None:
+        try:
+            pickle.dump(job, self._jobs, protocol=pickle.HIGHEST_PROTOCOL)
+            self._jobs.flush()
+        except BrokenPipeError:  # the child has stopped on an error
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Wait for every CSV sent so far; raise the child's error, if any."""
+        if self.pid is None:
+            return
+        try:
+            self._jobs.close()
+        except BrokenPipeError:
+            pass
+        with open(self._errors, "rb") as fh:
+            error = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if error:
+            raise pickle.loads(error)
+        if status:
+            raise ChildProcessError(f"the CSV writer ended with wait status {status}")
+
+
+def _serve(jobs: int, errors: int, parent_ends: tuple[int, int], cpus: set[int]) -> None:
+    """The writer child, from fork to exit: write each job until the pipe
+    ends, pickle the first error into ``errors``, and leave through
+    ``os._exit``, whatever happens."""
+    status = 1
+    try:
+        for fd in parent_ends:
+            os.close(fd)
+        os.sched_setaffinity(0, cpus)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        with open(jobs, "rb") as src:
+            while True:
+                try:
+                    job = pickle.load(src)
+                except EOFError:
+                    break
+                _write_csv(*job)
+        status = 0
+    except BaseException as exc:  # the jobs pipe is closed here, so a blocked send ends
+        try:
+            error = pickle.dumps(exc)
+        except Exception:
+            error = pickle.dumps(RuntimeError(f"CSV writer: {exc!r}"))
+        with open(errors, "wb") as fh:
+            fh.write(error)
+    finally:
+        os._exit(status)
+
+
+def _writer_pays() -> bool:
+    """Whether a forked CSV writer can run beside this process: fork and CPU
+    affinity exist, no other thread could hold a lock the child needs, and a
+    second CPU is there to run it."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
+
+
+@contextmanager
+def _cell_writer(n_cells: int):
+    """A ``CsvWriter`` for a sweep of more than one cell where one pays, else
+    None; closed on leaving, which raises the writer's error unless the body
+    raised first."""
+    if n_cells < 2 or not _writer_pays():
+        yield None
+        return
+    writer = CsvWriter()
+    try:
+        yield writer
+    except BaseException:
+        try:
+            writer.close()
+        except Exception:
+            pass  # the body's error is the one to report
+        raise
+    writer.close()
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -129,14 +274,19 @@ def _iters_to_tolerance(traj: Trajectory, f_star: float | None, f_tol: float) ->
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunSummary:
     """Execute every (optimizer, seed) cell of the config and write artifacts.
 
-    Per cell: one trajectory CSV, after which only the cell's cost column is
-    kept, so the sweep holds one trajectory at a time. After the last cell:
-    a summary CSV with per-cell rows plus median/min/max rows per optimizer,
-    and one mean-over-seeds loss curve CSV per optimizer. A cell that fails
-    numerically is recorded in the summary with its partial trajectory and
-    the sweep continues; any other exception propagates. Initial points and
-    mini-batch schedules depend only on (base_seed, seed index), so re-runs
-    are reproducible.
+    Per cell: ``run`` and then one ``emit_csv`` of the trajectory CSV, after
+    which only the cell's cost column is kept, so the sweep holds one
+    trajectory at a time. A sweep of more than one cell hands the CSVs to
+    one forked ``CsvWriter``, which formats each while the next cell runs,
+    and waits for it right after the last cell; the CSVs are written inline
+    instead where fork is missing, another thread is running or only one
+    CPU is available. After the last cell: a summary CSV with per-cell rows
+    plus median/min/max rows per optimizer, and one mean-over-seeds loss
+    curve CSV per optimizer. A cell that fails numerically is recorded in
+    the summary with its partial trajectory and the sweep continues; any
+    other exception, also one the writer hit, propagates. Initial points
+    and mini-batch schedules depend only on (base_seed, seed index), so
+    re-runs are reproducible.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,31 +296,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     cells: list[CellResult] = []
     # the cost columns of each optimizer's cells that recorded anything
     costs: dict[str, list[np.ndarray]] = {}
-    for opt in cfg.optimizers:
-        for seed in range(cfg.init.base_seed, cfg.init.base_seed + cfg.init.n_seeds):
-            batch = None
-            if cfg.batch is not None:
-                batch = BatchContext(rng_seed=seed, batch_size=cfg.batch.size,
-                                     dataset_size=obj.aux["dataset_size"])
-            path = out / f"{opt.name}__seed{seed}.csv"
-            traj = run(opt.config, obj, cfg.init.draw(obj.dimension, seed), cfg.stop,
-                       batch=batch)
-            emit_csv(traj, path, f_star)
-            # a run whose objective fails at x0 records nothing
-            final_f = float(traj.f[-1]) if len(traj) else math.nan
-            cells.append(CellResult(
-                optimizer=opt.name,
-                seed=seed,
-                final_f=final_f,
-                final_f_gap=final_f - f_star if f_star is not None else math.nan,
-                iters_to_tol=_iters_to_tolerance(traj, f_star, cfg.stop.f_tol),
-                wall_s=float(traj.wall_s[-1]) if len(traj) else math.nan,
-                terminal_reason=traj.terminal_reason,
-                csv_path=path,
-            ))
-            if len(traj):
-                costs.setdefault(opt.name, []).append(traj.f)
-            del traj  # free before the next cell runs
+    seeds = range(cfg.init.base_seed, cfg.init.base_seed + cfg.init.n_seeds)
+    with _cell_writer(len(cfg.optimizers) * len(seeds)) as writer:
+        for opt in cfg.optimizers:
+            for seed in seeds:
+                batch = None
+                if cfg.batch is not None:
+                    batch = BatchContext(rng_seed=seed, batch_size=cfg.batch.size,
+                                         dataset_size=obj.aux["dataset_size"])
+                path = out / f"{opt.name}__seed{seed}.csv"
+                traj = run(opt.config, obj, cfg.init.draw(obj.dimension, seed), cfg.stop,
+                           batch=batch)
+                emit_csv(traj, path, f_star, writer=writer)
+                # a run whose objective fails at x0 records nothing
+                final_f = float(traj.f[-1]) if len(traj) else math.nan
+                cells.append(CellResult(
+                    optimizer=opt.name,
+                    seed=seed,
+                    final_f=final_f,
+                    final_f_gap=final_f - f_star if f_star is not None else math.nan,
+                    iters_to_tol=_iters_to_tolerance(traj, f_star, cfg.stop.f_tol),
+                    wall_s=float(traj.wall_s[-1]) if len(traj) else math.nan,
+                    terminal_reason=traj.terminal_reason,
+                    csv_path=path,
+                ))
+                if len(traj):
+                    costs.setdefault(opt.name, []).append(traj.f)
+                del traj  # free before the next cell runs
 
     summary = RunSummary(cells=cells, out_dir=out)
     _write_summary(summary, cfg, out)
@@ -215,8 +367,12 @@ def _write_mean_curves(costs: dict[str, list[np.ndarray]], f_star: float | None,
             stacked[i, :len(f)] = f
             stacked[i, len(f):] = f[-1]
         mean_f = stacked.mean(axis=0)
-        rows = map(_MEAN_CURVE_ROW, zip(range(longest), mean_f.tolist(),
-                                        _gap(mean_f, f_star).tolist()))
+        gap = _gap(mean_f, f_star)
+        if gap.tobytes() == mean_f.tobytes():  # f_star = 0: one string for both
+            fs = list(map(_fmt, mean_f.tolist()))
+            rows = map(_MEAN_CURVE_ROW_SAME_GAP, zip(range(longest), fs, fs))
+        else:
+            rows = map(_MEAN_CURVE_ROW, zip(range(longest), mean_f.tolist(), gap.tolist()))
         (out / f"{name}__mean_curve.csv").write_text("k,mean_f,mean_f_gap\n" + "".join(rows))
 
 

@@ -184,8 +184,18 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class NamedOptimizer:
+    """An optimizer config under its name, which heads the optimizer's CSV
+    file names and fills the first field of its summary rows, so it holds
+    no '/', '\\', ',' or control character and is not '.' or '..'."""
+
     name: str
     config: DiscretizerConfig
+
+    def __post_init__(self) -> None:
+        if self.name in (".", "..") or any(
+                ch in "/\\," or ord(ch) < 0x20 or 0x7f <= ord(ch) <= 0x9f for ch in self.name):
+            raise ValueError(f"{self.name!r} cannot head a file name or fill a CSV field: "
+                             "it holds '/', '\\', ',' or a control character, or is '.' or '..'")
 
 
 def finite_time_flow(opt: DiscretizerConfig) -> bool:
@@ -273,7 +283,10 @@ def _parse_optimizer(node, where: str) -> NamedOptimizer:
     config = _section(DiscretizerConfig, node, where)
     if not config.eta > 0:
         raise ConfigError(f"{where}.eta: must be positive, got {config.eta}")
-    return NamedOptimizer(name=name, config=config)
+    try:
+        return NamedOptimizer(name=name, config=config)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.name: {exc}") from exc
 
 
 def parse_config(data: dict, fallback_name: str = "experiment") -> ExperimentConfig:

@@ -1,5 +1,13 @@
+import atexit
+import contextlib
+import itertools
 import json
 import math
+import os
+import re
+import signal
+import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -206,6 +214,13 @@ class TestLoadConfig:
          r"^objective\.params: x_star must be finite, got \[inf inf\]$"),
         ({"objective": {"name": "rosenbrock", "params": {"a": 1e200}}},
          r"^objective\.params: x_star = \(a, a \*\* 2\) overflows, got a = 1e\+200$"),
+        *(({"optimizers": [{"name": "gd", "scheme": "gd", "eta": 0.1},
+                           {"name": name, "scheme": "gd", "eta": 0.1}]},
+           rf"^optimizers\[1\]\.name: {re.escape(repr(name))} cannot head a file name "
+           r"or fill a CSV field: it holds '/', '\\', ',' or a control character, "
+           r"or is '\.' or '\.\.'$")
+          for name in ("a,b", "../escaped", "sub/gd", "back\\slash", "tab\tname", "nul\x00",
+                       "del\x7f", "next\x85line", ".", "..")),
     ], ids=["config-key", "objective-key", "optimizer-key", "flow-key", "init-key",
             "stop-key", "analysis-key", "dominance-key", "output-key", "batch-key",
             "init-mode", "n_seeds-0", "box_lo-missing", "empty-box", "fixed-no-x0",
@@ -218,7 +233,9 @@ class TestLoadConfig:
             "f_tol-nan", "alphas-nan", "betas-nan", "betas-inf", "eta-inf", "epsilon-inf",
             "c-inf", "grad_threshold-inf", "dominance-p-inf", "dominance-mu-inf",
             "dominance-radius-inf", "x0-nan", "x0-inf", "box_hi-inf", "box_lo-inf",
-            "x_star-inf", "x_star-overflow"])
+            "x_star-inf", "x_star-overflow", "name-comma", "name-parent", "name-slash",
+            "name-backslash", "name-tab", "name-nul", "name-del", "name-nel", "name-dot",
+            "name-dotdot"])
     def test_malformed_config_rejected_with_location(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
@@ -721,9 +738,112 @@ class TestRunExperiment:
             raise RuntimeError("bug in a stepper")
 
         monkeypatch.setattr(bench, "run", broken_run)
-        cfg = load_config(write_config(tmp_path, dict(MINIMAL)))
+        # two cells, so the sweep has forked its CSV writer when the cell fails
+        data = {**MINIMAL, "init": {**MINIMAL["init"], "n_seeds": 2}}
+        cfg = load_config(write_config(tmp_path, data))
         with pytest.raises(RuntimeError, match="bug in a stepper"):
             run_experiment(cfg, out_dir=tmp_path / "bug")
+        with pytest.raises(ChildProcessError):  # the writer has been reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+# two optimizers, one of them cycling, over three seeds, with cells of
+# different lengths
+WRITER_SWEEP = {
+    **MINIMAL,
+    "optimizers": [{"name": "gd", "scheme": "gd", "eta": 0.3},
+                   {"name": "euler", "scheme": "euler", "eta": 0.05,
+                    "flow": {"kind": "rgf", "q": 3.0}}],
+    "init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0, "n_seeds": 3},
+    "stop": {"max_iters": 300, "grad_tol": 0.0, "f_tol": 1e-9},
+}
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """The forks made during the test, counted in this process."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@contextlib.contextmanager
+def another_thread_running():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join()
+
+
+class TestCsvWriter:
+    def test_writer_and_inline_paths_write_the_same_bytes(self, tmp_path, fork_calls):
+        cfg = load_config(write_config(tmp_path, WRITER_SWEEP))
+
+        def files(out):
+            # a clock that ticks alike in both runs makes wall_s equal too
+            with pytest.MonkeyPatch.context() as clock:
+                clock.setattr(time, "perf_counter", itertools.count(0.0, 0.125).__next__)
+                summary = run_experiment(cfg, out_dir=out)
+            return {p.name: p.read_bytes() for p in out.iterdir()}, summary
+
+        forked, summary = files(tmp_path / "writer")
+        assert len(fork_calls) == 1
+        with another_thread_running():
+            inline, _ = files(tmp_path / "inline")
+        assert len(fork_calls) == 1
+        assert forked == inline
+        assert len(forked) == 6 + 2 + 1  # cells, mean curves, summary
+        assert len({c.terminal_reason for c in summary.cells}) == 2
+        assert len({len(read_csv(c.csv_path)["k"]) for c in summary.cells}) > 2
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["writer", "inline"])
+    def test_a_failed_write_raises_its_os_error(self, tmp_path, monkeypatch, fork_calls,
+                                               inline):
+        out = tmp_path / "out"
+
+        def run_then_block_the_directory(*args, **kwargs):
+            if out.is_dir():  # the first cell: its CSV's directory becomes a file
+                out.rmdir()
+                out.write_text("")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run", run_then_block_the_directory)
+        cfg = load_config(write_config(tmp_path, WRITER_SWEEP))
+        with another_thread_running() if inline else contextlib.nullcontext():
+            with pytest.raises(FileExistsError) as raised:
+                run_experiment(cfg, out_dir=out)
+        assert raised.value.filename == str(out)
+        assert len(fork_calls) == (0 if inline else 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_ignores_sigint_and_leaves_through_os_exit(self, tmp_path):
+        exit_handler_ran = tmp_path / "exit_handler_ran"
+
+        def exit_handler():
+            exit_handler_ran.write_text("")
+
+        traj = run(DiscretizerConfig(scheme="gd", eta=0.1), make_quadratic(1.0, 2),
+                   np.array([1.0, -0.5]), StopCriteria(max_iters=30))
+        atexit.register(exit_handler)
+        try:
+            writer = bench.CsvWriter()
+            os.kill(writer.pid, signal.SIGINT)
+            emit_csv(traj, tmp_path / "writer.csv", 0.0, writer=writer)
+            writer.close()  # raises the KeyboardInterrupt had the child taken it
+        finally:
+            atexit.unregister(exit_handler)
+        assert not exit_handler_ran.exists()
+        assert (tmp_path / "writer.csv").read_bytes() == emit_csv(
+            traj, tmp_path / "inline.csv", 0.0).read_bytes()
 
 
 def two_integration_report(obj, opt, x0, p, mu, h_ref, arrival_grad_tol=1e-6,

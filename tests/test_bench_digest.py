@@ -1,5 +1,5 @@
 """tools/bench_digest.py passes a checkout against itself and names the first
-trajectory a one-ulp change moves."""
+trajectory, analysis section or file that a one-ulp or one-digit change moves."""
 
 import dataclasses
 import importlib.util
@@ -23,7 +23,10 @@ def test_a_checkout_equals_itself(monkeypatch, capsys):
     monkeypatch.setattr(bench_digest, "PRESETS", ("quadratic_bounds",))
     assert bench_digest.main([str(_ROOT), str(_ROOT)]) == 0
     err = capsys.readouterr().err
-    assert "equal: banana_sweep input set 13, config banana_sweep" in err
+    # 13 cells of one seed: their CSVs, 13 mean curves and the summary, and
+    # none of input set 0's files
+    assert ("equal: banana_sweep input set 13, config banana_sweep: 13 trajectories, "
+            "0 analysis sections, 27 files") in err
     assert "equal: bounds_analysis input set 0, config closeness_sweep" in err
     assert "equal: preset quadratic_bounds: " in err
 
@@ -111,13 +114,79 @@ def test_analysis_digests_cover_every_section(tmp_path):
 def test_counts_and_differences_of_digest_lists():
     trajs = [("run(gd, eta=0.1, x0=[0.0])", "a"), ("run(gd, eta=0.1, x0=[1.0])", "b")]
     sections = [("analysis.json dominance", "c")]
-    assert bench_digest.counts(trajs + sections) == (2, 1)
+    files = [("file gd__seed0.csv", "e"), ("file summary.csv", "f")]
+    assert bench_digest.counts(trajs + sections + files) == (2, 1, 2)
     assert bench_digest.first_difference(trajs + sections, trajs + sections) is None
     assert bench_digest.first_difference(sections, sections) == "no trajectory was recorded"
     assert (bench_digest.first_difference(trajs + sections, trajs)
-            == "2 trajectories and 1 analysis sections at the parent, 2 and 0 at the change")
+            == "2 trajectories, 1 analysis sections and 0 files at the parent, "
+               "2, 0 and 0 at the change")
     assert (bench_digest.first_difference(trajs + sections, trajs + [(sections[0][0], "d")])
             == "analysis.json dominance")
+    assert (bench_digest.first_difference(trajs + files, trajs + files[:1] + [(files[1][0], "g")])
+            == "file summary.csv")
+
+
+def test_one_digit_in_one_csv_of_the_change_is_caught_and_named(monkeypatch, capsys):
+    load_package = bench_digest.load_package
+
+    def load_edited(checkout, name):
+        ff = load_package(checkout, name)
+        if name.endswith("change"):
+            run_experiment = ff.run_experiment
+
+            def edited(cfg, out):
+                summary = run_experiment(cfg, out)
+                # the last digit of the second row's f in the second cell's CSV
+                path = summary.cells[1].csv_path
+                lines = path.read_text().split("\n")
+                fields = lines[2].split(",")
+                fields[2] = fields[2][:-1] + str((int(fields[2][-1]) + 1) % 10)
+                lines[2] = ",".join(fields)
+                path.write_text("\n".join(lines))
+                return summary
+            monkeypatch.setattr(ff, "run_experiment", edited)
+        return ff
+
+    monkeypatch.setattr(bench_digest, "load_package", load_edited)
+    monkeypatch.setattr(bench_digest, "INPUT_SETS", (0,))
+    monkeypatch.setattr(bench_digest, "PRESETS", ())
+    monkeypatch.setattr(bench_digest, "SCALE", SMOKE)
+    assert bench_digest.main([str(_ROOT), str(_ROOT)]) == 1
+    err = capsys.readouterr().err
+    # every trajectory is equal; the CSV is not
+    assert ("differs: banana_sweep input set 0, config banana_sweep: "
+            "file rgf_euler_q2.2__seed") in err
+    assert "all" not in err
+
+
+def test_artifact_digests_leave_out_wall_times_alone(tmp_path):
+    (tmp_path / "gd__seed0.csv").write_text("k,t,f,f_gap,grad_norm2,grad_norm1,wall_s\n"
+                                            "0,0,1,1,2,2,0.5\n")
+    (tmp_path / "gd__mean_curve.csv").write_text("k,mean_f,mean_f_gap\n0,1,1\n")
+    (tmp_path / "summary.csv").write_text(
+        "optimizer,seed,final_f,final_f_gap,iters_to_tol,wall_s,terminal_reason\n"
+        "gd,0,1,1,-1,0.5,max_iters\n")
+    (tmp_path / "summary.json").write_text(json.dumps(
+        {"gd": {"median_final_f": 1.0, "median_wall_s": 0.5}}))
+    (tmp_path / "analysis.json").write_text("{}")
+    base = bench_digest.artifact_digests(tmp_path)
+    assert [label for label, _ in base] == [
+        "file gd__mean_curve.csv", "file gd__seed0.csv", "file summary.csv",
+        "file summary.json"]
+    for name, old, new, moves in [
+            ("gd__seed0.csv", ",0.5\n", ",0.25\n", False),
+            ("gd__seed0.csv", ",2,0.5", ",3,0.5", True),
+            ("summary.csv", ",0.5,", ",0.25,", False),
+            ("summary.csv", "gd,0,1,", "gd,0,2,", True),
+            ("summary.json", "0.5", "0.25", False),
+            ("summary.json", "1.0", "2.0", True),
+            ("gd__mean_curve.csv", "0,1,1", "0,1,2", True)]:
+        path = tmp_path / name
+        text = path.read_text()
+        path.write_text(text.replace(old, new))
+        assert (bench_digest.artifact_digests(tmp_path) != base) is moves, (name, new)
+        path.write_text(text)
 
 
 def test_digest_covers_every_column_but_wall_s():

@@ -6,6 +6,7 @@ benchmark binds to fails here and not only when the benchmark runs."""
 import importlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import finiteflow
-from finiteflow import analysis, bench
+from finiteflow import analysis, bench, config
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -70,3 +71,33 @@ def test_every_workload_config_loads(perfbench, tmp_path):
                     assert finiteflow.load_config(path).name == cfg_name
                     loaded += 1
     assert loaded == 200
+
+
+def test_cells_are_counted_alike_when_a_writer_writes_the_csvs(perfbench, tmp_path,
+                                                              monkeypatch):
+    # perfbench ends a cell's span at its emit_csv call and counts the rows
+    # handed to it; with the CSVs written by a forked writer, each cell must
+    # still be one run and one emit_csv, and the analysis pass no cell
+    _, spans = perfbench
+    cfg = config.parse_config({
+        "objective": {"name": "quadratic", "params": {"mu": 1.0, "dimension": 2}},
+        "optimizers": [{"name": "gd", "scheme": "gd", "eta": 0.3},
+                       {"name": "euler", "scheme": "euler", "eta": 0.05,
+                        "flow": {"kind": "rgf", "q": 3.0}}],
+        "init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0, "n_seeds": 2},
+        "stop": {"max_iters": 200, "grad_tol": 0.0, "f_tol": 1e-9},
+        "analysis": {"dominance": {"p": 2.0, "mu": 1.0, "n_samples": 20}},
+    })
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    rec = spans.Recorder()
+    with spans.instrument(rec, traced=False):
+        summary = bench.run_experiment(cfg, tmp_path / "out")
+    assert forks == [1]
+    rows = [len(bench.read_csv(c.csv_path)["k"]) for c in summary.cells]
+    assert rec.n_cells == 4 and len(set(rows)) > 1
+    assert rec.cell_steps == [n - 1 for n in rows]
+    assert rec.rows_written == sum(rows)
+    cols = rec.arrays()
+    reports = cols["name"] == rec.names.index("bench.analysis_reports")
+    assert cols["cell"][reports].tolist() == [-1]

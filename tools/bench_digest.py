@@ -12,10 +12,14 @@ norms, k and t, the terminal reason and the cycle start and period, but
 not ``wall_s``. After them it hashes each section of the config's
 ``analysis.json`` (dominance, bounds, closeness) where the config writes
 one: every number in it, which JSON writes in the shortest form that reads
-back to the same bits. It names the first trajectory or analysis section
-whose digest differs, or a config whose count of either differs or that
-records no trajectory, and exits 1; it exits 0 when every digest is equal.
-It runs the workloads' input sets 0 and 13 at full scale::
+back to the same bits. Last it hashes every other file the config writes,
+by name: the cell CSVs and ``summary.csv`` without their ``wall_s``
+column, ``summary.json`` without its ``wall_s`` aggregates, and the mean
+curves whole, so that it sees the bytes of whatever process wrote them. It
+names the first trajectory, analysis section or file whose digest
+differs, or a config whose count of any of them differs or that records
+no trajectory, and exits 1; it exits 0 when every digest is equal. It
+runs the workloads' input sets 0 and 13 at full scale::
 
     python3 tools/bench_digest.py PARENT CHANGE
 """
@@ -75,6 +79,37 @@ def analysis_digests(out: Path) -> list[tuple[str, str]]:
         for section in ANALYSIS_SECTIONS]
 
 
+def _without_wall_s(path: Path) -> bytes:
+    """The bytes of a CSV or of ``summary.json`` with the measured wall
+    times left out: the ``wall_s`` column, or the ``*_wall_s`` keys."""
+    if path.suffix == ".json":
+        doc = {name: {k: v for k, v in stats.items() if not k.endswith("wall_s")}
+               for name, stats in json.loads(path.read_text()).items()}
+        return json.dumps(doc, sort_keys=True).encode()
+    lines = path.read_bytes().split(b"\n")
+    header = lines[0].split(b",")
+    if b"wall_s" not in header:
+        return b"\n".join(lines)
+    i = header.index(b"wall_s")
+    return b"\n".join(b",".join(field for j, field in enumerate(line.split(b",")) if j != i)
+                      for line in lines)
+
+
+def artifact_digests(out: Path) -> list[tuple[str, str]]:
+    """(label, digest) of each file in ``out`` but ``analysis.json``, in
+    name order: the mean curves whole, the others without wall times."""
+    return [(f"file {path.name}", hashlib.sha256(
+        path.read_bytes() if path.name.endswith("__mean_curve.csv")
+        else _without_wall_s(path)).hexdigest())
+        for path in sorted(out.iterdir()) if path.name != "analysis.json"]
+
+
+def _kind(label: str) -> str:
+    if label.startswith("analysis.json "):
+        return "section"
+    return "file" if label.startswith("file ") else "trajectory"
+
+
 def _label(fn: str, args: tuple) -> str:
     """A short name of one call: run's scheme and step size, or the
     reference's flow and step, with the start point."""
@@ -91,7 +126,8 @@ def config_digests(ff: ModuleType, config_path: Path, out: Path) -> list[tuple[s
     """(label, digest) of each trajectory that ``run_experiment`` on the
     config gets from the package's ``bench.run`` and
     ``bench.integrate_reference``, in call order, then of each section of
-    the ``analysis.json`` it writes to ``out``."""
+    the ``analysis.json`` it writes to ``out``, then of each other file it
+    writes there."""
     bench, seen = ff.bench, []
     originals = {fn: getattr(bench, fn) for fn in ("run", "integrate_reference")}
 
@@ -109,7 +145,7 @@ def config_digests(ff: ModuleType, config_path: Path, out: Path) -> list[tuple[s
     finally:
         for fn, original in originals.items():
             setattr(bench, fn, original)
-    return seen + analysis_digests(out)
+    return seen + analysis_digests(out) + artifact_digests(out)
 
 
 def first_difference(parent: list[tuple[str, str]],
@@ -121,17 +157,17 @@ def first_difference(parent: list[tuple[str, str]],
         return "no trajectory was recorded"
     for i, ((label, a), (_, b)) in enumerate(zip(parent, change)):
         if a != b:
-            return label if label.startswith("analysis.json ") else f"trajectory {i}, {label}"
+            return f"trajectory {i}, {label}" if _kind(label) == "trajectory" else label
     if counts(parent) != counts(change):
-        return ("{} trajectories and {} analysis sections at the parent, "
-                "{} and {} at the change".format(*counts(parent), *counts(change)))
+        return ("{} trajectories, {} analysis sections and {} files at the parent, "
+                "{}, {} and {} at the change".format(*counts(parent), *counts(change)))
     return None
 
 
-def counts(digests: list[tuple[str, str]]) -> tuple[int, int]:
-    """The trajectories and the analysis sections in one digest list."""
-    sections = sum(label.startswith("analysis.json ") for label, _ in digests)
-    return len(digests) - sections, sections
+def counts(digests: list[tuple[str, str]]) -> tuple[int, int, int]:
+    """The trajectories, analysis sections and files in one digest list."""
+    kinds = [_kind(label) for label, _ in digests]
+    return kinds.count("trajectory"), kinds.count("section"), kinds.count("file")
 
 
 def configs(work: Path, checkouts: dict[str, Path]):
@@ -158,22 +194,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
     packages = {side: load_package(checkouts[side], f"finiteflow_{side}") for side in SIDES}
-    total = sections = 0
+    totals = [0, 0, 0]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for where, paths in configs(work, checkouts):
+        for i, (where, paths) in enumerate(configs(work, checkouts)):
+            # a fresh directory per config, so that each hashes its own files
             digests = {side: config_digests(packages[side], paths[side],
-                                            work / side / paths[side].stem)
+                                            work / side / f"{i}-{paths[side].stem}")
                        for side in SIDES}
             diff = first_difference(digests["parent"], digests["change"])
             if diff is not None:
                 print(f"differs: {where}: {diff}", file=sys.stderr)
                 return 1
             found = counts(digests["parent"])
-            total, sections = total + found[0], sections + found[1]
-            print(f"equal: {where}: {found[0]} trajectories, {found[1]} analysis sections",
-                  file=sys.stderr)
-    print(f"all {total} trajectories and {sections} analysis sections equal", file=sys.stderr)
+            totals = [a + b for a, b in zip(totals, found)]
+            print("equal: {}: {} trajectories, {} analysis sections, {} files".format(
+                where, *found), file=sys.stderr)
+    print("all {} trajectories, {} analysis sections and {} files equal".format(*totals),
+          file=sys.stderr)
     return 0
 
 
