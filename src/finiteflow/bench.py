@@ -107,11 +107,12 @@ class CsvWriter:
     it hit (a ``send`` that finds the child gone raises it at once).
 
     The child runs on the CPUs other than one that the parent holds while
-    it forks: left to the scheduler, a forked child stayed on its parent's
-    CPU for 0.4 s of busy work, and the two ran no faster than one. It is
-    born with SIGINT blocked and then ignores it, so a Ctrl-C stops only
-    the parent, whose ``close`` lets the child finish what it was sent; it
-    leaves through ``os._exit``, running none of the parent's exit handlers.
+    it forks: left to the scheduler of a 2-vCPU Linux VM, a forked child
+    stayed on its parent's CPU for 0.4 s of busy work, and the two ran no
+    faster than one. It is born with SIGINT blocked and then ignores it, so
+    a Ctrl-C stops only the parent, whose ``close`` lets the child finish
+    what it was sent; it leaves through ``os._exit``, running none of the
+    parent's exit handlers.
     """
 
     def __init__(self) -> None:

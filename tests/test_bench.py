@@ -794,8 +794,10 @@ class TestCsvWriter:
                 summary = run_experiment(cfg, out_dir=out)
             return {p.name: p.read_bytes() for p in out.iterdir()}, summary
 
+        affinity = os.sched_getaffinity(0)
         forked, summary = files(tmp_path / "writer")
         assert len(fork_calls) == 1
+        assert os.sched_getaffinity(0) == affinity  # the parent's CPUs are given back
         with another_thread_running():
             inline, _ = files(tmp_path / "inline")
         assert len(fork_calls) == 1

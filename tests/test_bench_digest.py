@@ -167,20 +167,15 @@ def test_artifact_digests_leave_out_wall_times_alone(tmp_path):
     (tmp_path / "summary.csv").write_text(
         "optimizer,seed,final_f,final_f_gap,iters_to_tol,wall_s,terminal_reason\n"
         "gd,0,1,1,-1,0.5,max_iters\n")
-    (tmp_path / "summary.json").write_text(json.dumps(
-        {"gd": {"median_final_f": 1.0, "median_wall_s": 0.5}}))
     (tmp_path / "analysis.json").write_text("{}")
     base = bench_digest.artifact_digests(tmp_path)
     assert [label for label, _ in base] == [
-        "file gd__mean_curve.csv", "file gd__seed0.csv", "file summary.csv",
-        "file summary.json"]
+        "file gd__mean_curve.csv", "file gd__seed0.csv", "file summary.csv"]
     for name, old, new, moves in [
             ("gd__seed0.csv", ",0.5\n", ",0.25\n", False),
             ("gd__seed0.csv", ",2,0.5", ",3,0.5", True),
             ("summary.csv", ",0.5,", ",0.25,", False),
             ("summary.csv", "gd,0,1,", "gd,0,2,", True),
-            ("summary.json", "0.5", "0.25", False),
-            ("summary.json", "1.0", "2.0", True),
             ("gd__mean_curve.csv", "0,1,1", "0,1,2", True)]:
         path = tmp_path / name
         text = path.read_text()

@@ -12,10 +12,10 @@ norms, k and t, the terminal reason and the cycle start and period, but
 not ``wall_s``. After them it hashes each section of the config's
 ``analysis.json`` (dominance, bounds, closeness) where the config writes
 one: every number in it, which JSON writes in the shortest form that reads
-back to the same bits. Last it hashes every other file the config writes,
+back to the same bits. Last it hashes every CSV file the config writes,
 by name: the cell CSVs and ``summary.csv`` without their ``wall_s``
-column, ``summary.json`` without its ``wall_s`` aggregates, and the mean
-curves whole, so that it sees the bytes of whatever process wrote them. It
+column, and the mean curves whole, so that it sees the bytes of whatever
+process wrote them (no gated config or preset writes ``summary.json``). It
 names the first trajectory, analysis section or file whose digest
 differs, or a config whose count of any of them differs or that records
 no trajectory, and exits 1; it exits 0 when every digest is equal. It
@@ -80,12 +80,7 @@ def analysis_digests(out: Path) -> list[tuple[str, str]]:
 
 
 def _without_wall_s(path: Path) -> bytes:
-    """The bytes of a CSV or of ``summary.json`` with the measured wall
-    times left out: the ``wall_s`` column, or the ``*_wall_s`` keys."""
-    if path.suffix == ".json":
-        doc = {name: {k: v for k, v in stats.items() if not k.endswith("wall_s")}
-               for name, stats in json.loads(path.read_text()).items()}
-        return json.dumps(doc, sort_keys=True).encode()
+    """The bytes of a CSV file without its ``wall_s`` column, if it has one."""
     lines = path.read_bytes().split(b"\n")
     header = lines[0].split(b",")
     if b"wall_s" not in header:
@@ -96,12 +91,10 @@ def _without_wall_s(path: Path) -> bytes:
 
 
 def artifact_digests(out: Path) -> list[tuple[str, str]]:
-    """(label, digest) of each file in ``out`` but ``analysis.json``, in
-    name order: the mean curves whole, the others without wall times."""
-    return [(f"file {path.name}", hashlib.sha256(
-        path.read_bytes() if path.name.endswith("__mean_curve.csv")
-        else _without_wall_s(path)).hexdigest())
-        for path in sorted(out.iterdir()) if path.name != "analysis.json"]
+    """(label, digest) of each CSV file in ``out``, in name order, without
+    the measured ``wall_s`` column of the cell CSVs and ``summary.csv``."""
+    return [(f"file {path.name}", hashlib.sha256(_without_wall_s(path)).hexdigest())
+            for path in sorted(out.glob("*.csv"))]
 
 
 def _kind(label: str) -> str:
@@ -126,7 +119,7 @@ def config_digests(ff: ModuleType, config_path: Path, out: Path) -> list[tuple[s
     """(label, digest) of each trajectory that ``run_experiment`` on the
     config gets from the package's ``bench.run`` and
     ``bench.integrate_reference``, in call order, then of each section of
-    the ``analysis.json`` it writes to ``out``, then of each other file it
+    the ``analysis.json`` it writes to ``out``, then of each CSV file it
     writes there."""
     bench, seen = ff.bench, []
     originals = {fn: getattr(bench, fn) for fn in ("run", "integrate_reference")}
