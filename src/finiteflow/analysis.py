@@ -118,10 +118,14 @@ def check_gradient_dominance(obj: Objective, p: float, mu: float,
     lhs_exp = p / (p - 1.0)
     rhs_coeff = mu ** (1.0 / (p - 1.0))
     values, grads = obj.value_and_grad_rows(points)
+    try:
+        squares = np.vecdot(grads, grads).tolist()
+    except RuntimeWarning:  # an overflow, where warnings are errors: norm2 takes every row
+        squares = [math.inf] * len(grads)
     margins = []
     mu_points = []
     rhs_scale = 0.0
-    for i, (f, sq) in enumerate(zip(values.tolist(), np.vecdot(grads, grads).tolist())):
+    for i, (f, sq) in enumerate(zip(values.tolist(), squares)):
         g_norm = math.sqrt(sq) if math.isfinite(sq) else norm2(grads[i])
         gap = f - f_star
         try:

@@ -8,7 +8,7 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -112,27 +112,28 @@ class CsvWriter:
     faster than one. It is born with SIGINT blocked and then ignores it, so
     a Ctrl-C stops only the parent, whose ``close`` lets the child finish
     what it was sent; it leaves through ``os._exit``, running none of the
-    parent's exit handlers.
+    parent's exit handlers. A failed pin or fork leaves no pipe open.
     """
 
     def __init__(self) -> None:
-        jobs_r, jobs_w = os.pipe()
-        errors_r, errors_w = os.pipe()
         cpus = os.sched_getaffinity(0)
         home = min(cpus)
-        os.sched_setaffinity(0, {home})
-        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        jobs_r, jobs_w = os.pipe()
+        errors_r, errors_w = os.pipe()
         try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                _serve(jobs_r, errors_w, (jobs_w, errors_r), cpus - {home})
+            os.sched_setaffinity(0, {home})
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                self.pid = os.fork()
+                if self.pid == 0:
+                    _serve(jobs_r, errors_w, (jobs_w, errors_r), cpus - {home})
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+                os.sched_setaffinity(0, cpus)
         except BaseException:
             for fd in (jobs_r, jobs_w, errors_r, errors_w):
                 os.close(fd)
             raise
-        finally:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-            os.sched_setaffinity(0, cpus)
         os.close(jobs_r)
         os.close(errors_w)
         self._jobs = open(jobs_w, "wb")
@@ -204,20 +205,21 @@ def _writer_pays() -> bool:
 
 @contextmanager
 def _cell_writer(n_cells: int):
-    """A ``CsvWriter`` for a sweep of more than one cell where one pays, else
-    None; closed on leaving, which raises the writer's error unless the body
-    raised first."""
-    if n_cells < 2 or not _writer_pays():
+    """A ``CsvWriter`` for a sweep of more than one cell where one pays and
+    can start, else None; closed on leaving, which raises the writer's error
+    unless the body raised first."""
+    try:
+        writer = CsvWriter() if n_cells > 1 and _writer_pays() else None
+    except OSError:  # this process may not pin itself to a CPU or fork
+        writer = None
+    if writer is None:
         yield None
         return
-    writer = CsvWriter()
     try:
         yield writer
     except BaseException:
-        try:
+        with suppress(Exception):  # the body's error is the one to report
             writer.close()
-        except Exception:
-            pass  # the body's error is the one to report
         raise
     writer.close()
 

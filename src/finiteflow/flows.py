@@ -8,10 +8,10 @@ Three velocity fields over a gradient g = grad f(x):
 
 For q in (1, inf) both rescaled fields are continuous but not Lipschitz at
 stationary points; q = inf gives the unit-speed normalized field (rgf) and
-the pure sign field (sgf). Below ``grad_threshold`` a rescaled velocity is
+the pure sign field (sgf). Below ``GRAD_CUTOFF`` a rescaled velocity is
 exactly zero, which keeps trajectories stationary at minimizers instead of
 dividing by a vanishing norm or chattering on the sign field. ``gf`` does
-neither, so it takes no cutoff, q or c: its velocity is -g everywhere.
+neither, so it has no cutoff and takes no q or c: its velocity is -g everywhere.
 
 Each ``FlowSpec`` resolves its field once, when it is built, into one
 function of the gradient (and its Euclidean norm, when the caller has it)
@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 FLOW_KINDS = ("gf", "rgf", "sgf")
+GRAD_CUTOFF = 1e-12  # the stationarity cutoff of rgf and sgf
 
 class NumericalFailure(ValueError):
     """A step met a non-finite gradient or produced a non-finite iterate."""
@@ -36,12 +37,11 @@ class NumericalFailure(ValueError):
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Which flow to evaluate, with its exponent q, scale c, and cutoff."""
+    """Which flow to evaluate, with its exponent q and scale c."""
 
     kind: str
     q: float = math.inf
     c: float = 1.0
-    grad_threshold: float = 1e-12
     # the field resolved once: (g, n2=None) -> (velocity, speed bound)
     _velocity_and_bound: Callable[..., tuple[np.ndarray, float]] = field(
         init=False, repr=False, compare=False)
@@ -53,19 +53,15 @@ class FlowSpec:
             raise ValueError(f"q must lie in (1, inf], got {self.q}")
         if not 0 < self.c < math.inf:
             raise ValueError(f"c must be positive and finite, got {self.c}")
-        off = [name for name in ("q", "c", "grad_threshold")
+        off = [name for name in ("q", "c")
                if self.kind == "gf" and getattr(self, name) != getattr(FlowSpec, name)]
         if off:
             raise ValueError(f"plain gradient flow does not take {', '.join(off)}")
-        if not self.grad_threshold >= 0:
-            raise ValueError("grad_threshold must be non-negative")
-        if math.isinf(self.grad_threshold):
-            raise ValueError(f"grad_threshold must be finite, got {self.grad_threshold}")
         object.__setattr__(self, "_velocity_and_bound", _resolve(self))
 
     def __reduce__(self):
         # the resolved field is a closure; a copy or unpickled spec rebuilds it
-        return FlowSpec, (self.kind, self.q, self.c, self.grad_threshold)
+        return FlowSpec, (self.kind, self.q, self.c)
 
     def rgf_exponent(self) -> float:
         """Exponent (q-2)/(q-1) on the Euclidean norm; 1 in the q = inf limit."""
@@ -79,7 +75,10 @@ class FlowSpec:
 def norm2(v: np.ndarray) -> float:
     """Euclidean norm; nan or inf when a component is."""
     # ndarray.dot is bit-identical to ``v @ v`` and cheaper per call
-    sq = float(v.dot(v))
+    try:
+        sq = float(v.dot(v))
+    except RuntimeWarning:  # numpy's overflow warning, raised where warnings are errors
+        sq = math.inf
     if math.isfinite(sq):
         return math.sqrt(sq)
     a = np.abs(v)
@@ -113,13 +112,13 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
     ``n2 * s * c`` for rgf, and ``sqrt(d) * pw * c`` for sgf, whose every
     component is 0 or +-(pw * c). It can fall short of ``norm2(v)`` only by
     rounding, under a relative 1e-6 for any dimension below about 1e9."""
-    kind, c, threshold = spec.kind, spec.c, spec.grad_threshold
+    kind, c, cutoff = spec.kind, spec.c, GRAD_CUTOFF
     gf, rgf, sgf, unit = kind == "gf", kind == "rgf", kind == "sgf", c == 1.0
     neg_exponent, exponent = -spec.rgf_exponent(), spec.sgf_exponent()
     scale, neg_c = np.array(0.0), np.array(-c)
     # above sqrt(d) times this, the 2-norm exceeds the cutoff with a factor 2
     # for rounding, and its square is a normal float that the dot keeps
-    l1_floor = 2.0 * max(threshold, 1e-150)
+    l1_floor = 2.0 * cutoff
 
     def velocity_and_bound(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
         if sgf:
@@ -128,13 +127,16 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
             if n2 is None and l1_floor * root_d < l1 < math.inf:
                 n2 = l1  # passes the two tests below, as the norm would
         if n2 is None:
-            sq = float(g.dot(g))
+            try:
+                sq = float(g.dot(g))
+            except RuntimeWarning:  # numpy's overflow warning, raised where warnings are errors
+                sq = math.inf
             n2 = math.sqrt(sq) if math.isfinite(sq) else norm2(g)
         if not math.isfinite(n2):
             raise NumericalFailure(f"non-finite gradient passed to {kind} flow: {g!r}")
         if gf:
             return -g, n2
-        if n2 <= threshold:
+        if n2 <= cutoff:
             # stationary point: zero velocity is an admissible solution there
             return np.zeros_like(g), 0.0
         if rgf:

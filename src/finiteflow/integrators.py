@@ -51,7 +51,6 @@ _BOUND_SLACK = 1.0 + 1e-6
 TERMINAL_GRAD_TOL = "grad_tol"
 TERMINAL_F_TOL = "f_tol"
 TERMINAL_MAX_ITERS = "max_iters"
-TERMINAL_WALL_LIMIT = "wall_limit"
 TERMINAL_NUMERICAL_FAILURE = "numerical_failure"
 
 
@@ -62,7 +61,7 @@ class DiscretizerConfig:
     Besides ``eta``, a scheme takes only the fields ``_SCHEME_TABLE`` lists
     for it, and a flow scheme needs its ``flow``. ``stages`` defaults to
     ``len(alphas)``, and the weights must sum to 1 (consistency condition).
-    ``eta``, ``epsilon``, the weights and the offsets must be finite.
+    ``eta``, the weights and the offsets must be finite.
     Violations are rejected here, never at step time.
     """
 
@@ -73,9 +72,6 @@ class DiscretizerConfig:
     stages: int | None = None
     alphas: tuple[float, ...] = (1.0,)
     betas: tuple[float, ...] = ()
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -108,17 +104,13 @@ class DiscretizerConfig:
         if abs(math.fsum(self.alphas) - 1.0) > 1e-12:
             raise ValueError(
                 f"stage weights must sum to 1 (consistency condition), got {math.fsum(self.alphas)!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("adam moment coefficients must lie in [0, 1)")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"adam epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
 class StopCriteria:
     """Run termination rules, checked at each row in the order grad_tol,
-    f_tol, max_iters, wall_limit once the row's cost and gradient norm are
-    found finite (a non-finite one ends the run as numerical_failure).
+    f_tol, max_iters once the row's cost and gradient norm are found finite
+    (a non-finite one ends the run as numerical_failure).
 
     A tolerance of zero disables that rule. ``f_tol`` applies to f - f_star
     and is only active when the objective carries optimum metadata.
@@ -127,15 +119,12 @@ class StopCriteria:
     max_iters: int
     grad_tol: float = 0.0
     f_tol: float = 0.0
-    wall_limit: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if not (self.grad_tol >= 0 and self.f_tol >= 0):
             raise ValueError("tolerances must be non-negative")
-        if self.wall_limit is not None and not self.wall_limit > 0:
-            raise ValueError("wall_limit must be positive when set")
 
 
 @dataclass
@@ -160,7 +149,11 @@ def init_state(x0: np.ndarray) -> StepperState:
 
 def _ensure_finite(x: np.ndarray, scheme: str) -> None:
     # a finite squared norm proves every component finite
-    if not math.isfinite(float(x.dot(x))) and not np.all(np.isfinite(x)):
+    try:
+        finite = math.isfinite(float(x.dot(x)))
+    except RuntimeWarning:  # numpy's overflow warning, raised where warnings are errors
+        finite = False
+    if not finite and not np.all(np.isfinite(x)):
         raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
 
 
@@ -233,8 +226,8 @@ def _look_ahead_step(cfg: DiscretizerConfig) -> Step:
 
 
 def _adam_step(cfg: DiscretizerConfig) -> Step:
-    """Adam with bias-corrected first and second moment estimates."""
-    eta, beta1, beta2, epsilon = cfg.eta, cfg.beta1, cfg.beta2, cfg.epsilon
+    """Adam with bias-corrected moment estimates, at Kingma & Ba's (2015) defaults."""
+    eta, beta1, beta2, epsilon = cfg.eta, 0.9, 0.999, 1e-8
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         g = np.asarray(obj.gradient(state.x), dtype=float) if grad is None else grad
@@ -256,7 +249,7 @@ _SCHEME_TABLE = {"euler": (_tableau_step, ("flow",)),
                  "nesterov": (_look_ahead_step, ("flow", "beta")),
                  "gd": (_tableau_step, ()),
                  "nagd": (_look_ahead_step, ("beta",)),
-                 "adam": (_adam_step, ("beta1", "beta2", "epsilon"))}
+                 "adam": (_adam_step, ())}
 SCHEMES = tuple(_SCHEME_TABLE)
 
 
@@ -376,20 +369,20 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     NumericalFailure.
 
     ``repeats`` promises that, from row 1 on, the next x is a pure function
-    of the last two rows. Without a wall limit the loop then compares each
-    row and the row before it with an anchor pair, taken at row 1 and every
-    ``_ANCHOR_EVERY`` rows after: by the gradient norm first and by the bits
-    of x only when that matches. A match P rows after the anchor means every
-    later row repeats the row P before it (P is the smallest period once the
-    anchor lies in the cycle), so the rows up to ``max_iters`` are filled,
-    with no objective call, by one periodic rule: for the n rows recorded,
-    row j >= n is row n - P + (j - n) mod P in the x, f and gradient norm
-    columns. The run ends as max_iters; no stop rule can fire on a filled
-    row, which repeats a row that passed them. Filled rows hold the last
-    measured ``wall_s``, so ``wall_s`` never goes down.
+    of the last two rows. The loop then compares each row and the row before
+    it with an anchor pair, taken at row 1 and every ``_ANCHOR_EVERY`` rows
+    after: by the gradient norm first and by the bits of x only when that
+    matches. A match P rows after the anchor means every later row repeats
+    the row P before it (P is the smallest period once the anchor lies in the
+    cycle), so the rows up to ``max_iters`` are filled, with no objective
+    call, by one periodic rule: for the n rows recorded, row j >= n is row
+    n - P + (j - n) mod P in the x, f and gradient norm columns. The run
+    ends as max_iters; no stop rule can fire on a filled row, which repeats
+    a row that passed them. Filled rows hold the last measured ``wall_s``,
+    so ``wall_s`` never goes down.
 
     The record columns start at ``_RECORD_BLOCK`` rows and double when full,
-    since a run under a wall limit may have a huge ``max_iters``.
+    since a tolerance may end a run far short of a huge ``max_iters``.
 
     Each row makes one objective call, ``obj.value_and_grad``, and gradient
     rows are reduced to their l1 norms ``_GRADIENT_CHUNK`` rows at a time;
@@ -409,7 +402,7 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     grads = np.empty((min(rows, _GRADIENT_CHUNK), obj.dimension))
     chunk, capacity = len(grads), rows
     last = chunk - 1  # a chunk's last row
-    grad_tol, max_iters, wall_limit = stop.grad_tol, stop.max_iters, stop.wall_limit
+    grad_tol, max_iters = stop.grad_tol, stop.max_iters
     f_tol = stop.f_tol if obj.metadata is not None else 0.0
     f_star = obj.metadata.f_star if f_tol > 0 else 0.0
     # per_row: each row's cost is taken in the loop; otherwise f stays 0.0,
@@ -418,13 +411,12 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     # a row within these open bounds meets no stop rule; a nan is within none
     inf = math.inf
     gn2_lo, gap_lo = (tol if tol > 0 else -inf for tol in (grad_tol, f_tol))
-    wall_hi = inf if wall_limit is None else wall_limit
     n = 0  # rows recorded; the next row is iterate k = n
     period = None
     # the anchor's gradient norm stays nan, which equals no norm, until row
     # next_anchor is recorded, and for good when rows may not repeat
     anchor, anchor_gn2 = 0, math.nan
-    next_anchor = 1 if repeats and wall_limit is None else -1
+    next_anchor = 1 if repeats else -1
     value_and_grad, gradient, clock = obj.value_and_grad, obj.gradient, time.perf_counter
     t_start = clock()
     try:
@@ -444,18 +436,16 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             gn2 = norm2(g)
             xs[n] = x
             gn2s[n] = gn2
-            walls[n] = wall = clock() - t_start
+            walls[n] = clock() - t_start
             n += 1
-            if not (gn2_lo < gn2 < inf and gap_lo < f - f_star and f < inf
-                    and n <= max_iters and wall < wall_hi):
+            if not (gn2_lo < gn2 < inf and gap_lo < f - f_star and f < inf and n <= max_iters):
                 # the stop rules, in the order StopCriteria documents, test the
                 # bounds above; f_star is finite, so a finite row fails one
                 reason = (TERMINAL_NUMERICAL_FAILURE
                           if not (math.isfinite(f) and math.isfinite(gn2))
                           else TERMINAL_GRAD_TOL if gn2 <= gn2_lo
                           else TERMINAL_F_TOL if f - f_star <= gap_lo
-                          else TERMINAL_MAX_ITERS if n > max_iters
-                          else TERMINAL_WALL_LIMIT)
+                          else TERMINAL_MAX_ITERS)
                 break
             if (gn2 == anchor_gn2 and xs[n - 1].tobytes() == xs[anchor].tobytes()
                     and xs[n - 2].tobytes() == xs[anchor - 1].tobytes()):

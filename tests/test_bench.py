@@ -10,6 +10,7 @@ import threading
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,8 +174,8 @@ class TestLoadConfig:
         ({"optimizers": [{"name": "gd", "scheme": "gd", "eta": math.nan}]},
          r"^optimizers\[0\]: step size eta must be non-negative, got nan$"),
         ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
-                          "flow": {"kind": "rgf", "q": 3.0, "grad_threshold": math.nan}}]},
-         r"^optimizers\[0\]\.flow: grad_threshold must be non-negative$"),
+                          "flow": {"kind": "rgf", "q": 3.0, "grad_threshold": 1e-12}}]},
+         r"^optimizers\[0\]\.flow: unknown keys \['grad_threshold'\]; "),
         ({"stop": {"grad_tol": math.nan}}, r"^stop: tolerances must be non-negative$"),
         ({"stop": {"f_tol": math.nan}}, r"^stop: tolerances must be non-negative$"),
         ({"optimizers": [{"name": "rk", "scheme": "rk", "eta": 0.1, "alphas": [math.nan],
@@ -188,14 +189,14 @@ class TestLoadConfig:
          r"^optimizers\[0\]: stage offsets betas must be finite, got \(inf,\)$"),
         ({"optimizers": [{"name": "gd", "scheme": "gd", "eta": math.inf}]},
          r"^optimizers\[0\]: step size eta must be finite, got inf$"),
-        ({"optimizers": [{"name": "adam", "scheme": "adam", "eta": 0.1, "epsilon": math.inf}]},
-         r"^optimizers\[0\]: adam epsilon must be positive and finite, got inf$"),
+        ({"optimizers": [{"name": "adam", "scheme": "adam", "eta": 0.1, "beta1": 0.9,
+                          "beta2": 0.999, "epsilon": 1e-8}]},
+         r"^optimizers\[0\]: unknown keys \['beta1', 'beta2', 'epsilon'\]; "),
         ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
                           "flow": {"kind": "rgf", "q": 3.0, "c": math.inf}}]},
          r"^optimizers\[0\]\.flow: c must be positive and finite, got inf$"),
-        ({"optimizers": [{"name": "e", "scheme": "euler", "eta": 0.1,
-                          "flow": {"kind": "rgf", "q": 3.0, "grad_threshold": math.inf}}]},
-         r"^optimizers\[0\]\.flow: grad_threshold must be finite, got inf$"),
+        ({"stop": {"max_iters": 100, "wall_limit": 10.0}},
+         r"^stop: unknown keys \['wall_limit'\]; "),
         ({"analysis": {"dominance": {"p": math.inf, "mu": 1.0}}},
          r"^analysis\.dominance: p must exceed 1 and be finite, got inf$"),
         ({"analysis": {"dominance": {"p": 2.0, "mu": math.inf}}},
@@ -229,9 +230,9 @@ class TestLoadConfig:
             "batch-over-dataset", "analysis-no-flow", "analysis-gf-only",
             "q-not-above-p", "bounds-no-optimum", "dominance-p-1",
             "dominance-mu-negative", "name-null", "objective-name-list",
-            "euler-rk-fields", "gf-q", "eta-nan", "grad_threshold-nan", "grad_tol-nan",
-            "f_tol-nan", "alphas-nan", "betas-nan", "betas-inf", "eta-inf", "epsilon-inf",
-            "c-inf", "grad_threshold-inf", "dominance-p-inf", "dominance-mu-inf",
+            "euler-rk-fields", "gf-q", "eta-nan", "grad_threshold-key", "grad_tol-nan",
+            "f_tol-nan", "alphas-nan", "betas-nan", "betas-inf", "eta-inf", "adam-keys",
+            "c-inf", "wall_limit-key", "dominance-p-inf", "dominance-mu-inf",
             "dominance-radius-inf", "x0-nan", "x0-inf", "box_hi-inf", "box_lo-inf",
             "x_star-inf", "x_star-overflow", "name-comma", "name-parent", "name-slash",
             "name-backslash", "name-tab", "name-nul", "name-del", "name-nel", "name-dot",
@@ -344,16 +345,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_every_yaml_block_of_the_readme_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```yaml\n(.*?)^```$", readme, flags=re.M | re.S)
+        assert blocks
+        for block in blocks:
+            assert isinstance(config.parse_config(yaml.safe_load(block)), config.ExperimentConfig)
+
 
 # the fields, besides eta, that each scheme's step reads
 SCHEME_FIELDS = {"euler": ("flow",), "rk": ("flow", "stages", "alphas", "betas"),
-                 "nesterov": ("flow", "beta"), "gd": (), "nagd": ("beta",),
-                 "adam": ("beta1", "beta2", "epsilon")}
+                 "nesterov": ("flow", "beta"), "gd": (), "nagd": ("beta",), "adam": ()}
 # a value off its default for each optimizer field; a scheme's own values
 # together make a valid config of that scheme
 OFF_DEFAULT = {"beta": 0.5, "flow": {"kind": "rgf", "q": 3.0}, "stages": 2,
-               "alphas": [0.5, 0.5], "betas": [0.09], "beta1": 0.5, "beta2": 0.5,
-               "epsilon": 1e-6}
+               "alphas": [0.5, 0.5], "betas": [0.09]}
 
 
 def python_fields(node: dict) -> dict:
@@ -368,10 +374,10 @@ def load_second_optimizer(tmp_path, node: dict):
 
 
 class TestSchemeFields:
-    def test_table_lists_every_scheme_and_seventeen_fields(self):
+    def test_table_lists_every_scheme_and_fourteen_fields(self):
         assert sorted(SCHEME_FIELDS) == sorted(config.SCHEMES)
         # eta plus the listed fields
-        assert sum(1 + len(taken) for taken in SCHEME_FIELDS.values()) == 17
+        assert sum(1 + len(taken) for taken in SCHEME_FIELDS.values()) == 14
 
     @pytest.mark.parametrize("scheme", sorted(SCHEME_FIELDS))
     def test_scheme_accepts_its_own_fields(self, tmp_path, scheme):
@@ -393,9 +399,9 @@ class TestSchemeFields:
             load_second_optimizer(tmp_path, dict(node, scheme=scheme))
 
     def test_refusal_names_every_field_off_its_default(self):
-        with pytest.raises(ValueError, match=r"^scheme 'euler' does not take beta, alphas, beta1$"):
+        with pytest.raises(ValueError, match=r"^scheme 'euler' does not take beta, alphas, betas$"):
             DiscretizerConfig("euler", eta=0.1, beta=0.5, flow=FlowSpec("rgf", q=3.0),
-                              alphas=(0.2, 0.8), beta1=0.2)
+                              alphas=(0.2, 0.8), betas=(0.5,))
         with pytest.raises(ValueError, match=r"^scheme 'gd' does not take stages$"):
             DiscretizerConfig("gd", eta=0.1, stages=0)
 
@@ -661,7 +667,6 @@ class TestRunExperiment:
         for la, lb in zip(a, b):
             assert la.rsplit(",", 1)[0] == lb.rsplit(",", 1)[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failed_cells_recorded_without_aborting(self, tmp_path):
         data = dict(MINIMAL)
         data["objective"] = {"name": "rosenbrock", "params": {"a": 1.0, "b": 100.0}}
@@ -783,28 +788,47 @@ def another_thread_running():
         thread.join()
 
 
+def sweep_files(cfg, out):
+    """The files a sweep of ``cfg`` writes into ``out``, and its summary."""
+    # a clock that ticks alike in every run makes wall_s equal too
+    with pytest.MonkeyPatch.context() as clock:
+        clock.setattr(time, "perf_counter", itertools.count(0.0, 0.125).__next__)
+        summary = run_experiment(cfg, out_dir=out)
+    return {p.name: p.read_bytes() for p in out.iterdir()}, summary
+
+
 class TestCsvWriter:
     def test_writer_and_inline_paths_write_the_same_bytes(self, tmp_path, fork_calls):
         cfg = load_config(write_config(tmp_path, WRITER_SWEEP))
-
-        def files(out):
-            # a clock that ticks alike in both runs makes wall_s equal too
-            with pytest.MonkeyPatch.context() as clock:
-                clock.setattr(time, "perf_counter", itertools.count(0.0, 0.125).__next__)
-                summary = run_experiment(cfg, out_dir=out)
-            return {p.name: p.read_bytes() for p in out.iterdir()}, summary
-
         affinity = os.sched_getaffinity(0)
-        forked, summary = files(tmp_path / "writer")
+        forked, summary = sweep_files(cfg, tmp_path / "writer")
         assert len(fork_calls) == 1
         assert os.sched_getaffinity(0) == affinity  # the parent's CPUs are given back
         with another_thread_running():
-            inline, _ = files(tmp_path / "inline")
+            inline, _ = sweep_files(cfg, tmp_path / "inline")
         assert len(fork_calls) == 1
         assert forked == inline
         assert len(forked) == 6 + 2 + 1  # cells, mean curves, summary
         assert len({c.terminal_reason for c in summary.cells}) == 2
         assert len({len(read_csv(c.csv_path)["k"]) for c in summary.cells}) > 2
+
+    def test_refused_pinning_writes_inline_and_leaves_nothing_open(self, tmp_path,
+                                                                   monkeypatch, fork_calls):
+        cfg = load_config(write_config(tmp_path, WRITER_SWEEP))
+        forked, _ = sweep_files(cfg, tmp_path / "writer")
+        assert len(fork_calls) == 1
+
+        def refuse(pid, cpus):
+            raise PermissionError(1, "Operation not permitted")
+
+        fds = os.listdir("/proc/self/fd")
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        inline, _ = sweep_files(cfg, tmp_path / "inline")
+        assert inline == forked
+        assert len(fork_calls) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("inline", [False, True], ids=["writer", "inline"])
     def test_a_failed_write_raises_its_os_error(self, tmp_path, monkeypatch, fork_calls,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finiteflow import FlowSpec, flow_eval
-from finiteflow.flows import NumericalFailure, norm2
+from finiteflow.flows import GRAD_CUTOFF, NumericalFailure, norm2
 
 finite_grads = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
@@ -58,7 +58,7 @@ class TestFlowEvalValues:
         assert np.array_equal(flow_eval(spec, np.zeros(3)), np.zeros(3))
 
     def test_below_threshold_gives_zero_velocity(self):
-        spec = FlowSpec("rgf", q=math.inf, grad_threshold=1e-12)
+        spec = FlowSpec("rgf", q=math.inf)
         assert np.array_equal(flow_eval(spec, np.full(2, 1e-13)), np.zeros(2))
 
     def test_gf_is_negative_gradient(self):
@@ -127,8 +127,7 @@ class TestFlowProperties:
 
 
 # gradients of 1 to 8 components of magnitude 1e-12 to 1e12 or zero, half
-# of them scaled by 1e+-95 to send the norm far outside [1e-12, 1e12];
-# half the specs have no cutoff, so those tiny norms reach the products
+# of them scaled by 1e+-95 to send the norm far outside [1e-12, 1e12]
 _component = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.tuples(st.sampled_from([1.0, -1.0]), st.floats(min_value=-12.0, max_value=12.0))
@@ -142,14 +141,13 @@ wide_specs = st.builds(
     kind=st.sampled_from(["rgf", "sgf"]),
     q=st.one_of(st.floats(min_value=1.1, max_value=12.0, exclude_min=True), st.just(math.inf)),
     c=st.one_of(st.just(1.0), st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0 ** e)),
-    grad_threshold=st.sampled_from([0.0, 1e-12, 0.0, 1e-3]),
 )
 
 
 def two_product_velocity(spec, g, n2):
     """The rescaled velocities as (g * s) * -c and (sign(g) * pw) * -c, with
     s = ||g||_2 ** -e and pw = ||g||_1 ** e by plain ``**`` at every norm."""
-    if n2 <= spec.grad_threshold:
+    if n2 <= GRAD_CUTOFF:
         return np.zeros_like(g)
     if spec.kind == "rgf":
         return (g * n2 ** -spec.rgf_exponent()) * -spec.c
@@ -177,7 +175,7 @@ class TestVelocityProducts:
     def test_extreme_and_below_threshold_paths(self, kind, g):
         g = np.array(g)
         for c in (1.0, 2.5e-3):
-            spec = FlowSpec(kind, q=3.0, c=c, grad_threshold=0.0 if g[0] < 1e-100 else 1e-12)
+            spec = FlowSpec(kind, q=3.0, c=c)
             n2 = norm2(g)
             want = two_product_velocity(spec, g, n2)
             assert spec._velocity_and_bound(g, n2)[0].tobytes() == want.tobytes()
@@ -199,8 +197,8 @@ class TestFlowErrors:
             FlowSpec("rgf", q=3.0, c=0.0)
         with pytest.raises(ValueError):
             FlowSpec("gf", c=2.0)
-        with pytest.raises(ValueError):
-            FlowSpec("rgf", q=3.0, grad_threshold=-1.0)
+        with pytest.raises(TypeError, match="grad_threshold"):
+            FlowSpec("rgf", q=3.0, grad_threshold=1e-12)
 
     def test_infinite_q_exponents(self):
         spec = FlowSpec("rgf", q=math.inf)
@@ -209,14 +207,13 @@ class TestFlowErrors:
 
 
 # the resolved field over q in (1.01, 20] and inf, c in [0.1, 10] with c = 1
-# often, and 1 to 8 components; gf takes neither q, c nor a cutoff
+# often, and 1 to 8 components; gf takes neither q nor c
 resolved_specs = st.one_of(
     st.just(FlowSpec("gf")),
     st.builds(FlowSpec, kind=st.sampled_from(["rgf", "sgf"]),
               q=st.one_of(st.floats(min_value=1.01, max_value=20.0, exclude_min=True),
                           st.just(math.inf)),
-              c=st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=10.0)),
-              grad_threshold=st.sampled_from([0.0, 1e-12, 1e-3])),
+              c=st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=10.0))),
 )
 resolved_grads = st.lists(_component, min_size=1, max_size=8)
 
@@ -228,7 +225,7 @@ def py_velocity(spec, g, n2, l1):
         raise NumericalFailure(f"non-finite gradient passed to {spec.kind} flow: {np.array(g)!r}")
     if spec.kind == "gf":
         return [-gi for gi in g]
-    if n2 <= spec.grad_threshold:
+    if n2 <= GRAD_CUTOFF:
         return [0.0] * len(g)
     if spec.kind == "rgf":
         s = n2 ** -(1.0 if math.isinf(spec.q) else (spec.q - 2.0) / (spec.q - 1.0))
@@ -259,7 +256,7 @@ class TestResolvedField:
             assert bound >= norm2(got) / (1.0 + 1e-6)
             if spec.kind == "gf":
                 assert bound == n2
-            elif n2 <= spec.grad_threshold:
+            elif n2 <= GRAD_CUTOFF:
                 assert bound == 0.0 and got.tobytes() == np.zeros(len(g)).tobytes()
 
     @pytest.mark.parametrize("kind", ["gf", "rgf", "sgf"])
@@ -275,24 +272,22 @@ class TestResolvedField:
 
     @pytest.mark.parametrize("kind", ["gf", "rgf", "sgf"])
     def test_norm_at_or_below_cutoff_gives_exact_zeros(self, kind):
-        g = np.array([-3e-4, 4e-4])
-        for threshold in (5e-4, 1e-3):  # at, then above, ||g|| = 5e-4
-            if kind == "gf":
-                # gf has no cutoff: it refuses one and gives -g at every norm,
-                # here 5e-4, 5e-13 (below the default cutoff) and 0
-                with pytest.raises(ValueError, match="^plain gradient flow does not take "
-                                                     "grad_threshold$"):
-                    FlowSpec(kind, grad_threshold=threshold)
-                for tiny in (g, g * 1e-9, g * 0.0):
-                    v, bound = FlowSpec(kind)._velocity_and_bound(tiny, norm2(tiny))
-                    assert v.tobytes() == (-tiny).tobytes() and bound == norm2(tiny)
-                continue
-            spec = FlowSpec(kind, q=2.5, c=3.0, grad_threshold=threshold)
+        # norms at the cutoff, below it and 0; gf has no cutoff and gives -g
+        spec = FlowSpec(kind) if kind == "gf" else FlowSpec(kind, q=2.5, c=3.0)
+        at = np.array([-GRAD_CUTOFF])
+        assert norm2(at) == GRAD_CUTOFF
+        for g in (at, np.array([-3e-13, 4e-13]), np.zeros(2)):
             v, bound = spec._velocity_and_bound(g, norm2(g))
-            assert v.tobytes() == np.zeros(2).tobytes() and bound == 0.0
+            if kind == "gf":
+                assert v.tobytes() == (-g).tobytes() and bound == norm2(g)
+            else:
+                assert v.tobytes() == np.zeros_like(g).tobytes() and bound == 0.0
+        # one ulp above the cutoff every field moves
+        above = np.array([-math.nextafter(GRAD_CUTOFF, 1.0)])
+        assert spec._velocity_and_bound(above)[1] > 0.0
 
     def test_copies_rebuild_the_field(self):
-        spec = FlowSpec("sgf", q=4.0, c=0.5, grad_threshold=1e-9)
+        spec = FlowSpec("sgf", q=4.0, c=0.5)
         g = np.array([0.3, -1.2, 0.0])
         want = flow_eval(spec, g).tobytes()
         for other in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
@@ -330,7 +325,6 @@ def outcome(spec, g, *n2):
     return v.tobytes(), bound
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestSignedFieldShortcut:
     """Without a norm, ``sgf`` settles its cutoff and finiteness tests from
     the l1 norm when it can; the velocity, the bound and every NumericalFailure
@@ -339,26 +333,24 @@ class TestSignedFieldShortcut:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(data=st.data(), d=st.integers(min_value=1, max_value=8),
            q=st.sampled_from([1.5, 2.2, 3.0, 6.0, 10.0, math.inf]),
-           c=st.sampled_from([1.0, 2.5e-3, 7.0]),
-           threshold=st.sampled_from([0.0, 1e-300, 1e-12, 1e-3]))
-    def test_either_path_gives_the_same_bits(self, data, d, q, c, threshold):
-        spec = FlowSpec("sgf", q=q, c=c, grad_threshold=threshold)
+           c=st.sampled_from([1.0, 2.5e-3, 7.0]))
+    def test_either_path_gives_the_same_bits(self, data, d, q, c):
+        spec = FlowSpec("sgf", q=q, c=c)
         g = np.array(data.draw(st.lists(STEP_COMPONENT, min_size=d, max_size=d)))
         assert outcome(spec, g) == outcome(spec, g, norm2(g))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
-    @pytest.mark.parametrize("threshold", [1e-12, 1e-3, 0.25])
     @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
-    def test_l1_beside_the_bound(self, d, threshold, ulps):
-        # l1 a few ulps beside 2 sqrt(d) threshold: above it the dot is
-        # skipped, below it taken; ||g||_2 is about 2 threshold either way
-        bound = 2.0 * math.sqrt(d) * threshold
+    def test_l1_beside_the_bound(self, d, ulps):
+        # l1 a few ulps beside 2 sqrt(d) times the cutoff: above it the dot
+        # is skipped, below it taken; ||g||_2 is about twice the cutoff
+        bound = 2.0 * math.sqrt(d) * GRAD_CUTOFF
         l1 = bound
         for _ in range(abs(ulps)):
             l1 = math.nextafter(l1, math.inf if ulps > 0 else 0.0)
         g = np.full(d, l1 / d) * np.resize([1.0, -1.0], d)
         l1 = float(np.abs(g).sum())
-        spec = FlowSpec("sgf", q=3.0, c=0.5, grad_threshold=threshold)
+        spec = FlowSpec("sgf", q=3.0, c=0.5)
         DotCounted.calls = 0
         got = outcome(spec, g.view(DotCounted))
         assert DotCounted.calls == (0 if l1 > bound else 1)
@@ -366,9 +358,9 @@ class TestSignedFieldShortcut:
 
     @pytest.mark.parametrize("g", [[1e-310], [5e-324, -5e-324], [1e-170, -1e-170]])
     def test_squares_that_underflow_take_the_dot(self, g):
-        # without a cutoff the dot rounds these norms to zero, which gives
-        # zero velocity; the l1 norm alone would not
-        spec = FlowSpec("sgf", q=3.0, grad_threshold=0.0)
+        # the l1 norm lies below 2 sqrt(d) times the cutoff, and the dot
+        # rounds the squared norm to zero, which gives zero velocity
+        spec = FlowSpec("sgf", q=3.0)
         g = np.array(g)
         assert outcome(spec, g) == outcome(spec, g, norm2(g)) == (np.zeros_like(g).tobytes(), 0.0)
 

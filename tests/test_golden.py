@@ -173,10 +173,10 @@ GOLDEN_ANALYSIS = {
 
 # SHA-256 of repr(load_config(preset)): any change to how a preset parses
 GOLDEN_PRESET_CONFIGS = {
-    "closeness_sweep": "0d22eafeb74c9b0c74c9a3ffff6357930a9754c81673562fdb94f709c0f3f7ac",
-    "mlp_desk": "1a1469b1549c280f27ac6908ca0919e0e7cae761235d214f9e603d0d4f231c82",
-    "quadratic_bounds": "7ddac2941e4dcbf7a88ffb4d5a95fa2990882d9132a81238e6daa9d6994eb6ae",
-    "rosenbrock_fig1": "a4790503674f1fad6f141383e49c87d7982f18c40830686a3fc5a1743cb5f377",
+    "closeness_sweep": "ac316c9155200d2b5ac7f39782bd12c4e02f8c1774441f358aac10ea32d65ae0",
+    "mlp_desk": "85aee32b1d07d9de4e23f8bf1e80c5259314d8633233218b680f4795c95d8f1c",
+    "quadratic_bounds": "31dd3db21a676ceab1ad236490dcf7d8b77ee7010d2a77a658e8b1865ebf29c0",
+    "rosenbrock_fig1": "8bf7208e562e11914914f698c45623e220ace7c915fe8c593b9b4505757f1e2c",
 }
 
 
