@@ -398,6 +398,18 @@ class TestSchemeFields:
                            match=rf"^optimizers\[1\]: scheme '{scheme}' does not take {field}$"):
             load_second_optimizer(tmp_path, dict(node, scheme=scheme))
 
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_FIELDS))
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "epsilon"])
+    def test_adam_constants_are_unknown_keys_to_every_scheme(self, tmp_path, scheme, key):
+        # Adam's moments and epsilon are constants: no scheme, adam
+        # included, takes them, in Python or in a config
+        own = python_fields({k: OFF_DEFAULT[k] for k in SCHEME_FIELDS[scheme]})
+        with pytest.raises(TypeError, match=key):
+            DiscretizerConfig(scheme, eta=0.1, **own, **{key: 0.5})
+        node = {k: OFF_DEFAULT[k] for k in SCHEME_FIELDS[scheme]}
+        with pytest.raises(ConfigError, match=rf"^optimizers\[1\]: unknown keys \['{key}'\]; "):
+            load_second_optimizer(tmp_path, dict(node, scheme=scheme, **{key: 0.5}))
+
     def test_refusal_names_every_field_off_its_default(self):
         with pytest.raises(ValueError, match=r"^scheme 'euler' does not take beta, alphas, betas$"):
             DiscretizerConfig("euler", eta=0.1, beta=0.5, flow=FlowSpec("rgf", q=3.0),

@@ -340,15 +340,20 @@ class TestSignedFieldShortcut:
         assert outcome(spec, g) == outcome(spec, g, norm2(g))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("shape", ["even", "ramp", "spike"])
     @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
-    def test_l1_beside_the_bound(self, d, ulps):
+    def test_l1_beside_the_bound(self, d, shape, ulps):
         # l1 a few ulps beside 2 sqrt(d) times the cutoff: above it the dot
-        # is skipped, below it taken; ||g||_2 is about twice the cutoff
+        # is skipped, below it taken, whatever the spread of the components;
+        # even components give the least ||g||_2, about twice the cutoff,
+        # and one spike the most, 2 sqrt(d) times it
         bound = 2.0 * math.sqrt(d) * GRAD_CUTOFF
         l1 = bound
         for _ in range(abs(ulps)):
             l1 = math.nextafter(l1, math.inf if ulps > 0 else 0.0)
-        g = np.full(d, l1 / d) * np.resize([1.0, -1.0], d)
+        weights = {"even": np.ones(d), "ramp": np.arange(1.0, d + 1.0),
+                   "spike": np.eye(1, d).ravel()}[shape]
+        g = l1 * weights / weights.sum() * np.resize([1.0, -1.0], d)
         l1 = float(np.abs(g).sum())
         spec = FlowSpec("sgf", q=3.0, c=0.5)
         DotCounted.calls = 0
