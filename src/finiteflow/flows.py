@@ -32,7 +32,7 @@ FLOW_KINDS = ("gf", "rgf", "sgf")
 GRAD_CUTOFF = 1e-12  # the stationarity cutoff of rgf and sgf
 
 class NumericalFailure(ValueError):
-    """A step met a non-finite gradient or produced a non-finite iterate."""
+    """A flow field, the one place it is raised, met a non-finite gradient or speed."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,9 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
     from ``norm2`` only when that square overflows. sgf skips the ``dot``
     when its l1 norm settles both tests below, as ||g||_2 >= ||g||_1 / sqrt(d).
 
-    A non-finite norm raises NumericalFailure. gf gives -g at every finite
+    A non-finite norm raises NumericalFailure, and so does a non-finite sgf
+    speed ``pw * c``; an l1 sum that overflows is inf, also where numpy's
+    overflow warning is raised as an error. gf gives -g at every finite
     norm; rgf and sgf give exact zeros with bound 0 at or below the cutoff.
     Each velocity is one array product, with the bits of (g * s) * -c and
     (sign(g) * pw) * -c: negation is exact, and so is sign(g) * pw, as sign(g)
@@ -112,7 +114,7 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
     ``n2 * s * c`` for rgf, and ``sqrt(d) * pw * c`` for sgf, whose every
     component is 0 or +-(pw * c). It can fall short of ``norm2(v)`` only by
     rounding, under a relative 1e-6 for any dimension below about 1e9."""
-    kind, c, cutoff = spec.kind, spec.c, GRAD_CUTOFF
+    kind, c, cutoff, inf = spec.kind, spec.c, GRAD_CUTOFF, math.inf
     gf, rgf, sgf, unit = kind == "gf", kind == "rgf", kind == "sgf", c == 1.0
     neg_exponent, exponent = -spec.rgf_exponent(), spec.sgf_exponent()
     scale, neg_c = np.array(0.0), np.array(-c)
@@ -123,8 +125,12 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
     def velocity_and_bound(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
         if sgf:
             # np.add.reduce is ndarray.sum without its Python wrapper, to the bit
-            l1, root_d = float(np.add.reduce(np.abs(g))), math.sqrt(g.size)
-            if n2 is None and l1_floor * root_d < l1 < math.inf:
+            try:
+                l1 = float(np.add.reduce(np.abs(g)))
+            except RuntimeWarning:  # numpy's overflow warning, raised where warnings are errors
+                l1 = inf
+            root_d = math.sqrt(g.size)
+            if n2 is None and l1_floor * root_d < l1 < inf:
                 n2 = l1  # passes the two tests below, as the norm would
         if n2 is None:
             try:
@@ -144,6 +150,8 @@ def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
             scale[()] = -s if unit else s
             return (g * scale, n2 * s) if unit else (g * scale * neg_c, n2 * s * c)
         pwc = l1 ** exponent * c
+        if not pwc < inf:
+            raise NumericalFailure(f"non-finite speed of {kind} flow at gradient {g!r}")
         scale[()] = -pwc
         return np.sign(g) * scale, root_d * pwc
 

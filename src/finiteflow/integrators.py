@@ -12,8 +12,8 @@ classical RK4, written out.
 
 Each step builder and each reference run binds its flow's resolved field
 (``FlowSpec._velocity_and_bound``) once; a first stage passes it the norm
-the record pass took. A step checks its iterate's components only when
-the iterate's squared norm is not finite.
+the record pass took. A step returns its iterate unchecked; the run loop
+checks each new iterate, once.
 """
 
 from __future__ import annotations
@@ -147,16 +147,6 @@ def init_state(x0: np.ndarray) -> StepperState:
     return StepperState(x=x0, y=zeros.copy(), m=zeros.copy(), v=zeros.copy(), k=0)
 
 
-def _ensure_finite(x: np.ndarray, scheme: str) -> None:
-    # a finite squared norm proves every component finite
-    try:
-        finite = math.isfinite(float(x.dot(x)))
-    except RuntimeWarning:  # numpy's overflow warning, raised where warnings are errors
-        finite = False
-    if not finite and not np.all(np.isfinite(x)):
-        raise NumericalFailure(f"{scheme} step produced a non-finite iterate")
-
-
 def _tableau_step(cfg: DiscretizerConfig) -> Step:
     """Runge-Kutta step of the configured flow in the paper's family
     ``cfg.betas`` and ``cfg.alphas``, for every stage count.
@@ -172,7 +162,7 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
     call, and rounds as it would with that float. Euler and gd have one
     stage of weight 1 and no pair, so their step is ``x + v_0 * h``."""
     flow_field = (_GRADIENT_FLOW if cfg.flow is None else cfg.flow)._velocity_and_bound
-    h, scheme = np.array(cfg.eta, dtype=float), cfg.scheme
+    h = np.array(cfg.eta, dtype=float)
 
     def factor(c: float) -> np.ndarray | None:
         return None if c == 1.0 else np.array(c, dtype=float)
@@ -197,9 +187,7 @@ def _tableau_step(cfg: DiscretizerConfig) -> Step:
             if alpha:
                 term = v if a is None else v * a
                 total = term if total is None else total + term
-        x_next = x + total * h
-        _ensure_finite(x_next, scheme)
-        return StepperState(x_next, state.y, state.m, state.v, state.k + 1)
+        return StepperState(x + total * h, state.y, state.m, state.v, state.k + 1)
 
     return step
 
@@ -213,13 +201,11 @@ def _look_ahead_step(cfg: DiscretizerConfig) -> Step:
     """
     flow_field = (_GRADIENT_FLOW if cfg.flow is None else cfg.flow)._velocity_and_bound
     eta, beta = np.array(cfg.eta, dtype=float), np.array(cfg.beta, dtype=float)
-    scheme = cfg.scheme
 
     def step(_cfg, obj, state, grad=None, grad_norm=None):
         look_ahead = state.x + beta * state.y
         v = flow_field(np.asarray(obj.gradient(look_ahead), dtype=float))[0]
         x_next = look_ahead + eta * v
-        _ensure_finite(x_next, scheme)
         return StepperState(x_next, x_next - state.x, state.m, state.v, state.k + 1)
 
     return step
@@ -237,7 +223,6 @@ def _adam_step(cfg: DiscretizerConfig) -> Step:
         m_hat = m / (1.0 - beta1 ** k_next)
         v_hat = v / (1.0 - beta2 ** k_next)
         x_next = state.x - eta * m_hat / (np.sqrt(v_hat) + epsilon)
-        _ensure_finite(x_next, "adam")
         return StepperState(x_next, state.y, m, v, k_next)
 
     return step
@@ -261,7 +246,8 @@ def make_step(cfg: DiscretizerConfig) -> Step:
     own ``cfg`` argument only keeps the signature of a plain step function.
     ``grad`` and ``grad_norm``, when given, must be the float64 gradient at
     ``state.x`` and its Euclidean norm; they save re-evaluating what the
-    caller has already observed.
+    caller has already observed. A step may return a non-finite iterate,
+    where ``run`` ends; only its flow field raises NumericalFailure.
     """
     return _SCHEME_TABLE[cfg.scheme][0](cfg)
 
@@ -322,6 +308,17 @@ def _cycle_start(xs: np.ndarray, period: int) -> int:
     return int(moved[-1]) + 1 if len(moved) else 0
 
 
+def _l1_rows(g: np.ndarray) -> np.ndarray:
+    """The l1 norms along the last axis of ``g``, to the bits of
+    ``np.abs(g).sum(-1)``; inf where a sum overflows, also where numpy's
+    overflow warning is raised as an error."""
+    try:  # np.add.reduce is ndarray.sum without its Python wrapper
+        return np.add.reduce(np.abs(g), axis=-1)
+    except RuntimeWarning:
+        with np.errstate(over="ignore"):
+            return np.add.reduce(np.abs(g), axis=-1)
+
+
 def _costs_of_rows(obj: Objective, xs: np.ndarray, fs: np.ndarray, gn1s: np.ndarray,
                    n: int) -> int | None:
     """Fill ``fs[:n]`` and ``gn1s[:n]`` from ``obj.value_and_grad_rows`` on
@@ -342,14 +339,12 @@ def _costs_of_rows(obj: Objective, xs: np.ndarray, fs: np.ndarray, gn1s: np.ndar
                     fs[i], g = obj.value_and_grad(xs[i])
                 except ArithmeticError:
                     return i
-                # np.add.reduce is ndarray.sum without its Python wrapper
-                gn1s[i] = np.add.reduce(np.abs(g))
+                gn1s[i] = _l1_rows(g)
                 if not math.isfinite(fs[i]):
                     return i + 1
             raise
         fs[lo:hi] = f
-        # each row's reduction along the last axis is that row's l1 norm
-        gn1s[lo:hi] = np.add.reduce(np.abs(g), axis=1)
+        gn1s[lo:hi] = _l1_rows(g)
         bad = np.flatnonzero(~np.isfinite(f))
         if len(bad):
             return lo + int(bad[0]) + 1
@@ -365,8 +360,8 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     Iterate k is recorded at time k*dt with its cost, gradient norms and wall
     seconds. The run ends as numerical_failure, keeping every iterate
     recorded so far, when a recorded cost or gradient is not finite, when
-    the objective raises an ArithmeticError, or when a step raises
-    NumericalFailure.
+    the objective raises an ArithmeticError or the flow field
+    NumericalFailure, or at the first non-finite iterate ``advance`` returns.
 
     ``repeats`` promises that, from row 1 on, the next x is a pure function
     of the last two rows. The loop then compares each row and the row before
@@ -409,7 +404,7 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     # which passes the tests on f, until the rows' costs are taken after it
     per_row, f = f_tol > 0 or not obj.closed_rows, 0.0
     # a row within these open bounds meets no stop rule; a nan is within none
-    inf = math.inf
+    inf, isfinite = math.inf, math.isfinite
     gn2_lo, gap_lo = (tol if tol > 0 else -inf for tol in (grad_tol, f_tol))
     n = 0  # rows recorded; the next row is iterate k = n
     period = None
@@ -430,7 +425,7 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
                 fs[n] = f
                 grads[n % chunk] = g
                 if n % chunk == last:
-                    gn1s[n - last:n + 1] = np.add.reduce(np.abs(grads), axis=1)
+                    gn1s[n - last:n + 1] = _l1_rows(grads)
             else:
                 g = gradient(x)
             gn2 = norm2(g)
@@ -442,7 +437,7 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
                 # the stop rules, in the order StopCriteria documents, test the
                 # bounds above; f_star is finite, so a finite row fails one
                 reason = (TERMINAL_NUMERICAL_FAILURE
-                          if not (math.isfinite(f) and math.isfinite(gn2))
+                          if not (isfinite(f) and isfinite(gn2))
                           else TERMINAL_GRAD_TOL if gn2 <= gn2_lo
                           else TERMINAL_F_TOL if f - f_star <= gap_lo
                           else TERMINAL_MAX_ITERS)
@@ -454,12 +449,17 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
             if n - 1 == next_anchor:
                 anchor, anchor_gn2, next_anchor = n - 1, gn2, next_anchor + _ANCHOR_EVERY
             x = advance(x, g, gn2)
+            try:  # a finite squared norm proves the new iterate finite
+                finite = isfinite(x.dot(x))
+            except RuntimeWarning:  # numpy's overflow warning, raised as an error
+                finite = False
+            if not (finite or np.all(np.isfinite(x))):
+                reason = TERMINAL_NUMERICAL_FAILURE
+                break
     except (NumericalFailure, ArithmeticError):
         reason = TERMINAL_NUMERICAL_FAILURE
     if per_row:
-        # row by row this is np.abs(g).sum() of each gradient, to the bit;
-        # np.add.reduce is ndarray.sum without its Python wrapper
-        gn1s[n - n % chunk:n] = np.add.reduce(np.abs(grads[:n % chunk]), axis=1)
+        gn1s[n - n % chunk:n] = _l1_rows(grads[:n % chunk])
     else:
         kept = _costs_of_rows(obj, xs, fs, gn1s, n)
         if kept is not None:
@@ -598,9 +598,7 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         v2 = stage(x + v1 * half * h)
         v3 = stage(x + v2 * half * h)
         v4 = stage(x + v3 * h)
-        x_next = x + (v1 * sixth + v2 * third + v3 * third + v4 * sixth) * h
-        _ensure_finite(x_next, "reference")
         prev_x = x
-        return x_next
+        return x + (v1 * sixth + v2 * third + v3 * third + v4 * sixth) * h
 
     return _record_until_stop(obj, x, h_ref, stop, advance, repeats=True)

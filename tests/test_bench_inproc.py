@@ -21,6 +21,8 @@ PROBE_NAMES = [
     "objectives.row_calls_us.pth_power", "objectives.row_calls_us.mlp",
     "flows.flow_eval_us.gf", "flows.flow_eval_us.rgf", "flows.flow_eval_us.rgf_c",
     "flows.flow_eval_us.sgf",
+    "integrators.step_us.euler", "integrators.step_us.rk", "integrators.step_us.nesterov",
+    "integrators.step_us.gd", "integrators.step_us.nagd", "integrators.step_us.adam",
     "integrators.run_row_us.euler", "integrators.run_row_us.rk",
     "integrators.run_row_us.nesterov", "integrators.run_row_us.gd",
     "integrators.run_row_us.nagd", "integrators.run_row_us.adam",
@@ -36,6 +38,8 @@ def test_probe_names_and_units():
     units = {name: unit for name, (unit, _) in bench_inproc.PROBES.items()}
     assert units["objectives.row_calls_us.mlp"] == "us"
     assert units["integrators.run_row_us.gd"] == "us/row"
+    assert all(units[f"integrators.step_us.{s}"] == "us"
+               for s in ("euler", "rk", "nesterov", "gd", "nagd", "adam"))
     assert units["bench.run_experiment_s.banana_sweep"] == "s"
 
 
@@ -46,6 +50,33 @@ def test_every_probe_builds_and_measures_on_this_checkout(tmp_path):
     # run probes check that their runs do not cycle
     for name in PROBE_NAMES[:-1]:
         assert measures[name]() > 0, name
+
+
+def test_step_probe_takes_bare_steps_restarted_every_run_of_steps(tmp_path, monkeypatch):
+    # runs of 10 steps instead of 1,000, so that a timing takes several
+    monkeypatch.setattr(bench_inproc, "_RUN_ROWS", 10)
+    ks, starts = [], []
+
+    def make_step(cfg):
+        step = finiteflow.integrators.make_step(cfg)
+
+        def counted(*args):
+            assert len(args) == 3  # no gradient given
+            state = step(*args)
+            ks.append(state.k)
+            return state
+        return counted
+
+    def init_state(x0):
+        starts.append(x0.tolist())
+        return finiteflow.init_state(x0)
+
+    package = types.SimpleNamespace(**{n: getattr(finiteflow, n) for n in finiteflow.__all__})
+    package.integrators = types.SimpleNamespace(make_step=make_step)
+    package.init_state = init_state
+    assert bench_inproc.PROBES["integrators.step_us.nesterov"][1](package, tmp_path)() > 0
+    assert len(ks) > 10 and ks == [i % 10 + 1 for i in range(len(ks))]
+    assert starts == [[-1.0, 2.0]] * (len(ks) // 10 + 1)
 
 
 @pytest.mark.parametrize("dim", ["d1", "d2"])

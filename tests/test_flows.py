@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -151,7 +152,10 @@ def two_product_velocity(spec, g, n2):
         return np.zeros_like(g)
     if spec.kind == "rgf":
         return (g * n2 ** -spec.rgf_exponent()) * -spec.c
-    return (np.sign(g) * float(np.abs(g).sum()) ** spec.sgf_exponent()) * -spec.c
+    pw = float(np.abs(g).sum()) ** spec.sgf_exponent()
+    if not math.isfinite(pw * spec.c):
+        raise NumericalFailure(f"non-finite speed of sgf flow at gradient {g!r}")
+    return (np.sign(g) * pw) * -spec.c
 
 
 class TestVelocityProducts:
@@ -162,9 +166,9 @@ class TestVelocityProducts:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 want = two_product_velocity(spec, g, n2)
-            except OverflowError:
+            except (NumericalFailure, OverflowError) as exc:
                 # the scale itself overflows, before any product
-                with pytest.raises(OverflowError):
+                with pytest.raises(type(exc)):
                     spec._velocity_and_bound(g, n2)[0]
                 return
             got = spec._velocity_and_bound(g, n2)[0]
@@ -231,6 +235,8 @@ def py_velocity(spec, g, n2, l1):
         s = n2 ** -(1.0 if math.isinf(spec.q) else (spec.q - 2.0) / (spec.q - 1.0))
         return [gi * s * -spec.c for gi in g]
     pwc = l1 ** (0.0 if math.isinf(spec.q) else 1.0 / (spec.q - 1.0)) * spec.c
+    if not math.isfinite(pwc):
+        raise NumericalFailure(f"non-finite speed of sgf flow at gradient {np.array(g)!r}")
     return [(1.0 if gi > 0 else -1.0 if gi < 0 else 0.0) * -pwc for gi in g]
 
 
@@ -243,9 +249,9 @@ class TestResolvedField:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 want = py_velocity(spec, g, n2, l1)
-            except OverflowError:
-                # the power of the norm overflows, before any product
-                with pytest.raises(OverflowError):
+            except (NumericalFailure, OverflowError) as exc:
+                # the power of the norm or the speed overflows, before any product
+                with pytest.raises(type(exc)):
                     spec._velocity_and_bound(arr, n2)[0]
                 return
             got = spec._velocity_and_bound(arr, n2)[0]
@@ -379,3 +385,40 @@ class TestSignedFieldShortcut:
         spec = FlowSpec("sgf", q=3.0, c=2.0)
         want = (NumericalFailure, f"non-finite gradient passed to sgf flow: {g!r}")
         assert outcome(spec, g) == outcome(spec, g, norm2(g)) == want
+
+
+class TestOverflowingL1:
+    """Where the l1 sum of a finite gradient overflows, sgf gives what it
+    gives with numpy's warnings ignored when that is finite: the pure sign
+    field at q = inf. Where its speed ||g||_1^(1/(q-1)) * c is not finite it
+    raises NumericalFailure before any product, so a zero component never
+    meets 0 * inf. Both hold under this suite's error::RuntimeWarning
+    filter, with the norm given and without."""
+
+    @staticmethod
+    def outcomes(spec, g):
+        """The field's outcome without the norm, with it, and without it
+        with numpy's warnings ignored."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ignored = outcome(spec, g)
+        return outcome(spec, g), outcome(spec, g, norm2(g)), ignored
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g", [[1e308, -1e308], [1e308, 0.0, -1e308]], ids=["full", "zero"])
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    def test_sign_field_at_infinite_q(self, g, c):
+        spec, g = FlowSpec("sgf", c=c), np.array(g)
+        want = ((np.sign(g) * -c).tobytes(), math.sqrt(len(g)) * c)
+        assert self.outcomes(spec, g) == (want,) * 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q,c,g", [
+        (3.0, 1.0, [1e308, -1e308]), (3.0, 1.0, [1e308, 0.0, -1e308]),
+        (10.0, 1e-3, [1e308, 0.0, -1e308]),
+        # the l1 norm is finite and its speed overflows by the factor c
+        (2.0, 10.0, [1e308, 0.0])])
+    def test_nonfinite_speed_raises(self, q, c, g):
+        spec, g = FlowSpec("sgf", q=q, c=c), np.array(g)
+        want = (NumericalFailure, f"non-finite speed of sgf flow at gradient {g!r}")
+        assert self.outcomes(spec, g) == (want,) * 3

@@ -1,5 +1,6 @@
 import math
 import types
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -580,7 +581,7 @@ class TestRun:
 
     def test_overflowing_squared_norms_take_the_rescaled_paths(self):
         # components of 1e155 overflow a squared norm, not the vector: the
-        # record pass, the step's finiteness check and the reference's stage
+        # record pass, the loop's iterate check and the reference's stage
         # norms all take their rescaled paths, also where numpy's overflow
         # warning is raised as an error, as under this suite's filter
         steep = Objective(dimension=2, value=lambda x: float(x.sum()),
@@ -605,7 +606,7 @@ class TestRun:
     def test_overflow_warning_raised_as_an_error_takes_the_rescaled_paths(self, cfg):
         # the cost stays finite while the squares of the gradient and of the
         # iterate overflow: the record pass, the look-ahead field's own dot
-        # and the step's finiteness check each catch numpy's warning
+        # and the loop's iterate check each catch numpy's warning
         steep = Objective(dimension=2, value=lambda x: 1.0,
                           gradient=lambda x: np.array([1e200, 1e200]))
         traj = run(cfg, steep, np.array([1e200, 1e200]), StopCriteria(max_iters=5))
@@ -1365,7 +1366,7 @@ class TestCostsAfterTheLoop:
     @pytest.mark.parametrize("case", ["diverging", "x0"])
     def test_overflow_raise_keeps_the_same_rows(self, case):
         # from x0, the cost's square raises and the gradient's, with mu =
-        # 1e-10, does not; the step's finiteness check then raises too
+        # 1e-10, does not; the loop's iterate check then raises too
         cfg, obj, x0 = DIVERGING if case == "diverging" else (
             DiscretizerConfig(scheme="gd", eta=0.1), make_quadratic(1e-10, 2),
             np.array([1e155, 1.0]))
@@ -1436,3 +1437,137 @@ class TestReductionIdentities:
                 for cfg in identity_pairs(eta, beta, flow)[pair])
         assert_same_rows(a, b)
         assert (a.cycle_start, a.cycle_period) == (b.cycle_start, b.cycle_period)
+
+
+def downhill(closed):
+    """Cost 0 and gradient -1 at every x in 1-D, so every flow here moves x
+    by the step size times 1; ``closed`` adds a closed batched form."""
+    return Objective(dimension=1, value=lambda x: 0.0, gradient=lambda x: np.array([-1.0]),
+                     fused_rows=(lambda xs: (np.zeros(len(xs)), np.full(xs.shape, -1.0)))
+                     if closed else None)
+
+
+# one run per former home of the iterate check, each stepping by about 1e308
+# from x = 0, so that its second step overflows: the Runge-Kutta step
+# (euler, rk, gd), the look-ahead step (nesterov, nagd), Adam, whose first
+# steps move by about eta, and the reference's RK4
+OVERFLOWING_STEPS = {
+    "euler": DiscretizerConfig(scheme="euler", eta=1e308, flow=FlowSpec("sgf")),
+    "rk": DiscretizerConfig(scheme="rk", eta=1e308, alphas=(0.5, 0.5), betas=(1.0,),
+                            flow=FlowSpec("rgf")),
+    "gd": DiscretizerConfig(scheme="gd", eta=1e308),
+    "nesterov": DiscretizerConfig(scheme="nesterov", eta=1e308, beta=0.5,
+                                  flow=FlowSpec("rgf")),
+    "nagd": DiscretizerConfig(scheme="nagd", eta=1e308, beta=0.5),
+    "adam": DiscretizerConfig(scheme="adam", eta=1e308),
+}
+OVERFLOWING_RUNS = {**{name: _scheme(cfg) for name, cfg in OVERFLOWING_STEPS.items()},
+                    "reference": _reference(FlowSpec("rgf"), 1e308)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestIterateCheck:
+    """A step returns its iterate unchecked. The run loop checks each new
+    iterate once and ends the run as numerical_failure at the first one that
+    is not finite, keeping exactly the rows before it, on the per-row path
+    and where the costs come after the loop."""
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["per_row", "closed_rows"])
+    @pytest.mark.parametrize("name", list(OVERFLOWING_RUNS))
+    def test_nonfinite_iterate_ends_the_run_before_its_row(self, name, closed):
+        obj = downhill(closed)
+        assert obj.closed_rows == closed
+        traj = OVERFLOWING_RUNS[name](obj, np.zeros(1), StopCriteria(max_iters=10))
+        assert traj.terminal_reason == "numerical_failure" and len(traj) == 2
+        assert traj.x[0, 0] == 0.0 and 0.99e308 < traj.x[1, 0] < math.inf
+        assert traj.f.tolist() == [0.0, 0.0]
+        assert traj.grad_norm2.tolist() == traj.grad_norm1.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("name", list(OVERFLOWING_STEPS))
+    def test_a_step_returns_the_nonfinite_iterate(self, name):
+        cfg = OVERFLOWING_STEPS[name]
+        step, state = make_step(cfg), init_state(np.zeros(1))
+        for _ in range(2):
+            state = step(cfg, downhill(False), state)
+        assert state.x.tolist() == [math.inf] and state.k == 2
+
+    @pytest.mark.parametrize("flow", [FlowSpec("gf"), FlowSpec("rgf"), FlowSpec("sgf")],
+                             ids=lambda f: f.kind)
+    def test_the_field_still_raises_on_a_nonfinite_gradient(self, flow):
+        with pytest.raises(NumericalFailure, match=f"non-finite gradient passed to {flow.kind}"):
+            flow_eval(flow, np.array([math.inf]))
+
+
+def overflowing_l1(gradient=(1e308, 1e308), closed=False, fails_below=-math.inf):
+    """Cost 1.0 and a constant finite gradient whose l1 sum overflows while
+    its Euclidean norm does not; the cost raises FloatingPointError where
+    x[0] < ``fails_below``. ``closed`` adds a closed batched form."""
+    g = np.array(gradient)
+
+    def fused(x):
+        if x[0] < fails_below:
+            raise FloatingPointError("the cost fails below the line")
+        return 1.0, g.copy()
+
+    def fused_rows(xs):
+        return np.array([fused(x)[0] for x in xs]), np.tile(g, (len(xs), 1))
+
+    return Objective(dimension=len(g), value=lambda x: fused(x)[0],
+                     gradient=lambda x: g.copy(), fused=fused,
+                     fused_rows=fused_rows if closed else None)
+
+
+def with_warnings_ignored(go, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return go(*args)
+
+
+# (scheme, why it ends) at eta = 1e-300, which moves gd by 1e8 per row:
+# sgf's speed at q = 3 is not finite, and at q = inf it is the sign field
+L1_RUNS = {
+    "gd": (DiscretizerConfig(scheme="gd", eta=1e-300), "max_iters"),
+    "euler_sgf_q3": (DiscretizerConfig(scheme="euler", eta=1e-300, flow=FlowSpec("sgf", q=3.0)),
+                     "numerical_failure"),
+    "euler_sgf": (DiscretizerConfig(scheme="euler", eta=1e-300, flow=FlowSpec("sgf")),
+                  "max_iters"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingL1:
+    """A finite gradient whose l1 sum overflows is recorded with grad_norm1
+    = inf. Under this suite's error::RuntimeWarning filter a run ends as it
+    does with numpy's warnings ignored, row for row, on the per-row path and
+    where the costs come after the loop."""
+
+    @pytest.mark.parametrize("gradient", [(1e308, 1e308), (1e308, 0.0, 1e308)],
+                             ids=["full", "zero"])
+    @pytest.mark.parametrize("closed", [False, True], ids=["per_row", "closed_rows"])
+    # 3 rows meet only the tail flush of the l1 norms, 71 a chunk flush first
+    @pytest.mark.parametrize("max_iters", [2, 70])
+    @pytest.mark.parametrize("name", list(L1_RUNS))
+    def test_run_ends_as_with_warnings_ignored(self, name, max_iters, closed, gradient):
+        (cfg, reason), obj = L1_RUNS[name], overflowing_l1(gradient, closed)
+        x0, stop = np.ones(len(gradient)), StopCriteria(max_iters=max_iters)
+        traj = run(cfg, obj, x0, stop)
+        assert_same_rows(traj, with_warnings_ignored(run, cfg, obj, x0, stop))
+        assert traj.terminal_reason == reason
+        assert len(traj) == (1 if reason == "numerical_failure" else max_iters + 1)
+        assert np.all(traj.grad_norm1 == math.inf)
+        assert np.all(traj.grad_norm2 == norm2(np.array(gradient)))
+
+    @pytest.mark.parametrize("elements", [None, 4])
+    def test_one_row_retry_ends_as_with_warnings_ignored(self, monkeypatch, elements):
+        # gd puts x[0] at 1 - 1e8 k; the cost fails from row 3 on, so the
+        # batched call that holds row 3 raises and its rows are taken one
+        # at a time; 4 elements make blocks of two rows, the first batched
+        if elements is not None:
+            monkeypatch.setattr(integrators, "_ROWS_CALL_ELEMENTS", elements)
+        obj = overflowing_l1(closed=True, fails_below=-2.5e8)
+        cfg, x0, stop = L1_RUNS["gd"][0], np.ones(2), StopCriteria(max_iters=70)
+        traj = run(cfg, obj, x0, stop)
+        assert_same_rows(traj, with_warnings_ignored(run, cfg, obj, x0, stop))
+        assert_same_rows(traj, run(cfg, replace(obj), x0, stop))
+        assert (traj.terminal_reason, len(traj)) == ("numerical_failure", 3)
+        assert traj.grad_norm1.tolist() == [math.inf] * 3

@@ -11,6 +11,10 @@ sides alternate probe by probe in that order). The probes:
 - ``flows.flow_eval_us.<kind>``: one ``flow_eval`` call, with no norm given,
   on the banana's gradient at (-1, 2), for ``gf``, ``rgf`` with q = 3,
   ``rgf_c`` (q = 3, c = 1.5) and ``sgf`` with q = 3;
+- ``integrators.step_us.<scheme>``: one bare step of ``make_step`` with no
+  gradient given, on the banana valley (a = 1, b = 0.2) from (-1, 2),
+  restarted from ``init_state`` every 1,000 steps, so a change that moves
+  work between a step and the run loop shows on both sides of it;
 - ``integrators.run_row_us.<scheme>``: one recorded row of ``run`` on the
   banana valley (a = 1, b = 0.2) from (-1, 2), where no scheme cycles
   within the probe (checked on every run);
@@ -76,6 +80,7 @@ _REFERENCES = {"d1": ((1.0,), 1e-4), "d2": ((1.0, 1.0), 2.5e-4)}
 # the FlowSpec of each flow_eval probe, as (kind, q and c)
 _FLOWS = {"gf": ("gf", {}), "rgf": ("rgf", {"q": 3.0}),
           "rgf_c": ("rgf", {"q": 3.0, "c": 1.5}), "sgf": ("sgf", {"q": 3.0})}
+_SCHEMES = ("euler", "rk", "nesterov", "gd", "nagd", "adam")
 
 
 def load_package(checkout: Path, name: str) -> ModuleType:
@@ -127,6 +132,21 @@ def _flow_eval(name: str) -> Callable:
         spec = ff.FlowSpec(kind, **params)
         grad = ff.make_rosenbrock(1.0, 0.2).gradient(np.array(_BANANA_X0))
         return lambda: per_call_us(lambda: ff.flow_eval(spec, grad))
+    return build
+
+
+def _step(scheme: str) -> Callable:
+    def build(ff, _work):
+        cfg, obj = _scheme_configs(ff)[scheme], ff.make_rosenbrock(1.0, 0.2)
+        step, x0 = ff.integrators.make_step(cfg), np.array(_BANANA_X0)
+        state = ff.init_state(x0)
+
+        def one_step():
+            nonlocal state
+            state = step(cfg, obj, state)
+            if state.k >= _RUN_ROWS:
+                state = ff.init_state(x0)
+        return lambda: per_call_us(one_step)
     return build
 
 
@@ -212,8 +232,8 @@ PROBES: dict[str, tuple[str, Callable]] = {
     **{f"objectives.row_calls_us.{m}": ("us", _row_calls(m))
        for m in ("quadratic", "rosenbrock", "pth_power", "mlp")},
     **{f"flows.flow_eval_us.{k}": ("us", _flow_eval(k)) for k in _FLOWS},
-    **{f"integrators.run_row_us.{s}": ("us/row", _run_row(s))
-       for s in ("euler", "rk", "nesterov", "gd", "nagd", "adam")},
+    **{f"integrators.step_us.{s}": ("us", _step(s)) for s in _SCHEMES},
+    **{f"integrators.run_row_us.{s}": ("us/row", _run_row(s)) for s in _SCHEMES},
     **{f"integrators.reference_step_us.{d}": ("us/step", _reference_step(d))
        for d in _REFERENCES},
     "analysis.closeness_epsilon_us": ("us", _closeness_epsilon),
