@@ -200,25 +200,45 @@ def weak_bound(params: DominanceParams, eta: float, f_gap0: float,
 
 def _one_sided_closeness(ta: np.ndarray, xa: np.ndarray,
                          tb: np.ndarray, xb: np.ndarray) -> float:
-    """max over a-points of min over b-points of max(|dt|, ||dx||)."""
-    right = np.clip(np.searchsorted(tb, ta), 0, len(tb) - 1)
-    left = np.clip(right - 1, 0, len(tb) - 1)
-    best = np.full(len(ta), np.inf)
-    for j in (left, right):
-        cand = np.maximum(np.abs(ta - tb[j]),
-                          np.linalg.norm(xa - xb[j], axis=1))
-        best = np.minimum(best, cand)
+    """max over a-points of min over b-points of max(|dt|, ||dx||), for
+    finite states and sorted ``tb``.
+
+    Each a-point meets the b-points at window offsets from its place in
+    ``tb``. An offset takes the state distance only for the a-points whose
+    |dt| is below their best so far: any other candidate has
+    max(|dt|, ||dx||) >= best, so it cannot lower the minimum. As |dt| only
+    grows away from the a-point, such a point also leaves the farther
+    offsets on that side."""
+    last = len(tb) - 1
+    right = np.clip(np.searchsorted(tb, ta), 0, last)
+
+    def improve(idx: np.ndarray, w: int) -> np.ndarray:
+        """Lower the best of the a-points ``idx`` by their candidates at
+        offset ``w``; return those whose |dt| there was below their best."""
+        j = np.clip(right[idx] + w, 0, last)
+        dt = np.abs(ta[idx] - tb[j])
+        near = np.flatnonzero(dt < best[idx])
+        idx, j, dt = idx[near], j[near], dt[near]
+        best[idx] = np.minimum(best[idx], np.maximum(
+            dt, np.linalg.norm(xa[idx] - xb[j], axis=1)))
+        return idx
+
+    # the nearest b-point on each side of every a-point, taken for all
+    left = np.clip(right - 1, 0, last)
+    dt_left, dt_right = np.abs(ta - tb[left]), np.abs(ta - tb[right])
+    best = np.minimum(np.maximum(dt_left, np.linalg.norm(xa - xb[left], axis=1)),
+                      np.maximum(dt_right, np.linalg.norm(xa - xb[right], axis=1)))
     upper = float(best.max())
 
     spacing = float(np.diff(tb).min()) if len(tb) > 1 else math.inf
     if math.isfinite(spacing) and spacing > 0:
-        width = int(math.ceil(upper / spacing)) + 1
-        width = min(width, len(tb))
-        for w in range(-width, width + 1):
-            j = np.clip(right + w, 0, len(tb) - 1)
-            cand = np.maximum(np.abs(ta - tb[j]),
-                              np.linalg.norm(xa - xb[j], axis=1))
-            best = np.minimum(best, cand)
+        width = min(int(math.ceil(upper / spacing)) + 1, len(tb))
+        for alive, offsets in ((np.flatnonzero(dt_left < best), range(-2, -width - 1, -1)),
+                               (np.flatnonzero(dt_right < best), range(1, width + 1))):
+            for w in offsets:
+                if not len(alive):
+                    break
+                alive = improve(alive, w)
     return float(best.max())
 
 
@@ -232,7 +252,8 @@ def closeness_epsilon(continuous: Trajectory, discrete: Trajectory,
     time. The continuous side is evaluated on its dense sample grid (which
     must have spacing at most eta/10) plus the exact horizon T by linear
     interpolation. The returned value is the exact two-sided minimax, i.e.
-    the infimum of admissible eps.
+    the infimum of admissible eps. Every state in the window must be finite;
+    a nan or inf raises ValueError.
     """
     if not T > 0:
         raise ValueError("horizon T must be positive")
@@ -269,6 +290,8 @@ def closeness_epsilon(continuous: Trajectory, discrete: Trajectory,
 
     td = eta * np.arange(1, K + 1)
     xd = discrete.x[1:K + 1]
+    if not (np.isfinite(xcw).all() and np.isfinite(xd).all()):
+        raise ValueError("closeness needs finite states over [0, T]")
 
     eps_a = _one_sided_closeness(tcw, xcw, td, xd)
     eps_b = _one_sided_closeness(td, xd, tcw, xcw)

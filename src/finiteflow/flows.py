@@ -16,8 +16,9 @@ neither, so it has no cutoff and takes no q or c: its velocity is -g everywhere.
 Each ``FlowSpec`` resolves its field once, when it is built, into one
 function of the gradient (and its Euclidean norm, when the caller has it)
 that returns the velocity together with a scalar bound on the velocity's
-norm, both from the same power of the norm. ``flow_eval`` and the
-integrators' stages call that function directly.
+norm, both from the same power of the norm. There is one such function per
+flow kind (two for rgf: c = 1 and c != 1), so a call makes no test of the
+kind. ``flow_eval`` and the integrators' stages call that function directly.
 """
 
 from __future__ import annotations
@@ -97,62 +98,121 @@ def flow_eval(spec: FlowSpec, grad: np.ndarray) -> np.ndarray:
 
 def _resolve(spec: FlowSpec) -> Callable[..., tuple[np.ndarray, float]]:
     """The field of ``spec`` as ``(g, n2=None) -> (v, bound)`` for a float64
-    gradient ``g``; without ``n2`` the norm is taken from one ``dot``, and
+    gradient ``g``: one straight-line function per flow kind, chosen here,
+    with rgf's choice between one product and two made here too, so a call
+    tests no kind. Without ``n2`` the norm is taken from one ``dot``, and
     from ``norm2`` only when that square overflows. sgf skips the ``dot``
     when its l1 norm settles both tests below, as ||g||_2 >= ||g||_1 / sqrt(d).
 
-    A non-finite norm raises NumericalFailure, and so does a non-finite sgf
-    speed ``pw * c``; an l1 sum that overflows is inf, also where numpy's
-    overflow warning is raised as an error. gf gives -g at every finite
-    norm; rgf and sgf give exact zeros with bound 0 at or below the cutoff.
-    Each velocity is one array product, with the bits of (g * s) * -c and
+    A non-finite norm raises NumericalFailure, and so does a non-finite
+    speed, ``n2 * s * c`` for rgf and ``pw * c`` for sgf, before any array
+    product; an l1 sum that overflows is inf, also where numpy's overflow
+    warning is raised as an error. gf gives -g at every finite norm; rgf and
+    sgf give exact zeros with bound 0 at or below the cutoff. Each velocity
+    is one array product, with the bits of (g * s) * -c and
     (sign(g) * pw) * -c: negation is exact, and so is sign(g) * pw, as sign(g)
-    is +-1 or 0; rgf with c != 1 keeps its two products. The factor is written
-    into the field's float64 0-d ``scale`` (so a field serves one thread at a
-    time), which numpy multiplies by without converting a Python float, to the
-    same bits. The bound is made of scalars: ``n2`` for gf (equal to the bit),
-    ``n2 * s * c`` for rgf, and ``sqrt(d) * pw * c`` for sgf, whose every
-    component is 0 or +-(pw * c). It can fall short of ``norm2(v)`` only by
-    rounding, under a relative 1e-6 for any dimension below about 1e9."""
+    is +-1 or 0; rgf with c != 1 keeps its two products. Where an rgf product
+    still overflows (a caller's ``n2`` below a component's size), numpy's
+    warning, raised as an error, is NumericalFailure too. The factor is
+    written into the field's float64 0-d ``scale`` (so a field serves one
+    thread at a time), which numpy multiplies by without converting a Python
+    float, to the same bits. The bound is made of scalars: ``n2`` for gf
+    (equal to the bit), the speed ``n2 * s * c`` for rgf, and
+    ``sqrt(d) * pw * c`` for sgf, whose every component is 0 or +-(pw * c).
+    It can fall short of ``norm2(v)`` only by rounding, under a relative
+    1e-6 for any dimension below about 1e9."""
     kind, c, cutoff, inf = spec.kind, spec.c, GRAD_CUTOFF, math.inf
-    gf, rgf, sgf, unit = kind == "gf", kind == "rgf", kind == "sgf", c == 1.0
+    isfinite, sqrt = math.isfinite, math.sqrt
     neg_exponent, exponent = -spec.rgf_exponent(), spec.sgf_exponent()
     scale, neg_c = np.array(0.0), np.array(-c)
     # above sqrt(d) times this, the 2-norm exceeds the cutoff with a factor 2
     # for rounding, and its square is a normal float that the dot keeps
     l1_floor = 2.0 * cutoff
 
-    def velocity_and_bound(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
-        if sgf:
-            # np.add.reduce is ndarray.sum without its Python wrapper, to the bit
-            try:
-                l1 = float(np.add.reduce(np.abs(g)))
-            except RuntimeWarning:  # numpy's overflow warning, raised where warnings are errors
-                l1 = inf
-            root_d = math.sqrt(g.size)
-            if n2 is None and l1_floor * root_d < l1 < inf:
-                n2 = l1  # passes the two tests below, as the norm would
+    def gf(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
         if n2 is None:
             try:
                 sq = float(g.dot(g))
             except RuntimeWarning:  # numpy's overflow warning, raised where warnings are errors
-                sq = math.inf
-            n2 = math.sqrt(sq) if math.isfinite(sq) else norm2(g)
-        if not math.isfinite(n2):
-            raise NumericalFailure(f"non-finite gradient passed to {kind} flow: {g!r}")
-        if gf:
-            return -g, n2
+                sq = inf
+            n2 = sqrt(sq) if isfinite(sq) else norm2(g)
+        if not isfinite(n2):
+            raise NumericalFailure(f"non-finite gradient passed to gf flow: {g!r}")
+        return -g, n2
+
+    def rgf(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
+        # c == 1: the velocity is g * -s
+        if n2 is None:
+            try:
+                sq = float(g.dot(g))
+            except RuntimeWarning:
+                sq = inf
+            n2 = sqrt(sq) if isfinite(sq) else norm2(g)
+        if not isfinite(n2):
+            raise NumericalFailure(f"non-finite gradient passed to rgf flow: {g!r}")
         if n2 <= cutoff:
             # stationary point: zero velocity is an admissible solution there
             return np.zeros_like(g), 0.0
-        if rgf:
-            s = n2 ** neg_exponent
-            scale[()] = -s if unit else s
-            return (g * scale, n2 * s) if unit else (g * scale * neg_c, n2 * s * c)
+        s = n2 ** neg_exponent
+        speed = n2 * s
+        if not speed < inf:
+            raise NumericalFailure(f"non-finite speed of rgf flow at gradient {g!r}")
+        scale[()] = -s
+        try:
+            return g * scale, speed
+        except RuntimeWarning:
+            raise NumericalFailure(f"non-finite speed of rgf flow at gradient {g!r}") from None
+
+    def rgf_scaled(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
+        # c != 1: the velocity is (g * s) * -c
+        if n2 is None:
+            try:
+                sq = float(g.dot(g))
+            except RuntimeWarning:
+                sq = inf
+            n2 = sqrt(sq) if isfinite(sq) else norm2(g)
+        if not isfinite(n2):
+            raise NumericalFailure(f"non-finite gradient passed to rgf flow: {g!r}")
+        if n2 <= cutoff:
+            return np.zeros_like(g), 0.0
+        s = n2 ** neg_exponent
+        speed = n2 * s * c
+        if not speed < inf:
+            raise NumericalFailure(f"non-finite speed of rgf flow at gradient {g!r}")
+        scale[()] = s
+        try:
+            return g * scale * neg_c, speed
+        except RuntimeWarning:
+            raise NumericalFailure(f"non-finite speed of rgf flow at gradient {g!r}") from None
+
+    def sgf(g: np.ndarray, n2: float | None = None) -> tuple[np.ndarray, float]:
+        # np.add.reduce is ndarray.sum without its Python wrapper, to the bit
+        try:
+            l1 = float(np.add.reduce(np.abs(g)))
+        except RuntimeWarning:
+            l1 = inf
+        root_d = sqrt(g.size)
+        if n2 is None:
+            if l1_floor * root_d < l1 < inf:
+                n2 = l1  # passes the two tests below, as the norm would
+            else:
+                try:
+                    sq = float(g.dot(g))
+                except RuntimeWarning:
+                    sq = inf
+                n2 = sqrt(sq) if isfinite(sq) else norm2(g)
+        if not isfinite(n2):
+            raise NumericalFailure(f"non-finite gradient passed to sgf flow: {g!r}")
+        if n2 <= cutoff:
+            return np.zeros_like(g), 0.0
         pwc = l1 ** exponent * c
         if not pwc < inf:
-            raise NumericalFailure(f"non-finite speed of {kind} flow at gradient {g!r}")
+            raise NumericalFailure(f"non-finite speed of sgf flow at gradient {g!r}")
         scale[()] = -pwc
         return np.sign(g) * scale, root_d * pwc
 
-    return velocity_and_bound
+    if kind == "gf":
+        return gf
+    if kind == "rgf":
+        return rgf if c == 1.0 else rgf_scaled
+    return sgf

@@ -541,14 +541,17 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
                         h_ref: float, stop: StopCriteria) -> Trajectory:
     """Classical RK4 fixed-step integration of dx/dt = F(grad f(x)).
 
-    Each step is the RK4 update written out, with its factors 1/2, 1/3 and
-    1/6 made float64 0-d arrays once::
+    Each step is the RK4 update written out, its four stages inline, each
+    one call of the flow's resolved field, with the factors 1/2, 1/3 and 1/6
+    made float64 0-d arrays once::
 
         v2 = F(x + v1 * half * h),  v3 = F(x + v2 * half * h),
         v4 = F(x + v3 * h),
         x + (v1 * sixth + v2 * third + v3 * third + v4 * sixth) * h
 
     where the first stage v1 reuses the gradient and norm of the record pass.
+    ``half * h`` stays two products: one factor 0.5 * h would change the
+    bits where a stage velocity is subnormal.
 
     Intended as the near-exact continuous trajectory against which discrete
     runs are compared, so ``h_ref`` should be much smaller than any discrete
@@ -560,7 +563,8 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
     Near arrival the flows are not Lipschitz; any stage whose speed exceeds
     a thousand times the previous per-step displacement rate is clamped to
     that rate, which keeps a single wild stage from hurling the iterate
-    across the equilibrium.
+    across the equilibrium. A stage's velocity norm is taken only when the
+    field's scalar speed bound, times ``_BOUND_SLACK``, exceeds the cap.
 
     The cap reads x_k - x_{k-1}, so the next x is a pure function of the
     last two rows: once a step under a zero cap leaves x's bits unchanged,
@@ -571,22 +575,19 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         raise ValueError("h_ref must be positive")
     x = _checked_start(obj, x0)
     prev_x: np.ndarray | None = None
-    speed_cap: float | None = None
+    # no cap before the first step; an infinite one clamps no stage
+    speed_cap = math.inf
     h = np.array(h_ref, dtype=float)
     half, third, sixth = (np.array(c, dtype=float) for c in (0.5, 1.0 / 3.0, 1.0 / 6.0))
-    flow_field, gradient = flow._velocity_and_bound, obj.gradient
+    flow_field, gradient, asarray, slack = (flow._velocity_and_bound, obj.gradient,
+                                            np.asarray, _BOUND_SLACK)
 
-    def stage(z: np.ndarray, g: np.ndarray | None = None, gn2: float | None = None) -> np.ndarray:
-        """The velocity at z, its speed clamped to the cap; ``g`` and ``gn2``,
-        when given, are z's gradient and its norm. The velocity's norm is
-        taken only when the field's scalar bound leaves the cap in doubt."""
-        if g is None:
-            g = np.asarray(gradient(z), dtype=float)
-        v, bound = flow_field(g, gn2)
-        if speed_cap is not None and bound * _BOUND_SLACK > speed_cap:
-            speed = norm2(v)
-            if speed > speed_cap:
-                v = v * (speed_cap / speed) if speed_cap > 0 else np.zeros_like(v)
+    def clamped(v: np.ndarray) -> np.ndarray:
+        """v with its speed clamped to the cap, for a stage whose scalar bound
+        leaves the cap in doubt."""
+        speed = norm2(v)
+        if speed > speed_cap:
+            return v * (speed_cap / speed) if speed_cap > 0 else np.zeros_like(v)
         return v
 
     def advance(x: np.ndarray, g: np.ndarray, gn2: float) -> np.ndarray:
@@ -594,10 +595,18 @@ def integrate_reference(flow: FlowSpec, obj: Objective, x0: np.ndarray,
         if prev_x is not None:
             speed_cap = norm2(x - prev_x) / h_ref * 1e3
         # the first stage reuses the gradient and norm the record pass computed
-        v1 = stage(x, g, gn2)
-        v2 = stage(x + v1 * half * h)
-        v3 = stage(x + v2 * half * h)
-        v4 = stage(x + v3 * h)
+        v1, bound = flow_field(g, gn2)
+        if bound * slack > speed_cap:
+            v1 = clamped(v1)
+        v2, bound = flow_field(asarray(gradient(x + v1 * half * h), dtype=float))
+        if bound * slack > speed_cap:
+            v2 = clamped(v2)
+        v3, bound = flow_field(asarray(gradient(x + v2 * half * h), dtype=float))
+        if bound * slack > speed_cap:
+            v3 = clamped(v3)
+        v4, bound = flow_field(asarray(gradient(x + v3 * h), dtype=float))
+        if bound * slack > speed_cap:
+            v4 = clamped(v4)
         prev_x = x
         return x + (v1 * sixth + v2 * third + v3 * third + v4 * sixth) * h
 

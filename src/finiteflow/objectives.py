@@ -160,7 +160,9 @@ def make_quadratic(mu: float, dimension: int) -> Objective:
     mu_factor = np.array(mu, dtype=float)
 
     def gradient(x: Vector) -> Vector:
-        return mu_factor * np.asarray(x, dtype=float)
+        # the float64 0-d factor converts a list or an int or float32 array
+        # as np.asarray(x, dtype=float) would, to the same bits
+        return mu_factor * x
 
     def value_and_grad(xs: np.ndarray) -> tuple[Vector, np.ndarray]:
         xs = np.asarray(xs, dtype=float)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finiteflow
 from finiteflow import (DominanceParams, FlowSpec, Objective, OptimumInfo, StopCriteria,
@@ -15,6 +16,7 @@ from finiteflow import (DominanceParams, FlowSpec, Objective, OptimumInfo, StopC
                         integrate_reference, k_star, make_mlp, make_pth_power,
                         make_quadratic, make_rosenbrock, settling_time_bound,
                         verify_envelope, weak_bound)
+from finiteflow.analysis import _one_sided_closeness
 from finiteflow.flows import norm2
 
 P23 = dominance_params(2.0, 1.0, 3.0, 1.0)
@@ -411,6 +413,101 @@ class TestClosenessEpsilon:
         disc = constant_trajectory([0.0, 0.0], 1.0, 0.01, eta=eta)
         with pytest.raises(ValueError, match="coarse"):
             closeness_epsilon(base, disc, T=1.0, eta=eta)
+
+
+def sampled_trajectory(t, x):
+    zeros = np.zeros(len(t))
+    return Trajectory(k=np.arange(len(t)), t=t, x=np.asarray(x, dtype=float), f=zeros.copy(),
+                      grad_norm2=zeros.copy(), grad_norm1=zeros.copy(),
+                      wall_s=zeros.copy(), terminal_reason="max_iters")
+
+
+def brute_sides(continuous, discrete, T, eta):
+    """closeness_epsilon's two one-sided minimaxes over every pair, in
+    Python floats: the continuous samples with t <= T (T on their grid)
+    against the discrete indices 1..K, each distance max(|dt|, sqrt of the
+    squares summed left to right)."""
+    K = math.floor(T / eta + 1e-9)
+    cont = [(t, row) for t, row in zip(continuous.t.tolist(), continuous.x.tolist())
+            if t <= T + 1e-12 * max(1.0, T)]
+    disc = [(eta * k, discrete.x[k].tolist()) for k in range(1, K + 1)]
+
+    def dist(a, b):
+        (ta, xa), (tb, xb) = a, b
+        return max(abs(ta - tb), math.sqrt(sum((u - v) * (u - v) for u, v in zip(xa, xb))))
+
+    def one_side(points, others):
+        return max(min(dist(p, o) for o in others) for p in points)
+
+    return one_side(cont, disc), one_side(disc, cont)
+
+
+@st.composite
+def closeness_cases(draw):
+    # states on a grid of eta / 8, eta / 2 or 2 eta, so that distances often
+    # tie with each other and with time offsets, and the nearest point in
+    # time is often not the nearest in the minimax; at eta = 1 or 0.5 and 16
+    # samples per step the continuous times are dyadic and land exactly on
+    # the discrete ones
+    d = draw(st.integers(min_value=1, max_value=3))
+    eta = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    per_step = draw(st.sampled_from([10, 16]))
+    unit = eta * draw(st.sampled_from([0.125, 0.5, 2.0]))
+    grid = st.integers(min_value=-4, max_value=4).map(lambda i: i * unit)
+    K = draw(st.integers(min_value=1, max_value=5))
+    # the horizon is continuous sample j, at or past K * eta and short of K + 1 steps
+    j = draw(st.integers(min_value=K * per_step, max_value=(K + 1) * per_step - 1))
+    n_c, n_d = j + 1 + draw(st.integers(0, 3)), K + 1 + draw(st.integers(0, 2))
+    tc, td = eta / per_step * np.arange(n_c), eta * np.arange(n_d)
+    rows = lambda n: np.array([draw(st.lists(grid, min_size=d, max_size=d)) for _ in range(n)])
+    # a ramp in the first component, which the discrete side follows a lag
+    # behind: at a slope between 1 and 2 the winning pair lies up to a
+    # whole window away in time
+    slope = draw(st.sampled_from([0.0, 1.25, 4.0]))
+    lag = draw(st.integers(min_value=-per_step, max_value=per_step)) * eta / per_step
+    xc, xd = rows(n_c), rows(n_d)
+    xc[:, 0] += slope * tc
+    xd[:, 0] += slope * (td + lag)
+    return sampled_trajectory(tc, xc), sampled_trajectory(td, xd), float(tc[j]), eta
+
+
+class TestClosenessOracle:
+    """closeness_epsilon equals the minimax over every pair to the bit,
+    and it refuses a non-finite state in the window."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=closeness_cases())
+    def test_equals_the_minimax_over_every_pair(self, case):
+        continuous, discrete, T, eta = case
+        got = closeness_epsilon(continuous, discrete, T=T, eta=eta)
+        assert got.hex() == max(brute_sides(continuous, discrete, T, eta)).hex()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=closeness_cases())
+    def test_each_side_equals_its_minimax_over_every_pair(self, case):
+        # the larger side of the two hides the other from the test above
+        continuous, discrete, T, eta = case
+        window = continuous.t <= T
+        tc, xc = continuous.t[window], continuous.x[window]
+        K = math.floor(T / eta + 1e-9)
+        td, xd = eta * np.arange(1, K + 1), discrete.x[1:K + 1]
+        got = (_one_sided_closeness(tc, xc, td, xd), _one_sided_closeness(td, xd, tc, xc))
+        assert [v.hex() for v in got] == [v.hex() for v in brute_sides(continuous, discrete, T, eta)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["continuous", "discrete"])
+    def test_nonfinite_state_in_the_window_is_refused(self, side, bad):
+        eta, T = 1.0, 2.0
+        continuous = sampled_trajectory(np.arange(41) / 16.0, np.zeros((41, 2)))
+        discrete = sampled_trajectory(np.arange(4.0), np.ones((4, 2)))
+        want = closeness_epsilon(continuous, discrete, T=T, eta=eta)
+        traj = continuous if side == "continuous" else discrete
+        # past the window (t > T, or k > K) a non-finite state is not read
+        traj.x[-1, 0] = bad
+        assert closeness_epsilon(continuous, discrete, T=T, eta=eta) == want
+        traj.x[1, 1] = bad
+        with pytest.raises(ValueError, match="finite states"):
+            closeness_epsilon(continuous, discrete, T=T, eta=eta)
 
 
 class TestVerifyEnvelope:

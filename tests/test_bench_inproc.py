@@ -27,7 +27,8 @@ PROBE_NAMES = [
     "integrators.run_row_us.nesterov", "integrators.run_row_us.gd",
     "integrators.run_row_us.nagd", "integrators.run_row_us.adam",
     "integrators.reference_step_us.d1", "integrators.reference_step_us.d2",
-    "analysis.closeness_epsilon_us", "analysis.dominance_us_per_point",
+    "analysis.closeness_epsilon_us", "analysis.closeness_epsilon_us.d1",
+    "analysis.dominance_us_per_point",
     "bench.emit_csv_us_per_row.same_eta", "bench.run_experiment_s.bounds_analysis",
     "bench.run_experiment_s.banana_sweep",
 ]
@@ -41,6 +42,7 @@ def test_probe_names_and_units():
     assert all(units[f"integrators.step_us.{s}"] == "us"
                for s in ("euler", "rk", "nesterov", "gd", "nagd", "adam"))
     assert units["bench.run_experiment_s.banana_sweep"] == "s"
+    assert units["analysis.closeness_epsilon_us"] == units["analysis.closeness_epsilon_us.d1"] == "us"
 
 
 def test_every_probe_builds_and_measures_on_this_checkout(tmp_path):
@@ -115,9 +117,36 @@ def test_analysis_probes_time_their_call(tmp_path, name, fn, unit):
         ref, disc, horizon, eta = calls[0]
         assert ref.t[-1] >= horizon and np.diff(ref.t).max() <= eta / 10
         assert len(disc) - 1 == int(horizon / eta)
+        assert ref.x.shape[1] == 2
     else:
         # 200 points of the 2-D unit quadratic per call
         assert all(args[0].dimension == 2 and args[4] == 200 for args in calls)
+
+
+def test_1d_closeness_probe_times_the_bound_report_call(tmp_path, monkeypatch):
+    # the quadratic_bounds bound report: its eps is the probe's, to the bit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))  # bound_report passes T and eta by name
+        return finiteflow.analysis.closeness_epsilon(*args, **kwargs)
+
+    package = types.SimpleNamespace(**{n: getattr(finiteflow, n) for n in finiteflow.__all__})
+    package.closeness_epsilon = counted
+    unit, build = bench_inproc.PROBES["analysis.closeness_epsilon_us.d1"]
+    assert unit == "us" and build(package, tmp_path)() > 0
+    ref, disc, horizon, eta = calls[0]
+    assert ref.x.shape[1] == 1 and (eta, ref.t[1]) == (1e-3, 1e-4)
+    monkeypatch.setattr(finiteflow.bench, "closeness_epsilon", counted)
+    report = finiteflow.bound_report(
+        finiteflow.make_quadratic(1.0, 1),
+        finiteflow.DiscretizerConfig(scheme="euler", eta=1e-3, flow=finiteflow.FlowSpec("rgf", q=3.0)),
+        np.array([1.0]), 2.0, 1.0, h_ref=1e-4)
+    ref_b, disc_b, horizon_b, eta_b = calls[-1]
+    assert (horizon_b, eta_b) == (horizon, eta)
+    assert len(ref_b) == len(ref) and ref_b.x.tobytes() == ref.x.tobytes()
+    assert disc_b.x.tobytes() == disc.x.tobytes()
+    assert report["eps_measured"] == finiteflow.closeness_epsilon(ref, disc, horizon, eta)
 
 
 def only_probes(monkeypatch, names):

@@ -151,7 +151,10 @@ def two_product_velocity(spec, g, n2):
     if n2 <= GRAD_CUTOFF:
         return np.zeros_like(g)
     if spec.kind == "rgf":
-        return (g * n2 ** -spec.rgf_exponent()) * -spec.c
+        s = n2 ** -spec.rgf_exponent()
+        if not math.isfinite(n2 * s * spec.c):
+            raise NumericalFailure(f"non-finite speed of rgf flow at gradient {g!r}")
+        return (g * s) * -spec.c
     pw = float(np.abs(g).sum()) ** spec.sgf_exponent()
     if not math.isfinite(pw * spec.c):
         raise NumericalFailure(f"non-finite speed of sgf flow at gradient {g!r}")
@@ -233,6 +236,8 @@ def py_velocity(spec, g, n2, l1):
         return [0.0] * len(g)
     if spec.kind == "rgf":
         s = n2 ** -(1.0 if math.isinf(spec.q) else (spec.q - 2.0) / (spec.q - 1.0))
+        if not math.isfinite(n2 * s * spec.c):
+            raise NumericalFailure(f"non-finite speed of rgf flow at gradient {np.array(g)!r}")
         return [gi * s * -spec.c for gi in g]
     pwc = l1 ** (0.0 if math.isinf(spec.q) else 1.0 / (spec.q - 1.0)) * spec.c
     if not math.isfinite(pwc):
@@ -422,3 +427,43 @@ class TestOverflowingL1:
         spec, g = FlowSpec("sgf", q=q, c=c), np.array(g)
         want = (NumericalFailure, f"non-finite speed of sgf flow at gradient {g!r}")
         assert self.outcomes(spec, g) == (want,) * 3
+
+
+class TestOverflowingRescaledSpeed:
+    """Where rgf's speed ||g||_2 * s * c is not finite, the field raises
+    NumericalFailure before any product, with numpy's warnings raised as
+    errors or ignored, with the norm given and without, for c = 1 (one
+    product) and c != 1 (two)."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    @pytest.mark.parametrize("g", [[1e200, 1e200], [1e200, 0.0, -1e200]], ids=["full", "zero"])
+    def test_nonfinite_speed_raises(self, g, c):
+        # q = 1.5 makes s = ||g||_2, so the speed is ||g||_2^2 * c = inf
+        spec, g = FlowSpec("rgf", q=1.5, c=c), np.array(g)
+        want = (NumericalFailure, f"non-finite speed of rgf flow at gradient {g!r}")
+        assert TestOverflowingL1.outcomes(spec, g) == (want,) * 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_speed_that_overflows_only_by_c_raises(self, c):
+        # at q = 2, s = 1 and ||g||_2 * s is the largest finite float;
+        # c = 1.5 takes it past
+        g = np.array([np.finfo(float).max])
+        spec = FlowSpec("rgf", q=2.0, c=c)
+        got = TestOverflowingL1.outcomes(spec, g)
+        if c == 1.0:
+            assert got == (((g * -1.0).tobytes(), float(g[0])),) * 3
+        else:
+            want = (NumericalFailure, f"non-finite speed of rgf flow at gradient {g!r}")
+            assert got == (want,) * 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_product_overflow_under_a_small_given_norm_raises(self, c):
+        # a caller's norm far below the component: the speed is finite, the
+        # product overflows, and numpy's warning raised as an error is
+        # NumericalFailure
+        spec, g = FlowSpec("rgf", c=c), np.array([1e300])
+        with pytest.raises(NumericalFailure, match="non-finite speed of rgf flow"):
+            spec._velocity_and_bound(g, 1e-10)

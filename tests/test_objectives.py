@@ -31,6 +31,15 @@ class TestQuadratic:
         obj = make_quadratic(2.0, 1)
         assert obj.value(np.array([3.0])) == pytest.approx(9.0, abs=0)
 
+    @pytest.mark.parametrize("x", [[3, -4], np.array([3, -4]), np.array([0.1, -4.7], dtype=np.float32),
+                                   [0.1, -4.7]], ids=["int_list", "int_array", "float32", "list"])
+    def test_gradient_converts_its_input_as_float64(self, x):
+        # the 0-d factor's product converts x as np.asarray(x, dtype=float) does
+        obj = make_quadratic(0.3, 2)
+        g = obj.gradient(x)
+        assert g.dtype == np.float64
+        assert g.tobytes() == (0.3 * np.asarray(x, dtype=float)).tobytes()
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             make_quadratic(0.0, 2)

@@ -27,6 +27,10 @@ sides alternate probe by probe in that order). The probes:
   first entry of the ``closeness_sweep`` table: ``rgf`` with q = 3 on the
   unit quadratic in 2-D from (1, 1), its reference at h = 2.5e-4 against
   the Euler run at eta = 1e-2, over 1.2 times the settling-time bound;
+- ``analysis.closeness_epsilon_us.d1``: the ``closeness_epsilon`` call of
+  the ``quadratic_bounds`` bound report: ``rgf`` with q = 3 on the unit
+  quadratic in 1-D from 1.0, its reference at h = 1e-4 cut to the horizon
+  of ``ceil(1.1 k_star)`` steps, against the Euler run at eta = 1e-3;
 - ``analysis.dominance_us_per_point``: ``check_gradient_dominance`` on the
   unit quadratic in 2-D, p = 2, mu = 1, radius 1, 200 points from seed 0,
   per point;
@@ -189,6 +193,18 @@ def _closeness_epsilon(ff, _work):
     return lambda: per_call_us(lambda: ff.closeness_epsilon(ref, disc, horizon, eta))
 
 
+def _bound_report_closeness(ff, _work):
+    obj, flow, eta, h = ff.make_quadratic(1.0, 1), ff.FlowSpec("rgf", q=3.0), 1e-3, 1e-4
+    x0 = np.array([1.0])
+    params = ff.dominance_params(2.0, 1.0, flow.q, flow.c)
+    k_max = int(math.ceil(1.1 * ff.k_star(params, eta, obj.value(x0))))
+    horizon, n_horizon = k_max * eta, int(math.ceil(k_max * eta / h))
+    ref = ff.integrate_reference(flow, obj, x0, h, ff.StopCriteria(max_iters=n_horizon))
+    disc = ff.run(ff.DiscretizerConfig(scheme="euler", eta=eta, flow=flow), obj, x0,
+                  ff.StopCriteria(max_iters=k_max))
+    return lambda: per_call_us(lambda: ff.closeness_epsilon(ref, disc, horizon, eta))
+
+
 def _dominance(ff, _work):
     obj = ff.make_quadratic(1.0, 2)
     return lambda: _median_s(lambda: ff.check_gradient_dominance(
@@ -237,6 +253,7 @@ PROBES: dict[str, tuple[str, Callable]] = {
     **{f"integrators.reference_step_us.{d}": ("us/step", _reference_step(d))
        for d in _REFERENCES},
     "analysis.closeness_epsilon_us": ("us", _closeness_epsilon),
+    "analysis.closeness_epsilon_us.d1": ("us", _bound_report_closeness),
     "analysis.dominance_us_per_point": ("us/point", _dominance),
     "bench.emit_csv_us_per_row.same_eta": ("us/row", _same_eta_csv),
     **{f"bench.run_experiment_s.{w}": ("s", _sweep(w))
