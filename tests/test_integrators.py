@@ -1557,21 +1557,6 @@ class TestOverflowingL1:
         assert np.all(traj.grad_norm1 == math.inf)
         assert np.all(traj.grad_norm2 == norm2(np.array(gradient)))
 
-    @pytest.mark.parametrize("c", [1.0, 1.5])
-    @pytest.mark.parametrize("driver", ["run", "reference"])
-    def test_rescaled_speed_overflow_ends_after_one_row(self, driver, c):
-        # rgf at q = 1.5 moves at ||g||_2^2 * c, which overflows at a
-        # gradient of (1e200, 1e200): the field raises before any product
-        flow, obj, x0 = FlowSpec("rgf", q=1.5, c=c), overflowing_l1((1e200, 1e200)), np.ones(2)
-        stop = StopCriteria(max_iters=5)
-        if driver == "run":
-            go, args = run, (DiscretizerConfig(scheme="euler", eta=1e-300, flow=flow), obj, x0, stop)
-        else:
-            go, args = integrate_reference, (flow, obj, x0, 1e-300, stop)
-        traj = go(*args)
-        assert_same_rows(traj, with_warnings_ignored(go, *args))
-        assert (traj.terminal_reason, len(traj)) == ("numerical_failure", 1)
-
     @pytest.mark.parametrize("elements", [None, 4])
     def test_one_row_retry_ends_as_with_warnings_ignored(self, monkeypatch, elements):
         # gd puts x[0] at 1 - 1e8 k; the cost fails from row 3 on, so the
@@ -1586,3 +1571,22 @@ class TestOverflowingL1:
         assert_same_rows(traj, run(cfg, replace(obj), x0, stop))
         assert (traj.terminal_reason, len(traj)) == ("numerical_failure", 3)
         assert traj.grad_norm1.tolist() == [math.inf] * 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1.0, 1.5])
+@pytest.mark.parametrize("integrator", ["run", "reference"])
+def test_rescaled_speed_overflow_ends_after_one_row(integrator, c):
+    # rgf at q = 1.5 moves at ||g||_2^2 * c, which overflows at the constant
+    # gradient (1e200, 1e200) (its l1 sum stays finite): the field raises
+    # NumericalFailure before any product, with numpy's warnings raised as
+    # errors or ignored
+    flow, obj, x0 = FlowSpec("rgf", q=1.5, c=c), overflowing_l1((1e200, 1e200)), np.ones(2)
+    stop = StopCriteria(max_iters=5)
+    if integrator == "run":
+        go, args = run, (DiscretizerConfig(scheme="euler", eta=1e-300, flow=flow), obj, x0, stop)
+    else:
+        go, args = integrate_reference, (flow, obj, x0, 1e-300, stop)
+    traj = go(*args)
+    assert_same_rows(traj, with_warnings_ignored(go, *args))
+    assert (traj.terminal_reason, len(traj)) == ("numerical_failure", 1)
