@@ -198,10 +198,22 @@ def weak_bound(params: DominanceParams, eta: float, f_gap0: float,
     return L_f * eps + energy_decay_envelope(params, params.c, f_gap0, eta * k_arr)
 
 
+def _count_below(tb: np.ndarray, ta: np.ndarray) -> np.ndarray:
+    """For each of the sorted ``ta``, the number of the sorted ``tb`` below
+    it: ``np.searchsorted(tb, ta)``. Where ``ta`` is the longer, the same
+    integers come from searching the shorter ``tb`` in it: ``tb[j]`` is
+    below ``ta[i]`` exactly when ``i`` is at least the count of ``ta`` at
+    or below ``tb[j]``."""
+    if len(ta) <= len(tb):
+        return np.searchsorted(tb, ta)
+    first_above = np.searchsorted(ta, tb, side="right")
+    return np.cumsum(np.bincount(first_above, minlength=len(ta) + 1)[:len(ta)])
+
+
 def _one_sided_closeness(ta: np.ndarray, xa: np.ndarray,
                          tb: np.ndarray, xb: np.ndarray) -> float:
     """max over a-points of min over b-points of max(|dt|, ||dx||), for
-    finite states and sorted ``tb``.
+    finite states and sorted ``ta`` and ``tb``.
 
     Each a-point meets the b-points at window offsets from its place in
     ``tb``. An offset takes the state distance only for the a-points whose
@@ -210,7 +222,7 @@ def _one_sided_closeness(ta: np.ndarray, xa: np.ndarray,
     grows away from the a-point, such a point also leaves the farther
     offsets on that side."""
     last = len(tb) - 1
-    right = np.clip(np.searchsorted(tb, ta), 0, last)
+    right = np.clip(_count_below(tb, ta), 0, last)
 
     def improve(idx: np.ndarray, w: int) -> np.ndarray:
         """Lower the best of the a-points ``idx`` by their candidates at

@@ -62,13 +62,17 @@ def emit_csv(traj: Trajectory, path: str | Path, f_star: float | None = None,
     once ``writer.close()`` has returned.
     """
     path = Path(path)
-    job = (path, f_star, traj.k, traj.t, traj.f, traj.grad_norm2, traj.grad_norm1,
-           traj.wall_s, traj.cycle_start, traj.cycle_period)
-    if writer is None:
-        _write_csv(*job)
-    else:
-        writer.send(job)
+    _submit(writer, _write_csv, path, f_star, traj.k, traj.t, traj.f, traj.grad_norm2,
+            traj.grad_norm1, traj.wall_s, traj.cycle_start, traj.cycle_period)
     return path
+
+
+def _submit(writer: CsvWriter | None, fn, *args) -> None:
+    """``fn(*args)`` here when ``writer`` is None, else in the writer."""
+    if writer is None:
+        fn(*args)
+    else:
+        writer.send(fn, args)
 
 
 def _write_csv(path: Path, f_star: float | None, k: np.ndarray, t: np.ndarray,
@@ -99,12 +103,15 @@ def _write_csv(path: Path, f_star: float | None, k: np.ndarray, t: np.ndarray,
 
 
 class CsvWriter:
-    """A forked child process that writes the cell CSVs sent to it, in order.
+    """A forked child process that writes the files sent to it, in order.
 
-    ``send`` pickles one ``_write_csv`` job into a pipe and returns; the
-    child formats and writes it while the parent runs the next cell.
-    ``close`` ends the pipe, waits for the child and raises the first error
-    it hit (a ``send`` that finds the child gone raises it at once).
+    ``send(fn, args)`` pickles one job, a module-level writing function of
+    this module and its arguments, into a pipe and returns; the child calls
+    ``fn(*args)`` while the parent runs on. A sweep sends each cell's CSV
+    and each optimizer's mean curve. ``close`` ends the pipe, waits for the
+    child and raises the first error it hit (a ``send`` that finds the
+    child gone raises it at once); after that error the child writes
+    nothing more.
 
     The child runs on the CPUs other than one that the parent holds while
     it forks: left to the scheduler of a 2-vCPU Linux VM, a forked child
@@ -139,16 +146,16 @@ class CsvWriter:
         self._jobs = open(jobs_w, "wb")
         self._errors = errors_r
 
-    def send(self, job: tuple) -> None:
+    def send(self, fn, args: tuple) -> None:
         try:
-            pickle.dump(job, self._jobs, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump((fn, args), self._jobs, protocol=pickle.HIGHEST_PROTOCOL)
             self._jobs.flush()
         except BrokenPipeError:  # the child has stopped on an error
             self.close()
             raise
 
     def close(self) -> None:
-        """Wait for every CSV sent so far; raise the child's error, if any."""
+        """Wait for every job sent so far; raise the child's error, if any."""
         if self.pid is None:
             return
         try:
@@ -179,10 +186,10 @@ def _serve(jobs: int, errors: int, parent_ends: tuple[int, int], cpus: set[int])
         with open(jobs, "rb") as src:
             while True:
                 try:
-                    job = pickle.load(src)
+                    fn, args = pickle.load(src)
                 except EOFError:
                     break
-                _write_csv(*job)
+                fn(*args)
         status = 0
     except BaseException as exc:  # the jobs pipe is closed here, so a blocked send ends
         try:
@@ -204,12 +211,15 @@ def _writer_pays() -> bool:
 
 
 @contextmanager
-def _cell_writer(n_cells: int):
-    """A ``CsvWriter`` for a sweep of more than one cell where one pays and
-    can start, else None; closed on leaving, which raises the writer's error
-    unless the body raised first."""
+def _cell_writer(overlaps: bool):
+    """A ``CsvWriter`` for a sweep with work to overlap its files with,
+    where one pays and can start, else None; closed on leaving.
+
+    The writer's error is raised on leaving, also in place of an Exception
+    the body raised after it: the inline path would have stopped at that
+    write. An interrupt, or another BaseException, stays the one raised."""
     try:
-        writer = CsvWriter() if n_cells > 1 and _writer_pays() else None
+        writer = CsvWriter() if overlaps and _writer_pays() else None
     except OSError:  # this process may not pin itself to a CPU or fork
         writer = None
     if writer is None:
@@ -217,8 +227,11 @@ def _cell_writer(n_cells: int):
         return
     try:
         yield writer
+    except Exception:
+        writer.close()
+        raise
     except BaseException:
-        with suppress(Exception):  # the body's error is the one to report
+        with suppress(Exception):
             writer.close()
         raise
     writer.close()
@@ -279,17 +292,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
     Per cell: ``run`` and then one ``emit_csv`` of the trajectory CSV, after
     which only the cell's cost column is kept, so the sweep holds one
-    trajectory at a time. A sweep of more than one cell hands the CSVs to
-    one forked ``CsvWriter``, which formats each while the next cell runs,
-    and waits for it right after the last cell; the CSVs are written inline
-    instead where fork is missing, another thread is running or only one
-    CPU is available. After the last cell: a summary CSV with per-cell rows
-    plus median/min/max rows per optimizer, and one mean-over-seeds loss
-    curve CSV per optimizer. A cell that fails numerically is recorded in
-    the summary with its partial trajectory and the sweep continues; any
-    other exception, also one the writer hit, propagates. Initial points
-    and mini-batch schedules depend only on (base_seed, seed index), so
-    re-runs are reproducible.
+    trajectory at a time. Each seed's start is drawn once and shared by
+    every optimizer; ``run`` steps a copy of it. After an optimizer's last
+    seed: its mean-over-seeds loss curve CSV, so the sweep holds the cost
+    columns of one optimizer at a time. After the last cell: a summary CSV
+    with per-cell rows plus median/min/max rows per optimizer, and, with a
+    dominance section, the analysis pass and its ``analysis.json``.
+
+    A sweep of more than one cell, or with an analysis pass, hands the
+    CSVs and mean curves to one forked ``CsvWriter``, which formats each
+    while this process runs on, and waits for it after the analysis pass;
+    they are written inline instead where fork is missing, another thread
+    is running or only one CPU is available. A cell that fails numerically
+    is recorded in the summary with its partial trajectory and the sweep
+    continues; any other exception propagates, and a failed write of the
+    writer is raised after the analysis pass, or in place of a later error
+    of this process. Initial points and mini-batch schedules depend only on
+    (base_seed, seed index), so re-runs are reproducible.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -297,19 +316,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     f_star = obj.metadata.f_star if obj.metadata is not None else None
 
     cells: list[CellResult] = []
-    # the cost columns of each optimizer's cells that recorded anything
-    costs: dict[str, list[np.ndarray]] = {}
     seeds = range(cfg.init.base_seed, cfg.init.base_seed + cfg.init.n_seeds)
-    with _cell_writer(len(cfg.optimizers) * len(seeds)) as writer:
+    starts = [cfg.init.draw(obj.dimension, seed) for seed in seeds]
+    # run_bounds and run_closeness are only valid with a dominance section
+    analysed = cfg.analysis.dominance is not None
+    with _cell_writer(len(cfg.optimizers) * len(seeds) > 1 or analysed) as writer:
         for opt in cfg.optimizers:
-            for seed in seeds:
+            # the cost columns of this optimizer's cells that recorded anything
+            costs: list[np.ndarray] = []
+            for seed, x0 in zip(seeds, starts):
                 batch = None
                 if cfg.batch is not None:
                     batch = BatchContext(rng_seed=seed, batch_size=cfg.batch.size,
                                          dataset_size=obj.aux["dataset_size"])
                 path = out / f"{opt.name}__seed{seed}.csv"
-                traj = run(opt.config, obj, cfg.init.draw(obj.dimension, seed), cfg.stop,
-                           batch=batch)
+                traj = run(opt.config, obj, x0, cfg.stop, batch=batch)
                 emit_csv(traj, path, f_star, writer=writer)
                 # a run whose objective fails at x0 records nothing
                 final_f = float(traj.f[-1]) if len(traj) else math.nan
@@ -324,15 +345,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                     csv_path=path,
                 ))
                 if len(traj):
-                    costs.setdefault(opt.name, []).append(traj.f)
+                    costs.append(traj.f)
                 del traj  # free before the next cell runs
+            if costs:
+                _submit(writer, _write_mean_curve, out / f"{opt.name}__mean_curve.csv",
+                        costs, f_star)
 
-    summary = RunSummary(cells=cells, out_dir=out)
-    _write_summary(summary, cfg, out)
-    _write_mean_curves(costs, f_star, out)
-    # run_bounds and run_closeness are only valid with a dominance section
-    if cfg.analysis.dominance is not None:
-        _write_reports(analysis_reports(cfg, obj), out)
+        summary = RunSummary(cells=cells, out_dir=out)
+        _write_summary(summary, cfg, out)
+        if analysed:
+            _write_reports(analysis_reports(cfg, obj), out)
     return summary
 
 
@@ -359,24 +381,22 @@ def _write_summary(summary: RunSummary, cfg: ExperimentConfig, out: Path) -> Non
         (out / "summary.json").write_text(json.dumps(payload, indent=2, allow_nan=False))
 
 
-def _write_mean_curves(costs: dict[str, list[np.ndarray]], f_star: float | None,
-                       out: Path) -> None:
+def _write_mean_curve(path: Path, fs: list[np.ndarray], f_star: float | None) -> None:
     # mean-over-seeds cost per step; shorter runs are padded with their final
     # value so converged runs keep contributing to the average
-    for name, fs in costs.items():
-        longest = max(len(f) for f in fs)
-        stacked = np.full((len(fs), longest), np.nan)
-        for i, f in enumerate(fs):
-            stacked[i, :len(f)] = f
-            stacked[i, len(f):] = f[-1]
-        mean_f = stacked.mean(axis=0)
-        gap = _gap(mean_f, f_star)
-        if gap.tobytes() == mean_f.tobytes():  # f_star = 0: one string for both
-            fs = list(map(_fmt, mean_f.tolist()))
-            rows = map(_MEAN_CURVE_ROW_SAME_GAP, zip(range(longest), fs, fs))
-        else:
-            rows = map(_MEAN_CURVE_ROW, zip(range(longest), mean_f.tolist(), gap.tolist()))
-        (out / f"{name}__mean_curve.csv").write_text("k,mean_f,mean_f_gap\n" + "".join(rows))
+    longest = max(len(f) for f in fs)
+    stacked = np.full((len(fs), longest), np.nan)
+    for i, f in enumerate(fs):
+        stacked[i, :len(f)] = f
+        stacked[i, len(f):] = f[-1]
+    mean_f = stacked.mean(axis=0)
+    gap = _gap(mean_f, f_star)
+    if gap.tobytes() == mean_f.tobytes():  # f_star = 0: one string for both
+        fs = list(map(_fmt, mean_f.tolist()))
+        rows = map(_MEAN_CURVE_ROW_SAME_GAP, zip(range(longest), fs, fs))
+    else:
+        rows = map(_MEAN_CURVE_ROW, zip(range(longest), mean_f.tolist(), gap.tolist()))
+    path.write_text("k,mean_f,mean_f_gap\n" + "".join(rows))
 
 
 def flow_optimizers(cfg: ExperimentConfig) -> list[NamedOptimizer]:

@@ -361,7 +361,9 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
     seconds. The run ends as numerical_failure, keeping every iterate
     recorded so far, when a recorded cost or gradient is not finite, when
     the objective raises an ArithmeticError or the flow field
-    NumericalFailure, or at the first non-finite iterate ``advance`` returns.
+    NumericalFailure, or at the first non-finite iterate ``advance`` returns
+    or the first overflow it raises as a RuntimeWarning (under an error
+    filter for warnings), with the same rows either way.
 
     ``repeats`` promises that, from row 1 on, the next x is a pure function
     of the last two rows. The loop then compares each row and the row before
@@ -448,7 +450,11 @@ def _record_until_stop(obj: Objective, x: np.ndarray, dt: float, stop: StopCrite
                 break
             if n - 1 == next_anchor:
                 anchor, anchor_gn2, next_anchor = n - 1, gn2, next_anchor + _ANCHOR_EVERY
-            x = advance(x, g, gn2)
+            try:
+                x = advance(x, g, gn2)
+            except RuntimeWarning:  # numpy's overflow warning, raised as an error
+                reason = TERMINAL_NUMERICAL_FAILURE
+                break
             try:  # a finite squared norm proves the new iterate finite
                 finite = isfinite(x.dot(x))
             except RuntimeWarning:  # numpy's overflow warning, raised as an error

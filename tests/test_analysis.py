@@ -16,7 +16,7 @@ from finiteflow import (DominanceParams, FlowSpec, Objective, OptimumInfo, StopC
                         integrate_reference, k_star, make_mlp, make_pth_power,
                         make_quadratic, make_rosenbrock, settling_time_bound,
                         verify_envelope, weak_bound)
-from finiteflow.analysis import _one_sided_closeness
+from finiteflow.analysis import _count_below, _one_sided_closeness
 from finiteflow.flows import norm2
 
 P23 = dominance_params(2.0, 1.0, 3.0, 1.0)
@@ -493,6 +493,19 @@ class TestClosenessOracle:
         td, xd = eta * np.arange(1, K + 1), discrete.x[1:K + 1]
         got = (_one_sided_closeness(tc, xc, td, xd), _one_sided_closeness(td, xd, tc, xc))
         assert [v.hex() for v in got] == [v.hex() for v in brute_sides(continuous, discrete, T, eta)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=st.lists(st.integers(min_value=-2, max_value=34), max_size=40),
+           b=st.lists(st.integers(min_value=0, max_value=32), min_size=1, max_size=40),
+           unit=st.sampled_from([1.0, 0.1, 1.0 / 16.0]))
+    def test_counting_from_the_shorter_side_gives_the_searched_indices(self, a, b, unit):
+        # times on one grid, so that points repeat on each side and an
+        # a-point often lies exactly on a b-point, the edge of its window
+        ta, tb = (np.array(sorted(v), dtype=float) * unit for v in (a, b))
+        want = np.searchsorted(tb, ta)
+        got = _count_below(tb, ta)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert _count_below(ta, tb).tolist() == np.searchsorted(ta, tb).tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("side", ["continuous", "discrete"])

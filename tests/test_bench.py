@@ -750,6 +750,25 @@ class TestRunExperiment:
         assert sorted(p.name for p in out.glob("*__mean_curve.csv")) == [
             "gd__mean_curve.csv"]
 
+    def test_each_seed_draws_its_start_once(self, tmp_path, monkeypatch):
+        draws, draw = [], InitConfig.draw
+
+        def counted(self, dimension, seed):
+            draws.append(seed)
+            return draw(self, dimension, seed)
+
+        monkeypatch.setattr(InitConfig, "draw", counted)
+        data = {**MINIMAL,
+                "optimizers": [{"name": f"gd{i}", "scheme": "gd", "eta": 0.05 * (i + 1)}
+                               for i in range(13)],
+                "init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0,
+                         "n_seeds": 10, "base_seed": 2},
+                "stop": {"max_iters": 5, "grad_tol": 0.0, "f_tol": 0.0}}
+        summary = run_experiment(load_config(write_config(tmp_path, data)),
+                                 out_dir=tmp_path / "out")
+        assert len(summary.cells) == 130
+        assert draws == list(range(2, 12))
+
     def test_errors_other_than_numerical_failure_propagate(self, tmp_path, monkeypatch):
         def broken_run(*args, **kwargs):
             raise RuntimeError("bug in a stepper")
@@ -774,6 +793,16 @@ WRITER_SWEEP = {
     "init": {"mode": "uniform_box", "box_lo": -1.0, "box_hi": 1.0, "n_seeds": 3},
     "stop": {"max_iters": 300, "grad_tol": 0.0, "f_tol": 1e-9},
 }
+
+
+def small_quadratic_bounds():
+    """The quadratic_bounds preset, one cell with an analysis pass, at step
+    sizes ten times its own."""
+    data = yaml.safe_load((Path(config.__file__).parent / "configs"
+                           / "quadratic_bounds.yaml").read_text())
+    data["optimizers"][0]["eta"] = 1e-2
+    data["analysis"]["h_ref"] = 1e-3
+    return data
 
 
 @pytest.fixture
@@ -823,6 +852,55 @@ class TestCsvWriter:
         assert len(forked) == 6 + 2 + 1  # cells, mean curves, summary
         assert len({c.terminal_reason for c in summary.cells}) == 2
         assert len({len(read_csv(c.csv_path)["k"]) for c in summary.cells}) > 2
+
+    def test_one_cell_with_an_analysis_pass_gets_the_writer(self, tmp_path, fork_calls):
+        # its CSV and mean curve are written while the analysis pass runs
+        cfg = load_config(write_config(tmp_path, small_quadratic_bounds()))
+        forked, summary = sweep_files(cfg, tmp_path / "writer")
+        assert len(fork_calls) == 1 and len(summary.cells) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        with another_thread_running():
+            inline, _ = sweep_files(cfg, tmp_path / "inline")
+        assert len(fork_calls) == 1
+        assert forked == inline
+        assert sorted(forked) == ["analysis.json", "rgf_euler_q3__mean_curve.csv",
+                                  "rgf_euler_q3__seed0.csv", "summary.csv"]
+        assert json.loads(forked["analysis.json"])["bounds"]["rgf_euler_q3"]["envelope_pass"]
+
+    def test_an_analysis_error_propagates_with_the_writer_closed(self, tmp_path, monkeypatch,
+                                                                 fork_calls):
+        def broken_reports(*args, **kwargs):
+            raise RuntimeError("bug in the analysis")
+
+        monkeypatch.setattr(bench, "analysis_reports", broken_reports)
+        out = tmp_path / "out"
+        cfg = load_config(write_config(tmp_path, small_quadratic_bounds()))
+        with pytest.raises(RuntimeError, match="bug in the analysis"):
+            run_experiment(cfg, out_dir=out)
+        assert len(fork_calls) == 1
+        with pytest.raises(ChildProcessError):  # the writer has been reaped
+            os.waitpid(-1, os.WNOHANG)
+        # after it wrote what it was sent
+        assert sorted(p.name for p in out.iterdir()) == [
+            "rgf_euler_q3__mean_curve.csv", "rgf_euler_q3__seed0.csv", "summary.csv"]
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["writer", "inline"])
+    def test_a_failed_write_is_raised_after_the_analysis_pass(self, tmp_path, fork_calls,
+                                                             inline):
+        # the writer's last job fails; the inline path stops at it instead
+        out = tmp_path / "out"
+        blocked = out / "rgf_euler_q3__mean_curve.csv"
+        blocked.mkdir(parents=True)
+        cfg = load_config(write_config(tmp_path, small_quadratic_bounds()))
+        with another_thread_running() if inline else contextlib.nullcontext():
+            with pytest.raises(IsADirectoryError) as raised:
+                run_experiment(cfg, out_dir=out)
+        assert raised.value.filename == str(blocked)
+        assert len(fork_calls) == (0 if inline else 1)
+        assert (out / "analysis.json").exists() != inline
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_refused_pinning_writes_inline_and_leaves_nothing_open(self, tmp_path,
                                                                    monkeypatch, fork_calls):

@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+_PATH = ROOT / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
@@ -114,3 +116,29 @@ def test_merges_alternating_pairs_into_the_trend_file(tmp_path, monkeypatch):
     assert summary["command"] == ("python3 perfbench/run.py --workload w --seed 3 "
                                   "--seconds 50 --trace 0")
     assert summary["metrics"]["sweep_s"]["change_better_pairs"] == 2
+
+
+def copied_tree(dest: Path) -> Path:
+    """The measured files of this checkout, copied to ``dest`` without ``.git``."""
+    for top in ("src", "perfbench"):
+        shutil.copytree(ROOT / top, dest / top, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", dest)
+    return dest
+
+
+def test_a_tree_that_is_not_a_git_work_tree_is_named_by_its_digest(tmp_path, capsys):
+    a, b = copied_tree(tmp_path / "a"), copied_tree(tmp_path / "b")
+    name = bench_pairs._git_sha(a)
+    assert name == (f"tree sha256:{bench_pairs.tree_digest(a)} "
+                    "(src/, perfbench/, BENCHMARK.json)")
+    assert "not a git work tree" in capsys.readouterr().err
+    # a copy of the same files has the same digest, bytecode caches aside
+    (b / "src" / "__pycache__").mkdir()
+    (b / "src" / "__pycache__" / "x.pyc").write_bytes(b"cache")
+    assert bench_pairs._git_sha(b) == name
+    # and one changed byte, or a moved file, changes it
+    (b / "BENCHMARK.json").write_bytes((a / "BENCHMARK.json").read_bytes() + b" ")
+    assert bench_pairs.tree_digest(b) != bench_pairs.tree_digest(a)
+    shutil.copy(a / "BENCHMARK.json", b)
+    (b / "perfbench" / "run.py").rename(b / "perfbench" / "run2.py")
+    assert bench_pairs.tree_digest(b) != bench_pairs.tree_digest(a)

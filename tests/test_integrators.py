@@ -1472,12 +1472,17 @@ class TestIterateCheck:
     is not finite, keeping exactly the rows before it, on the per-row path
     and where the costs come after the loop."""
 
+    @pytest.mark.parametrize("action", ["ignore", "error"])
     @pytest.mark.parametrize("closed", [False, True], ids=["per_row", "closed_rows"])
     @pytest.mark.parametrize("name", list(OVERFLOWING_RUNS))
-    def test_nonfinite_iterate_ends_the_run_before_its_row(self, name, closed):
+    def test_nonfinite_iterate_ends_the_run_before_its_row(self, name, closed, action):
+        # an overflow raised as an error in the step ends the run as the inf
+        # it makes under the ignore filter does
         obj = downhill(closed)
         assert obj.closed_rows == closed
-        traj = OVERFLOWING_RUNS[name](obj, np.zeros(1), StopCriteria(max_iters=10))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            traj = OVERFLOWING_RUNS[name](obj, np.zeros(1), StopCriteria(max_iters=10))
         assert traj.terminal_reason == "numerical_failure" and len(traj) == 2
         assert traj.x[0, 0] == 0.0 and 0.99e308 < traj.x[1, 0] < math.inf
         assert traj.f.tolist() == [0.0, 0.0]

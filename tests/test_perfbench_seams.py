@@ -101,3 +101,33 @@ def test_cells_are_counted_alike_when_a_writer_writes_the_csvs(perfbench, tmp_pa
     cols = rec.arrays()
     reports = cols["name"] == rec.names.index("bench.analysis_reports")
     assert cols["cell"][reports].tolist() == [-1]
+
+
+def test_one_cell_with_an_analysis_pass_is_counted_as_one_cell(perfbench, tmp_path,
+                                                                monkeypatch):
+    # the writer stays open through the analysis pass; its runs and the
+    # reference count as no cell
+    _, spans = perfbench
+    cfg = config.parse_config({
+        "objective": {"name": "quadratic", "params": {"mu": 1.0, "dimension": 1}},
+        "optimizers": [{"name": "rgf_euler_q3", "scheme": "euler", "eta": 1e-2,
+                        "flow": {"kind": "rgf", "q": 3.0}}],
+        "init": {"mode": "fixed", "x0": [1.0]},
+        "stop": {"max_iters": 100000, "grad_tol": 1e-6},
+        "analysis": {"run_bounds": True, "h_ref": 1e-3,
+                     "dominance": {"p": 2.0, "mu": 1.0, "n_samples": 20}},
+    })
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    rec = spans.Recorder()
+    with spans.instrument(rec, traced=False):
+        summary = bench.run_experiment(cfg, tmp_path / "out")
+    assert forks == [1]
+    rows = len(bench.read_csv(summary.cells[0].csv_path)["k"])
+    assert rec.n_cells == 1 and rec.cell_steps == [rows - 1]
+    cols = rec.arrays()
+    cells = {name: sorted(cols["cell"][cols["name"] == rec.names.index(name)].tolist())
+             for name in ("integrators.run", "integrators.integrate_reference",
+                          "bench.emit_csv", "bench.analysis_reports")}
+    assert cells == {"integrators.run": [-1, 0], "integrators.integrate_reference": [-1],
+                     "bench.emit_csv": [0], "bench.analysis_reports": [-1]}

@@ -49,7 +49,9 @@ there, is reported as absent for that side. Per probe the summary gives
 each side's median and quartiles and the rounds each side won (a tie
 counts for neither), and it is merged into ``--out`` under ``in_process``,
 in the layout of ``tools/bench_pairs.py``'s ``gated_runs``; the file gains
-the machine and both git revisions if it lacks them::
+the machine and both git revisions if it lacks them (by
+``bench_pairs._git_sha``, a digest of the measured files for a checkout
+that is not a git work tree)::
 
     python3 tools/bench_inproc.py PARENT CHANGE --rounds 20 --out BENCH_17.json
 """

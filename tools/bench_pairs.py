@@ -8,7 +8,8 @@ the pairs each side won (a tie counts for neither), and every run's
 ``correct``, ``attempted`` and ``failed`` values, and merges the summary
 into ``--out`` as ``gated_runs[KEY]``, the layout of the ``BENCH_*.json``
 trend files; the file gains the machine and both git revisions if it
-lacks them::
+lacks them (a digest of the measured files for a checkout that is not a
+git work tree)::
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload bounds_analysis \\
         --seed 0 --pairs 10 --out BENCH_14.json --key bounds_analysis
@@ -21,6 +22,7 @@ same benchmark.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -115,15 +117,39 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
-def _git_sha(checkout: Path) -> str | None:
+def tree_digest(checkout: Path) -> str:
+    """sha256 over the paths and bytes of ``src/``, ``perfbench/`` and
+    ``BENCHMARK.json`` in ``checkout``, in sorted path order; bytecode
+    caches and build metadata are left out."""
+    paths = sorted(path for top in ("src", "perfbench") for path in (checkout / top).rglob("*")
+                   if path.is_file() and not any(part == "__pycache__" or part.endswith(".egg-info")
+                                                 for part in path.parts))
+    paths.append(checkout / "BENCHMARK.json")
+    digest = hashlib.sha256()
+    for path in paths:
+        if path.is_file():
+            data = path.read_bytes()
+            name = path.relative_to(checkout).as_posix().encode()
+            digest.update(b"%s\0%d\0" % (name, len(data)) + data)
+    return digest.hexdigest()
+
+
+def _git_sha(checkout: Path) -> str:
+    """The checkout's git revision, with a note of uncommitted changes; for a
+    checkout that is not the top of a git work tree (a ``git archive``
+    copy), its ``tree_digest``, with a warning on stderr."""
     try:
-        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
-                             text=True, check=True).stdout.strip()
+        top, sha = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                                  capture_output=True, text=True, check=True).stdout.splitlines()
         dirty = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
                                capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return sha + (" plus uncommitted changes" if dirty else "")
+        if Path(top).resolve() == checkout.resolve():
+            return sha + (" plus uncommitted changes" if dirty else "")
+    except (OSError, ValueError, subprocess.CalledProcessError):
+        pass
+    print(f"warning: {checkout} is not a git work tree; recording a digest of its tree",
+          file=sys.stderr)
+    return f"tree sha256:{tree_digest(checkout)} (src/, perfbench/, BENCHMARK.json)"
 
 
 def _machine() -> dict:
