@@ -29,6 +29,10 @@ ARRIVAL_GRAD_TOL = 1e-6  # bound_report: arrival is the first record at or below
 ENVELOPE_SLACK = 1e-6
 HORIZON_FACTOR = 1.3  # bound_report looks for arrival within this many settling bounds
 N_HALVINGS = 3  # closeness_table: step sizes eta, eta/2, ..., eta/2^(N_HALVINGS-1)
+# the CsvWriter's jobs pipe holds this much: Linux's default 64 KiB holds
+# less than a cell's columns, so a send would wait for the child to finish
+# the job before it; 1 MiB is what an unprivileged process may set by default
+_PIPE_BYTES = 1 << 20
 
 
 # one formatting call per row over the columns' tolist() values; %.17g
@@ -108,7 +112,9 @@ class CsvWriter:
     ``send(fn, args)`` pickles one job, a module-level writing function of
     this module and its arguments, into a pipe and returns; the child calls
     ``fn(*args)`` while the parent runs on. A sweep sends each cell's CSV
-    and each optimizer's mean curve. ``close`` ends the pipe, waits for the
+    and each optimizer's mean curve. The pipe holds ``_PIPE_BYTES`` where
+    the system allows, so a send waits for the child only once the jobs
+    queued behind the one it is writing fill that. ``close`` ends the pipe, waits for the
     child and raises the first error it hit (a ``send`` that finds the
     child gone raises it at once); after that error the child writes
     nothing more.
@@ -123,10 +129,14 @@ class CsvWriter:
     """
 
     def __init__(self) -> None:
+        import fcntl  # POSIX only, as are fork and CPU affinity
+
         cpus = os.sched_getaffinity(0)
         home = min(cpus)
         jobs_r, jobs_w = os.pipe()
         errors_r, errors_w = os.pipe()
+        with suppress(OSError):  # a smaller limit keeps the default size
+            fcntl.fcntl(jobs_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         try:
             os.sched_setaffinity(0, {home})
             signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})

@@ -941,6 +941,22 @@ class TestCsvWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_send_does_not_wait_for_the_job_before_it(self, tmp_path):
+        # a mean curve's columns, 400 kB, fit in the pipe beside a job the
+        # child is still busy with
+        fs = [np.linspace(1.0, 0.0, 50_000)]
+        writer = bench.CsvWriter()
+        try:
+            writer.send(time.sleep, (3.0,))
+            start = time.monotonic()
+            writer.send(bench._write_mean_curve, (tmp_path / "mean.csv", fs, 0.0))
+            waited = time.monotonic() - start
+        finally:
+            writer.close()
+        assert waited < 1.5
+        bench._write_mean_curve(tmp_path / "inline.csv", fs, 0.0)
+        assert (tmp_path / "mean.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
     def test_child_ignores_sigint_and_leaves_through_os_exit(self, tmp_path):
         exit_handler_ran = tmp_path / "exit_handler_ran"
 
