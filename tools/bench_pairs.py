@@ -32,10 +32,11 @@ import sys
 from pathlib import Path
 
 
-def benchmark_bytes(root: Path) -> dict[str, bytes]:
-    """The bytes of ``BENCHMARK.json`` and of every file under ``perfbench/``
-    in ``root``, by relative path; bytecode caches are left out."""
-    paths = [root / "BENCHMARK.json", *sorted((root / "perfbench").rglob("*"))]
+def benchmark_bytes(root: Path, dirs: tuple[str, ...] = ("perfbench",)) -> dict[str, bytes]:
+    """The bytes of ``BENCHMARK.json`` and of every file under ``dirs``
+    (``perfbench/``) in ``root``, by relative path; bytecode caches are
+    left out."""
+    paths = [root / "BENCHMARK.json", *sorted(p for d in dirs for p in (root / d).rglob("*"))]
     return {path.relative_to(root).as_posix(): path.read_bytes() for path in paths
             if path.is_file() and "__pycache__" not in path.parts}
 
@@ -120,17 +121,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 def tree_digest(checkout: Path) -> str:
     """sha256 over the paths and bytes of ``src/``, ``perfbench/`` and
     ``BENCHMARK.json`` in ``checkout``, in sorted path order; bytecode
-    caches and build metadata are left out."""
-    paths = sorted(path for top in ("src", "perfbench") for path in (checkout / top).rglob("*")
-                   if path.is_file() and not any(part == "__pycache__" or part.endswith(".egg-info")
-                                                 for part in path.parts))
-    paths.append(checkout / "BENCHMARK.json")
+    caches are left out."""
     digest = hashlib.sha256()
-    for path in paths:
-        if path.is_file():
-            data = path.read_bytes()
-            name = path.relative_to(checkout).as_posix().encode()
-            digest.update(b"%s\0%d\0" % (name, len(data)) + data)
+    for name, data in sorted(benchmark_bytes(checkout, ("src", "perfbench")).items()):
+        digest.update(b"%s\0%d\0" % (name.encode(), len(data)) + data)
     return digest.hexdigest()
 
 
