@@ -113,8 +113,8 @@ class CsvWriter:
     this module and its arguments, into a pipe and returns; the child calls
     ``fn(*args)`` while the parent runs on. A sweep sends each cell's CSV
     and each optimizer's mean curve. The pipe holds ``_PIPE_BYTES`` where
-    the system allows, so a send waits for the child only once the jobs
-    queued behind the one it is writing fill that. ``close`` ends the pipe, waits for the
+    the system allows, so a send waits for the child only when the jobs
+    it has not yet read fill that. ``close`` ends the pipe, waits for the
     child and raises the first error it hit (a ``send`` that finds the
     child gone raises it at once); after that error the child writes
     nothing more.
